@@ -1,8 +1,8 @@
 // Google-benchmark micro-benchmarks of the simulation substrate: event
-// throughput, heap-vs-ladder scheduler A/B runs, coroutine round trips,
-// DRR link scheduling, the M/G/1 simulator, and an end-to-end MPI
-// ping-pong — the costs that bound how much virtual time a campaign can
-// afford to simulate.
+// throughput, event-queue scaling with the pending population, coroutine
+// round trips, DRR link scheduling, the M/G/1 simulator, and an end-to-end
+// MPI ping-pong — the costs that bound how much virtual time a campaign
+// can afford to simulate.
 //
 // `--json=FILE` additionally writes {name, ns_per_op, counters} per
 // benchmark for machine-readable tracking (BENCH_pr3.json is a committed
@@ -191,16 +191,15 @@ BENCHMARK(BM_EngineClosureSize<16>);
 BENCHMARK(BM_EngineClosureSize<48>);
 BENCHMARK(BM_EngineClosureSize<64>);
 
-// --- heap vs ladder scheduler A/B (same workloads, explicit kind) ---
+// --- event-queue scaling with the pending population ---
 
 /// Bulk schedule-then-drain at a given pending-population size, insertion
 /// times scattered so the heap pays real sift costs (ascending times would
-/// flatter both queues).
-template <sim::SchedulerKind K>
+/// flatter it).
 void BM_SchedulerScheduleRun(benchmark::State& state) {
   const auto heap0 = sim::inline_fn_heap_allocations();
   for (auto _ : state) {
-    sim::Engine e(K);
+    sim::Engine e;
     const int n = static_cast<int>(state.range(0));
     for (int i = 0; i < n; ++i) {
       const Tick t = static_cast<Tick>(
@@ -211,28 +210,18 @@ void BM_SchedulerScheduleRun(benchmark::State& state) {
   }
   report_event_counters(state, state.iterations() * state.range(0), heap0);
 }
-BENCHMARK(BM_SchedulerScheduleRun<sim::SchedulerKind::kHeap>)
-    ->Arg(1024)
-    ->Arg(16384)
-    ->Arg(65536);
-BENCHMARK(BM_SchedulerScheduleRun<sim::SchedulerKind::kLadder>)
-    ->Arg(1024)
-    ->Arg(16384)
-    ->Arg(65536);
+BENCHMARK(BM_SchedulerScheduleRun)->Arg(1024)->Arg(16384)->Arg(65536);
 
 /// Steady-state churn: a constant pending population of self-rescheduling
-/// events with bimodal delays (mostly near-future, ~1.5% past the ladder's
-/// ring horizon, forcing overflow spills). This is the shape of a running
-/// campaign — the tentpole's ">= 1.5x at 10^4 pending events" target is
-/// measured on the Arg(16384) pair.
-template <sim::SchedulerKind K>
+/// events with bimodal delays (mostly within ~1 us, ~1.5% at 3 ms — a
+/// measurement-window timer). This is the shape of a running campaign.
 void BM_SchedulerChurn(benchmark::State& state) {
   const auto heap0 = sim::inline_fn_heap_allocations();
   const int population = static_cast<int>(state.range(0));
   constexpr int kHops = 64;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::Engine e(K);
+    sim::Engine e;
     struct Hopper {
       sim::Engine* e;
       int left;
@@ -255,12 +244,7 @@ void BM_SchedulerChurn(benchmark::State& state) {
   }
   report_event_counters(state, events, heap0);
 }
-BENCHMARK(BM_SchedulerChurn<sim::SchedulerKind::kHeap>)
-    ->Arg(1024)
-    ->Arg(16384);
-BENCHMARK(BM_SchedulerChurn<sim::SchedulerKind::kLadder>)
-    ->Arg(1024)
-    ->Arg(16384);
+BENCHMARK(BM_SchedulerChurn)->Arg(1024)->Arg(16384);
 
 sim::Task chain_task(sim::Engine& e, int hops) {
   for (int i = 0; i < hops; ++i) co_await sim::delay(e, 1);
@@ -291,18 +275,15 @@ void BM_LinkDrrManyFlows(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkDrrManyFlows)->Arg(2)->Arg(32);
 
-/// Message trains on an uncontended port, fast path vs per-packet DRR.
-/// Both variants execute the identical event schedule (that equivalence is
-/// what tests/test_scheduler_equivalence.cpp proves); the delta is pure
-/// bookkeeping: queue entries, flow-map lookups, and ring rotations saved.
-template <bool Fast>
+/// Back-to-back message trains on an uncontended port: the per-packet DRR
+/// cost (queue entry, flow-map lookup, quantum credit) of a message's
+/// packets on one hop.
 void BM_LinkMessageTrain(benchmark::State& state) {
   constexpr int kTrains = 64;
   constexpr std::uint32_t kPackets = 64;
   for (auto _ : state) {
     sim::Engine e;
     net::Link link(e, units::GBps(5.0), units::ns(50));
-    link.set_fast_path(Fast);
     struct Driver {
       net::Link* link;
       int remaining;
@@ -320,8 +301,7 @@ void BM_LinkMessageTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kTrains * kPackets);
 }
-BENCHMARK(BM_LinkMessageTrain<true>);
-BENCHMARK(BM_LinkMessageTrain<false>);
+BENCHMARK(BM_LinkMessageTrain);
 
 /// Serial large messages on an uncontended leaf-local route — the hybrid
 /// packet/flow regime's home turf (DESIGN.md §5.12). <true> advances each

@@ -189,9 +189,9 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
 
   report.run.wall_ms = elapsed_ms(t_start);
 
-  // Fold the registry's counter totals into the report so scheduler and
-  // fast-path health (ladder spills, trains served, demotions) ship with
-  // the campaign summary.
+  // Fold the registry's counter totals into the report so engine and
+  // flow-forward health (events executed, flow-forwards, demotions) ship
+  // with the campaign summary.
   if (obs::enabled()) {
     for (const auto& s : obs::default_registry().snapshot()) {
       if (s.kind == 'c') {

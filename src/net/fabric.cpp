@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/env.h"
 #include "util/error.h"
 
 namespace actnet::net {
@@ -90,21 +89,11 @@ Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed, int workers)
     }
   }
 
-  if (!util::env_flag_or("ACTNET_FASTPATH", true)) {
-    for (auto& l : uplinks_) l->set_fast_path(false);
-    for (auto& l : downlinks_) l->set_fast_path(false);
-    for (auto& pod : leaf_to_spine_)
-      for (auto& l : pod) l->set_fast_path(false);
-    for (auto& pod : spine_to_leaf_)
-      for (auto& l : pod) l->set_fast_path(false);
-  }
-  coalesce_ = util::env_onoff_or("ACTNET_FLOWFWD", true);
-
   // Aggregate port metrics live in a fabric-private registry: Counter /
   // Histogram / Gauge mutations are atomic, so concurrent domains may bump
   // them and the totals (and CAS-max peak) stay order-independent —
-  // digest() may include them. DRR rounds and fast-path counts are regime
-  // knob dependent and stay out of the digest.
+  // digest() may include them. DRR rounds stay out of the digest: they
+  // count scheduler visits, not simulated traffic.
   m_drr_rounds_ = &metrics_.counter("fabric.drr_rounds");
   m_depth_ = &metrics_.histogram("fabric.port.depth");
   m_depth_peak_ = &metrics_.gauge("fabric.port.depth_peak");
@@ -163,18 +152,9 @@ void Fabric::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
 
   const std::uint32_t slot =
       S.msgs.put(MsgRec{id, src, dst, flow, count, 0, config_.mtu, tail, t0});
-  Link& up = *uplinks_[static_cast<std::size_t>(src)];
-  if (coalesce_) {
-    up.transmit_train(flow, count, config_.mtu, tail, {},
-                      [this, sd, slot](std::uint32_t i) {
-                        uplink_arrival(sd, slot, i);
-                      });
-  } else {
-    const MsgRec& r = S.msgs.at(slot);
-    for (std::uint32_t i = 0; i < count; ++i)
-      up.transmit(flow, packet_size(r, i), {},
-                  [this, sd, slot, i] { uplink_arrival(sd, slot, i); });
-  }
+  uplinks_[static_cast<std::size_t>(src)]->transmit_train(
+      flow, count, config_.mtu, tail, {},
+      [this, sd, slot](std::uint32_t i) { uplink_arrival(sd, slot, i); });
 }
 
 Tick Fabric::stage_delay(std::uint32_t sw, const Packet& p,

@@ -22,20 +22,9 @@
 //    message admission order by construction. The distribution arithmetic
 //    is shared with OutputQueuedSwitch (sample_output_queued_delay).
 //
-//  * Per-port DRR queueing, packetization, trains, and NIC overheads
-//    reuse net::Link unchanged — each link simply binds to its domain's
-//    engine.
-//
-// Message coalescing (ACTNET_FLOWFWD=on|off, default on) picks between
-// one transmit_train() per message and per-packet transmit() calls at the
-// source NIC. Timing and event order are identical either way (the Link
-// fast-path contract); the knob exists so the equivalence matrix can
-// exercise both injection regimes under every partition count. The one
-// intentional divergence is accept-time depth SAMPLING: a train records
-// depths 1..count (matching its own slow path) while N separate
-// transmits direct-serve the first packet — same dynamics, different
-// bookkeeping, so cross-regime digests compare with the depth line
-// stripped (see test_partitioned_engine.cpp).
+//  * Per-port DRR queueing, packetization, and NIC overheads reuse
+//    net::Link unchanged — each link simply binds to its domain's engine.
+//    A message enters its source NIC as one transmit_train() call.
 #pragma once
 
 #include <cstdint>
@@ -106,11 +95,6 @@ class Fabric {
             Callback on_delivered);
 
   std::uint64_t run_until(Tick t) { return pe_.run_until(t); }
-
-  /// Coalesced (train) vs per-packet injection; default from
-  /// ACTNET_FLOWFWD. Identical timing, different bookkeeping path.
-  void set_coalescing(bool on) { coalesce_ = on; }
-  bool coalescing() const { return coalesce_; }
 
   const FabricCounters& counters(int domain) const {
     return dom_[static_cast<std::size_t>(domain)].counters;
@@ -200,7 +184,6 @@ class Fabric {
   /// the channel-message timestamp); the downlink half at the spine.
   std::vector<std::vector<std::unique_ptr<Link>>> leaf_to_spine_;
   std::vector<std::vector<std::unique_ptr<Link>>> spine_to_leaf_;
-  bool coalesce_;
   FlowId next_flow_ = 1;
   /// Port metrics shared by every link; all-atomic, so worker threads add
   /// samples concurrently and the sums stay order-independent.

@@ -25,12 +25,6 @@ void Link::attach_metrics(obs::Counter* drr_rounds,
   m_queue_peak_ = queue_depth_peak;
 }
 
-void Link::attach_fastpath_metrics(obs::Counter* trains,
-                                   obs::Counter* fallbacks) {
-  m_fast_trains_ = trains;
-  m_fast_fallbacks_ = fallbacks;
-}
-
 void Link::set_trace(obs::Tracer* tracer, int pid, std::string track) {
   tracer_ = tracer;
   trace_pid_ = pid;
@@ -52,16 +46,6 @@ void Link::transmit(FlowId flow, Bytes size, sim::EventFn on_serialized,
   // analytically advanced past this port: re-materialize it first so its
   // packets keep their FIFO position ahead of the newcomer.
   if (ffwd_guard_) fire_flowfwd_guard();
-  // Any competing enqueue ends the fast-path regime for the active train.
-  if (active_train_ != kNoTrain) demote_train();
-  if (fast_ && !busy_ && ring_.empty()) {
-    // Idle port: DRR has nothing to arbitrate; serve directly. Same
-    // serialization-end tick and engine sequence as enqueue + start_next.
-    // The slow path would have sampled depth 1 in enqueue_item.
-    note_enqueue_depth(1);
-    begin_service(Item{size, std::move(on_serialized), std::move(on_arrive)});
-    return;
-  }
   enqueue_item(flow,
                Item{size, std::move(on_serialized), std::move(on_arrive)});
   if (!busy_) start_next();
@@ -75,32 +59,15 @@ void Link::transmit_train(FlowId flow, std::uint32_t count, Bytes full_size,
   ACTNET_CHECK(full_size > 0 || (count == 1 && tail_size > 0));
   ACTNET_CHECK(tail_size >= 0);
   if (ffwd_guard_) fire_flowfwd_guard();
-  if (active_train_ != kNoTrain) demote_train();
-
-  Train tr;
-  tr.on_arrive = std::move(on_arrive);
-  tr.on_last_serialized = std::move(on_last_serialized);
-  tr.flow = flow;
-  tr.count = count;
-  tr.live = count;
-  tr.full_size = full_size;
-  tr.tail_size = tail_size;
-
-  if (fast_ && !busy_ && ring_.empty()) {
-    // The slow path would have enqueued all `count` packets before serving
-    // the first, sampling depths 1..count; record the same samples so the
-    // depth distribution does not depend on the regime.
-    for (std::uint32_t i = 1; i <= count; ++i) note_enqueue_depth(i);
-    active_train_ = trains_.put(std::move(tr));
-    ++fast_trains_;
-    if (m_fast_trains_ != nullptr) m_fast_trains_->inc();
-    serve_train_next();
-    return;
+  const std::uint32_t slot = trains_.put(Train{std::move(on_arrive), count});
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const bool last = i + 1 == count;
+    Item item;
+    item.size = last && tail_size > 0 ? tail_size : full_size;
+    if (last) item.on_serialized = std::move(on_last_serialized);
+    item.on_arrive = [this, slot, i] { train_arrive(slot, i); };
+    enqueue_item(flow, std::move(item));
   }
-  // Contended (or fast path disabled): the train becomes ordinary DRR
-  // queue entries immediately, exactly as `count` transmit() calls would.
-  const std::uint32_t slot = trains_.put(std::move(tr));
-  enqueue_train_items(slot, 0);
   if (!busy_) start_next();
 }
 
@@ -118,25 +85,14 @@ void Link::enqueue_item(FlowId flow, Item item) {
   ++queued_packets_;
   queued_bytes_ += size;
   // Demotion replay re-creates entries whose depth samples were already
-  // recorded when the train / flow-forward was accepted; re-sampling them
-  // here would make the depth distribution depend on the regime.
+  // recorded when the flow-forward was accepted; re-sampling them here
+  // would make the depth distribution depend on the regime.
   if (!suppress_depth_samples_) note_enqueue_depth(queued_packets_);
   if (tracer_ != nullptr) note_depth_change();
   if (!st.in_ring) {
     st.in_ring = true;
     st.deficit = 0;
     ring_.push_back(flow);
-  }
-}
-
-void Link::enqueue_train_items(std::uint32_t slot, std::uint32_t from) {
-  Train& tr = trains_.at(slot);
-  for (std::uint32_t i = from; i < tr.count; ++i) {
-    Item item;
-    item.size = train_packet_size(tr, i);
-    if (i + 1 == tr.count) item.on_serialized = std::move(tr.on_last_serialized);
-    item.on_arrive = [this, slot, i] { train_arrive(slot, i); };
-    enqueue_item(tr.flow, std::move(item));
   }
 }
 
@@ -161,68 +117,9 @@ void Link::finish_service() {
   } else {
     engine_.schedule_in(propagation_, std::move(done.on_arrive));
   }
-  // A callback above may have demoted the train (competing enqueue) or
-  // even queued new work; the train check reflects the current state.
-  if (active_train_ != kNoTrain) {
-    serve_train_next();
-    return;
-  }
+  // A callback above may have queued new work; start_next sees it.
   busy_ = false;
   start_next();
-}
-
-void Link::serve_train_next() {
-  Train& tr = trains_.at(active_train_);
-  if (tr.next >= tr.count) {
-    // Train complete (arrivals may still be in flight; the pooled record
-    // lives until the last one lands).
-    active_train_ = kNoTrain;
-    busy_ = false;
-    start_next();
-    return;
-  }
-  const std::uint32_t slot = active_train_;
-  const std::uint32_t i = tr.next++;
-  Item item;
-  item.size = train_packet_size(tr, i);
-  if (i + 1 == tr.count) item.on_serialized = std::move(tr.on_last_serialized);
-  item.on_arrive = [this, slot, i] { train_arrive(slot, i); };
-  begin_service(std::move(item));
-}
-
-void Link::demote_train() {
-  const std::uint32_t slot = active_train_;
-  Train& tr = trains_.at(slot);
-  if (tr.next >= tr.count) {
-    // Fully serialized: nothing to demote. finish_service() retires the
-    // train; the newcomer queues behind the in-service packet as usual.
-    return;
-  }
-  active_train_ = kNoTrain;
-  ++fast_fallbacks_;
-  if (m_fast_fallbacks_ != nullptr) m_fast_fallbacks_->inc();
-
-  // Materialize the DRR state the per-packet path would have reached by
-  // now: replay the quantum credits over the packets already served. The
-  // flow sits mid-visit at the front of the (empty) ring with its earned
-  // deficit, so the demoted tail and any newcomer arbitrate from exactly
-  // the per-packet state.
-  FlowState& st = flows_[tr.flow];
-  Bytes deficit = 0;
-  for (std::uint32_t i = 0; i < tr.next; ++i) {
-    const Bytes size = train_packet_size(tr, i);
-    while (deficit < size) deficit += quantum_;
-    deficit -= size;
-  }
-  st.deficit = deficit;
-  st.visited = true;
-  st.in_ring = true;
-  ring_.push_back(tr.flow);
-  // The accept-time depth samples (1..count) already covered these
-  // packets; replaying them must not re-sample.
-  suppress_depth_samples_ = true;
-  enqueue_train_items(slot, tr.next);
-  suppress_depth_samples_ = false;
 }
 
 void Link::fire_flowfwd_guard() {
@@ -252,7 +149,7 @@ void Link::credit_flowfwd_depth(std::size_t depth) {
 void Link::restore_in_service(Bytes size, Tick end_at,
                               sim::EventFn on_serialized,
                               sim::EventFn on_arrive) {
-  ACTNET_CHECK(!busy_ && active_train_ == kNoTrain);
+  ACTNET_CHECK(!busy_);
   ACTNET_CHECK(end_at >= engine_.now());
   busy_ = true;
   // Bypasses begin_service: the demoting caller credits packets/bytes/

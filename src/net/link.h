@@ -14,17 +14,11 @@
 // time is size/bandwidth; arrival fires `propagation` after serialization
 // ends. Within a flow, ordering is strictly FIFO.
 //
-// Packet-train fast path (DESIGN.md §5.9): on an idle port, a message's
-// packets serialize back-to-back with no arbitration to decide, so
-// transmit_train() parks ONE pooled record per (message, hop) and serves
-// packets straight from it — no per-packet flow-map lookups, deque
-// traffic, ring rotations, or per-packet arrival closures. The moment a
-// competing enqueue lands on the port the remaining packets are demoted
-// into the ordinary DRR structures with exactly the deficit/ring state the
-// slow path would have reached, so every serialization-end and arrival
-// event keeps the tick — and the engine sequence number — it would have
-// had on the per-packet path. Timing and event order are bit-identical by
-// construction; only the bookkeeping cost changes.
+// Every packet takes the same path: enqueue on its flow, then DRR picks
+// the next packet whenever the port frees up. A whole message can be
+// queued in one call (transmit_train), which parks its arrival callback in
+// ONE pooled record per (message, hop) so the per-packet queue entries
+// capture only {this, slot, index} and stay allocation-free.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +63,9 @@ class Link {
   /// `full_size` bytes except the last, which is `tail_size` bytes when
   /// tail_size > 0. `on_arrive(i)` fires as packet i arrives (per-flow
   /// FIFO order); `on_last_serialized` (optional) fires when the last
-  /// packet's final bit leaves the sender. Equivalent to `count` transmit()
-  /// calls, but an uncontended port serves the train from one pooled
-  /// record (the fast path) instead of `count` queue entries.
+  /// packet's final bit leaves the sender. All `count` packets enter the
+  /// flow's DRR queue before any is served, so an idle port records
+  /// enqueue-depth samples 1..count.
   void transmit_train(FlowId flow, std::uint32_t count, Bytes full_size,
                       Bytes tail_size, sim::EventFn on_last_serialized,
                       TrainArriveFn on_arrive);
@@ -79,19 +73,11 @@ class Link {
   double bytes_per_sec() const { return bytes_per_sec_; }
   Tick propagation() const { return propagation_; }
 
-  /// Fast path on/off (on by default; Network wires ACTNET_FASTPATH).
-  /// Affects bookkeeping cost only — timing and event order are identical.
-  void set_fast_path(bool on) { fast_ = on; }
-  bool fast_path() const { return fast_; }
-
   // --- flow-forward support (route-level regime; DESIGN.md §5.12) ---
   /// True when a packet transmitted now would serialize immediately:
-  /// nothing in service, nothing queued, no fast-path train, and no armed
-  /// flow-forward guard. The Network's flow-forward eligibility check.
-  bool idle() const {
-    return !busy_ && ring_.empty() && active_train_ == kNoTrain &&
-           !ffwd_guard_;
-  }
+  /// nothing in service, nothing queued, and no armed flow-forward guard.
+  /// The Network's flow-forward eligibility check.
+  bool idle() const { return !busy_ && ring_.empty() && !ffwd_guard_; }
 
   /// Arms a demotion guard on an idle() port: the next transmit() /
   /// transmit_train() invokes `on_competitor` BEFORE doing anything else,
@@ -138,10 +124,10 @@ class Link {
   Bytes bytes_sent() const { return bytes_; }
   /// Total time spent serializing (utilization = busy_time / elapsed).
   Tick busy_time() const { return busy_time_; }
-  /// Trains accepted on the fast path / trains demoted to per-packet DRR
-  /// by a competing enqueue before completing.
-  std::uint64_t fastpath_trains() const { return fast_trains_; }
-  std::uint64_t fastpath_fallbacks() const { return fast_fallbacks_; }
+  /// Train records still parked (some arrival not yet delivered), and the
+  /// record pool's slot count (slots are recycled, so it stays small).
+  std::size_t trains_live() const { return trains_.live(); }
+  std::size_t trains_capacity() const { return trains_.capacity(); }
 
   // --- observability (see obs/metrics.h; Network wires these) ---
   /// Shares aggregate metrics with sibling links: DRR scheduling rounds,
@@ -149,8 +135,6 @@ class Link {
   /// mark. Null pointers leave that metric off.
   void attach_metrics(obs::Counter* drr_rounds, obs::Histogram* queue_depth,
                       obs::Gauge* queue_depth_peak);
-  /// Aggregate fast-path counters ("net.fastpath.*"); null = off.
-  void attach_fastpath_metrics(obs::Counter* trains, obs::Counter* fallbacks);
   /// Emits this link's queue depth as a Chrome-trace counter `track`
   /// whenever the depth changes inside the tracer's time window.
   void set_trace(obs::Tracer* tracer, int pid, std::string track);
@@ -169,34 +153,19 @@ class Link {
     /// credited its quantum for this visit.
     bool visited = false;
   };
-  /// A fast-path train parked in trains_: the undelivered tail of one
-  /// message on this hop. Arrival closures capture {this, slot, index}, so
-  /// the record must outlive every arrival; `live` counts them down.
+  /// One message's arrival callback, parked in trains_ for this hop.
+  /// Queue entries capture {this, slot, index}, so the record must outlive
+  /// every arrival; `live` counts them down.
   struct Train {
     TrainArriveFn on_arrive;
-    sim::EventFn on_last_serialized;
-    FlowId flow = 0;
-    std::uint32_t count = 0;
-    std::uint32_t next = 0;  ///< next packet index to serve
     std::uint32_t live = 0;  ///< arrivals not yet delivered
-    Bytes full_size = 0;
-    Bytes tail_size = 0;
   };
-  static constexpr std::uint32_t kNoTrain = 0xffffffffu;
-
-  static Bytes train_packet_size(const Train& tr, std::uint32_t i) {
-    return (tr.tail_size > 0 && i + 1 == tr.count) ? tr.tail_size
-                                                   : tr.full_size;
-  }
 
   void enqueue_item(FlowId flow, Item item);
-  void enqueue_train_items(std::uint32_t slot, std::uint32_t from);
   void fire_flowfwd_guard();
   void note_enqueue_depth(std::size_t depth);
   void begin_service(Item item);
   void finish_service();
-  void serve_train_next();
-  void demote_train();
   void train_arrive(std::uint32_t slot, std::uint32_t index);
   void start_next();
   void note_depth_change();
@@ -212,27 +181,21 @@ class Link {
   Item in_service_{};
   bool busy_ = false;
   SlotPool<Train> trains_;
-  std::uint32_t active_train_ = kNoTrain;  ///< train being fast-path served
   /// Fires on the next competing enqueue (flow-forward demotion hook).
   sim::EventFn ffwd_guard_;
-  /// Suppresses depth-sample recording while demotions re-materialize
-  /// queue entries whose samples were already recorded at accept time.
+  /// Suppresses depth-sample recording while a flow-forward demotion
+  /// re-materializes queue entries whose samples were recorded at accept.
   bool suppress_depth_samples_ = false;
-  bool fast_ = true;
   std::size_t queued_packets_ = 0;
   Bytes queued_bytes_ = 0;
   std::uint64_t packets_ = 0;
   Bytes bytes_ = 0;
   Tick busy_time_ = 0;
-  std::uint64_t fast_trains_ = 0;
-  std::uint64_t fast_fallbacks_ = 0;
 
   // Observability (null = off; never influences scheduling decisions).
   obs::Counter* m_drr_rounds_ = nullptr;
   obs::Histogram* m_queue_depth_ = nullptr;
   obs::Gauge* m_queue_peak_ = nullptr;
-  obs::Counter* m_fast_trains_ = nullptr;
-  obs::Counter* m_fast_fallbacks_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
   std::string trace_track_;

@@ -99,18 +99,6 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     }
   }
 
-  // Packet-train fast path: on by default, ACTNET_FASTPATH=0 opts out
-  // (timing and event order are identical either way; see DESIGN.md §5.9).
-  if (!util::env_flag_or("ACTNET_FASTPATH", true)) {
-    for (auto& l : uplinks_) l->set_fast_path(false);
-    for (auto& l : downlinks_) l->set_fast_path(false);
-    for (auto& l : local_channels_) l->set_fast_path(false);
-    for (auto& pod : leaf_to_spine_)
-      for (auto& l : pod) l->set_fast_path(false);
-    for (auto& pod : spine_to_leaf_)
-      for (auto& l : pod) l->set_fast_path(false);
-  }
-
   // Flow-forward regime: on by default, ACTNET_FLOWFWD=off opts out
   // (DESIGN.md §5.12). Requires a contention-free switch stage — the
   // shared-queue ablation model couples packets and stays packet-level.
@@ -137,8 +125,6 @@ void Network::attach_metrics(obs::Registry& r) {
   obs::Counter* drr = &r.counter("net.link.drr_rounds");
   obs::Histogram* depth = &r.histogram("net.port.queue_depth");
   obs::Gauge* peak = &r.gauge("net.port.queue_depth_peak");
-  obs::Counter* trains = &r.counter("net.fastpath.trains");
-  obs::Counter* fallbacks = &r.counter("net.fastpath.fallbacks");
   for (auto& l : uplinks_) l->attach_metrics(drr, depth, peak);
   for (auto& l : downlinks_) l->attach_metrics(drr, depth, peak);
   for (auto& l : local_channels_) l->attach_metrics(drr, depth, peak);
@@ -146,14 +132,6 @@ void Network::attach_metrics(obs::Registry& r) {
     for (auto& l : pod) l->attach_metrics(drr, depth, peak);
   for (auto& pod : spine_to_leaf_)
     for (auto& l : pod) l->attach_metrics(drr, depth, peak);
-  for (auto& l : uplinks_) l->attach_fastpath_metrics(trains, fallbacks);
-  for (auto& l : downlinks_) l->attach_fastpath_metrics(trains, fallbacks);
-  for (auto& l : local_channels_)
-    l->attach_fastpath_metrics(trains, fallbacks);
-  for (auto& pod : leaf_to_spine_)
-    for (auto& l : pod) l->attach_fastpath_metrics(trains, fallbacks);
-  for (auto& pod : spine_to_leaf_)
-    for (auto& l : pod) l->attach_fastpath_metrics(trains, fallbacks);
 }
 
 void Network::set_tracer(obs::Tracer* tracer) {
@@ -245,10 +223,10 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
     return id;
   }
 
-  // The whole message goes down as ONE packet train: an uncontended uplink
-  // serves it from a single pooled record (Link's fast path) instead of
-  // num_packets queue entries. The per-packet arrival closure rebuilds the
-  // Packet from this 48-byte capture, so nothing is allocated per packet.
+  // The whole message goes down as ONE packet train: the uplink parks a
+  // single pooled arrival record for it. The per-packet arrival closure
+  // rebuilds the Packet from this 48-byte capture, so nothing is allocated
+  // per packet.
   // Injection completes when the *last* packet of the message has been
   // serialized (per-flow FIFO order guarantees it serializes last).
   const Tick now = engine_.now();
@@ -335,10 +313,10 @@ void Network::deliver_to_node(const Packet& p) {
 // ---------------------------------------------------------------------------
 
 bool Network::flowfwd_eligible(NodeId src, NodeId dst) const {
-  // Tracing does NOT disable the fast path — observability must never
+  // Tracing does NOT disable flow-forward — observability must never
   // steer the simulation (test_obs). The analytic schedule knows every
-  // per-packet timestamp, so the fast path emits the same switch/packet
-  // spans the per-packet path would have recorded.
+  // per-packet timestamp, so it emits the same switch/packet spans the
+  // per-packet path would have recorded.
   if (!flowfwd_ || !switch_contention_free_) return false;
   // Cross-pod routes traverse trunks and a spine stage; only the
   // leaf-local route (the paper's single-switch setting) fast-forwards.
@@ -520,7 +498,7 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   replay_downlink(ff, std::numeric_limits<Tick>::max());  // depth samples
 
   // Accept-time accounting the per-packet path would have produced at t0:
-  // the uplink's enqueue-depth samples (1..n, as a train accept records).
+  // the uplink's enqueue-depth samples (1..n, as transmit_train records).
   // Uplink packet/byte/busy counters are credited at t_inj, downlink
   // counters and depth samples at t_done, so a demotion can credit exactly
   // the started portion instead.
@@ -682,10 +660,10 @@ void Network::demote_flowfwd(MessageId id) {
 
   if (k < n) {
     // Packet k is mid-serialization; k+1.. wait in the flow's queue with
-    // the deficit the per-packet path would have earned (the demote_train
-    // replay, DESIGN.md §5.9). The last packet carries on_injected as its
-    // serialization-end callback, as transmit_train would. The finish event
-    // was created when packet k's service began.
+    // the deficit the per-packet path would have earned (DRR's quantum
+    // credits replayed over packets 0..k). The last packet carries
+    // on_injected as its serialization-end callback, as transmit_train
+    // would. The finish event was created when packet k's service began.
     restores.push_back({ff.pkts[k].upl_end - ser_of(ff.pkts[k]), [&, this] {
       const auto onser_for = [&](std::uint32_t i) {
         sim::EventFn fn;

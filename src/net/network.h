@@ -153,9 +153,9 @@ class Network {
                  Callback on_injected, Callback on_delivered);
 
   /// Flow-forward regime on/off (wired from ACTNET_FLOWFWD at
-  /// construction, default on; see DESIGN.md §5.12). Unlike the link fast
-  /// path this changes RNG draw order on shared switches, so contended
-  /// results are tolerance-equivalent, not bit-identical.
+  /// construction, default on; see DESIGN.md §5.12). It changes RNG draw
+  /// order on shared switches, so contended results are
+  /// tolerance-equivalent, not bit-identical.
   void set_flow_forward(bool on) { flowfwd_ = on; }
   bool flow_forward() const { return flowfwd_; }
 

@@ -108,11 +108,8 @@ void RunReport::print(std::ostream& os, std::size_t max_rows) const {
     if (!conformance.detail.empty()) os << " — " << conformance.detail;
     os << "\n";
   }
-  // The scheduler/fast-path/flow-forward health counters, when metrics
-  // were on.
-  for (const char* name : {"sim.engine.ladder.spills", "net.fastpath.trains",
-                           "net.fastpath.fallbacks", "net.flowfwd.messages",
-                           "net.flowfwd.demotions",
+  // The flow-forward health counters, when metrics were on.
+  for (const char* name : {"net.flowfwd.messages", "net.flowfwd.demotions",
                            "net.flowfwd.fallback_packets"}) {
     for (const auto& m : metrics) {
       if (m.name == name) {

@@ -51,8 +51,9 @@ class JobStatsScope {
 void add_job_stats(std::uint64_t events, Tick sim_time);
 
 /// One registry counter sampled at campaign end (see Registry::snapshot);
-/// carries the scheduler/fast-path counters ("sim.engine.ladder.spills",
-/// "net.fastpath.trains", "net.fastpath.fallbacks", ...) into the report.
+/// carries the engine and flow-forward counters
+/// ("sim.engine.events_executed", "net.flowfwd.messages",
+/// "net.flowfwd.demotions", ...) into the report.
 struct MetricSample {
   std::string name;
   double value = 0.0;

@@ -1,36 +1,19 @@
 #include "sim/engine.h"
 
-#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "util/env.h"
 
 namespace actnet::sim {
-namespace {
 
-SchedulerKind scheduler_from_env() {
-  const std::string v = util::env_string("ACTNET_SCHEDULER");
-  if (v.empty() || v == "ladder") return SchedulerKind::kLadder;
-  ACTNET_CHECK_MSG(v == "heap",
-                   "ACTNET_SCHEDULER must be 'heap' or 'ladder', got '" << v
-                                                                        << "'");
-  return SchedulerKind::kHeap;
-}
-
-}  // namespace
-
-Engine::Engine() : Engine(scheduler_from_env()) {}
-
-Engine::Engine(SchedulerKind kind) : kind_(kind) {
+Engine::Engine() {
   if (obs::enabled()) attach_metrics(obs::default_registry());
 }
 
 void Engine::attach_metrics(obs::Registry& r) {
   m_scheduled_ = &r.counter("sim.engine.events_scheduled");
   m_executed_ = &r.counter("sim.engine.events_executed");
-  m_spills_ = &r.counter("sim.engine.ladder.spills");
   m_heap_peak_ = &r.gauge("sim.engine.heap_peak");
   m_slots_peak_ = &r.gauge("sim.engine.slots_peak");
   obs::Counter* executed = m_executed_;
@@ -42,9 +25,9 @@ void Engine::attach_metrics(obs::Registry& r) {
   });
 }
 
-bool Engine::next_event_time(Tick* t) {
-  if (pending() == 0) return false;
-  *t = kind_ == SchedulerKind::kHeap ? heap_.front().t : ladder_.peek().t;
+bool Engine::next_event_time(Tick* t) const {
+  if (heap_.empty()) return false;
+  *t = heap_.front().t;
   return true;
 }
 
@@ -66,10 +49,7 @@ EventKey Engine::push_event(Tick t, EventFn fn) {
   ACTNET_CHECK(fn);
   const EventKey k{t, next_seq_++, alloc_slot(std::move(fn))};
   slot_seq_[k.slot] = k.seq;
-  if (kind_ == SchedulerKind::kHeap)
-    detail::heap_push(heap_, k);
-  else
-    ladder_.push(k, now_);
+  detail::heap_push(heap_, k);
   if (m_scheduled_ != nullptr) {
     m_scheduled_->inc();
     m_heap_peak_->max(static_cast<double>(pending()));
@@ -102,14 +82,8 @@ std::uint64_t Engine::drain(Tick limit, bool bounded) {
   obs::ProfScope prof(obs::Subsystem::kEngine);
   std::uint64_t n = 0;
   while (true) {
-    EventKey k;
-    if (kind_ == SchedulerKind::kHeap) {
-      if (heap_.empty() || (bounded && heap_.front().t > limit)) break;
-      k = detail::heap_pop(heap_);
-    } else {
-      if (ladder_.empty() || (bounded && ladder_.peek().t > limit)) break;
-      k = ladder_.pop();
-    }
+    if (heap_.empty() || (bounded && heap_.front().t > limit)) break;
+    const EventKey k = detail::heap_pop(heap_);
     now_ = k.t;
     // Move the callable out so it can schedule further events (and so the
     // slot is immediately reusable by them).
@@ -123,14 +97,7 @@ std::uint64_t Engine::drain(Tick limit, bool bounded) {
     ACTNET_CHECK_MSG(budget_ == 0 || n <= budget_,
                      "event budget exhausted (" << budget_ << ")");
   }
-  if (m_executed_ != nullptr) {
-    m_executed_->inc(n);
-    const std::uint64_t spills = ladder_.spills();
-    if (spills != spills_reported_) {
-      m_spills_->inc(spills - spills_reported_);
-      spills_reported_ = spills;
-    }
-  }
+  if (m_executed_ != nullptr) m_executed_->inc(n);
   return n;
 }
 

@@ -12,10 +12,7 @@
 // allocation-free. Callables are sim::InlineFn — closures up to 48 bytes
 // of capture never touch the heap.
 //
-// Two queue implementations are available (see event_queue.h): the classic
-// 4-ary heap and a ladder/calendar queue with O(1) amortized schedule/pop.
-// Both drain in exactly the same (time, seq) total order, so the choice is
-// a pure speed knob: ACTNET_SCHEDULER=heap|ladder (default ladder).
+// The queue itself is a 4-ary min-heap over those keys (event_queue.h).
 #pragma once
 
 #include <cstdint>
@@ -37,25 +34,14 @@ namespace actnet::sim {
 /// Event callback: move-only, small-buffer-inline (see inline_fn.h).
 using EventFn = InlineFn<void()>;
 
-/// Which queue implementation an Engine drains (equivalent total order).
-enum class SchedulerKind {
-  kHeap,    ///< 4-ary implicit min-heap, O(log n) schedule/pop
-  kLadder,  ///< bucketed calendar queue, O(1) amortized schedule/pop
-};
-
 class Engine {
  public:
-  /// Scheduler chosen by ACTNET_SCHEDULER ("heap" or "ladder"; default
-  /// ladder). Self-attaches to obs::default_registry() when
-  /// obs::enabled(); with observability off the metric pointers stay null
-  /// and the engine is exactly as fast as before they existed.
+  /// Self-attaches to obs::default_registry() when obs::enabled(); with
+  /// observability off the metric pointers stay null and the engine is
+  /// exactly as fast as before they existed.
   Engine();
-  /// Explicit scheduler choice (tests and A/B benches).
-  explicit Engine(SchedulerKind kind);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  SchedulerKind scheduler() const { return kind_; }
 
   /// Registers this engine's metrics in `r`. Metric names are aggregates:
   /// every attached engine bumps the same counters ("sim.engine.*").
@@ -105,18 +91,12 @@ class Engine {
   /// Time of the earliest pending event, written to `*t`; false when the
   /// queue is empty. Cancelled tombstones count (their keys are still
   /// queued), so the value is a conservative lower bound — exactly what
-  /// the partitioned runtime's window placement needs. May slide the
-  /// ladder's window forward (hence non-const), but never changes the
-  /// drain order.
-  bool next_event_time(Tick* t);
+  /// the partitioned runtime's window placement needs.
+  bool next_event_time(Tick* t) const;
 
-  bool empty() const { return pending() == 0; }
-  std::size_t pending() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.size() : ladder_.size();
-  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t events_processed() const { return processed_; }
-  /// Events the ladder routed past its ring horizon (0 under the heap).
-  std::uint64_t ladder_spills() const { return ladder_.spills(); }
 
   /// Safety valve: run()/run_until() throw after this many events in a
   /// single call (guards against runaway workloads). 0 disables.
@@ -129,13 +109,11 @@ class Engine {
 
   std::uint32_t alloc_slot(EventFn fn);
   EventKey push_event(Tick t, EventFn fn);
-  /// The shared drain loop behind run()/run_until(): both schedulers feed
-  /// the same dispatch, budget check, and events_processed() accounting.
+  /// The shared drain loop behind run()/run_until(): one dispatch, budget
+  /// check, and events_processed() accounting for both.
   std::uint64_t drain(Tick limit, bool bounded);
 
-  SchedulerKind kind_;
-  std::vector<EventKey> heap_;   ///< active when kind_ == kHeap
-  LadderQueue ladder_;           ///< active when kind_ == kLadder
+  std::vector<EventKey> heap_;   ///< 4-ary min-heap of pending keys
   std::vector<EventFn> slots_;   ///< out-of-line callables
   std::vector<std::uint32_t> free_slots_;
   /// Sequence number of the event currently occupying each slot (kDeadSeq
@@ -147,16 +125,13 @@ class Engine {
   std::uint64_t cancelled_ = 0;
   std::uint64_t budget_ = 0;
 
-  // Observability (null unless attached). Executed and spill counts are
-  // credited in one batched add after each run loop, so the per-event path
-  // only pays for metrics on schedule_at — one predictable branch when
-  // disabled.
+  // Observability (null unless attached). Executed counts are credited in
+  // one batched add after each run loop, so the per-event path only pays
+  // for metrics on schedule_at — one predictable branch when disabled.
   obs::Counter* m_scheduled_ = nullptr;
   obs::Counter* m_executed_ = nullptr;
-  obs::Counter* m_spills_ = nullptr;
   obs::Gauge* m_heap_peak_ = nullptr;
   obs::Gauge* m_slots_peak_ = nullptr;
-  std::uint64_t spills_reported_ = 0;
 };
 
 }  // namespace actnet::sim

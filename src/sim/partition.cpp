@@ -37,37 +37,19 @@ PartitionedEngine::PartitionedEngine(int domains, Tick lookahead, int workers)
       workers_(resolve_workers(domains, workers)),
       stats_(static_cast<std::size_t>(domains)),
       outboxes_(static_cast<std::size_t>(domains)) {
-  check_shape(domains);
+  ACTNET_CHECK_MSG(domains >= 1, "PartitionedEngine needs >= 1 domain");
+  ACTNET_CHECK_MSG(lookahead_ >= 1,
+                   "conservative lookahead must be >= 1 tick, got "
+                       << lookahead_);
   domains_.reserve(static_cast<std::size_t>(domains));
-  // Engine() resolves ACTNET_SCHEDULER itself.
   for (int d = 0; d < domains; ++d)
     domains_.push_back(std::make_unique<Engine>());
-  if (obs::enabled()) attach_metrics(obs::default_registry());
-}
-
-PartitionedEngine::PartitionedEngine(int domains, Tick lookahead, int workers,
-                                     SchedulerKind kind)
-    : lookahead_(lookahead),
-      workers_(resolve_workers(domains, workers)),
-      stats_(static_cast<std::size_t>(domains)),
-      outboxes_(static_cast<std::size_t>(domains)) {
-  check_shape(domains);
-  domains_.reserve(static_cast<std::size_t>(domains));
-  for (int d = 0; d < domains; ++d)
-    domains_.push_back(std::make_unique<Engine>(kind));
   if (obs::enabled()) attach_metrics(obs::default_registry());
 }
 
 int PartitionedEngine::resolve_workers(int domains, int workers) {
   if (workers <= 0) workers = workers_from_env(domains);
   return std::max(1, std::min(workers, std::max(1, domains)));
-}
-
-void PartitionedEngine::check_shape(int domains) const {
-  ACTNET_CHECK_MSG(domains >= 1, "PartitionedEngine needs >= 1 domain");
-  ACTNET_CHECK_MSG(lookahead_ >= 1,
-                   "conservative lookahead must be >= 1 tick, got "
-                       << lookahead_);
 }
 
 PartitionedEngine::~PartitionedEngine() {

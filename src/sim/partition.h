@@ -64,11 +64,8 @@ class PartitionedEngine {
   /// cross-domain latency (the window width). `workers` threads execute
   /// the windows: 0 resolves ACTNET_PARTITIONS (default 1 = serial; the
   /// caller's thread always participates, so N workers = N-1 spawned
-  /// threads); values are clamped to `domains`. Scheduler kind for the
-  /// domain engines comes from ACTNET_SCHEDULER as usual.
+  /// threads); values are clamped to `domains`.
   PartitionedEngine(int domains, Tick lookahead, int workers = 0);
-  PartitionedEngine(int domains, Tick lookahead, int workers,
-                    SchedulerKind kind);
   PartitionedEngine(const PartitionedEngine&) = delete;
   PartitionedEngine& operator=(const PartitionedEngine&) = delete;
   ~PartitionedEngine();
@@ -132,7 +129,6 @@ class PartitionedEngine {
   };
 
   static int resolve_workers(int domains, int workers);
-  void check_shape(int domains) const;
   template <typename Fn>
   void record_error(Fn&& fn);
   void start_workers();

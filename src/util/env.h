@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/error.h"
+
 namespace actnet::util {
 
 /// Positive integer from `name`, else `fallback` (unset, empty, zero,
@@ -39,23 +41,18 @@ inline bool env_flag(const char* name) {
   return v != nullptr && v[0] == '1';
 }
 
-/// Like env_flag, but unset/empty means `fallback` — for default-on knobs
-/// (ACTNET_FASTPATH=0 disables, unset leaves it on).
-inline bool env_flag_or(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return v[0] == '1';
-}
-
 /// Default-on knob accepting word forms too (ACTNET_FLOWFWD=on|off|1|0).
-/// Unset, empty, or unrecognized values mean `fallback`.
+/// Unset or empty means `fallback`; any other unrecognized value throws
+/// actnet::Error naming the variable and the value.
 inline bool env_onoff_or(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') return fallback;
   const std::string s(v);
   if (s == "0" || s == "off" || s == "false" || s == "no") return false;
   if (s == "1" || s == "on" || s == "true" || s == "yes") return true;
-  return fallback;
+  throw Error(std::string(name) + "='" + s +
+              "' is not a recognized on/off value (use 1|on|true|yes or "
+              "0|off|false|no)");
 }
 
 }  // namespace actnet::util

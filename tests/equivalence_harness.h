@@ -1,11 +1,11 @@
 // Shared machinery for the equivalence/conformance test family
-// (scheduler heap-vs-ladder, flow-forward on/off, partitioned fabric).
+// (flow-forward on/off, partitioned fabric).
 //
 // These tests all have the same shape: run the same deterministic workload
-// under two corners of a knob matrix ({scheduler} x {fastpath} x
-// {flowfwd} x {partitions}) and demand byte-identical results — or, where
-// RNG draw order legitimately shifts, gate the drift against the
-// checked-in envelope in valid/tolerances.json. The pieces every such
+// under two corners of a knob matrix ({flowfwd} x {partitions}) and
+// demand byte-identical results — or, where RNG draw order legitimately
+// shifts, gate the drift against the checked-in envelope in
+// valid/tolerances.json. The pieces every such
 // test needs (a platform-independent generator, temp cache paths, the
 // reduced campaign configuration, the env-matrix runner, the tolerance
 // loader) live here so each suite states only its property, not the rig.
@@ -94,13 +94,10 @@ class ScopedEnv {
   std::optional<std::string> prior_;
 };
 
-/// Runs one reduced campaign under the given knob settings and returns
-/// the cache file bytes. Returns true from `ran` via the report check.
-inline std::string run_combo(const std::string& path, const char* scheduler,
-                             const char* fastpath, const char* flowfwd) {
+/// Runs one reduced campaign with ACTNET_FLOWFWD=`flowfwd` and returns the
+/// cache file bytes.
+inline std::string run_combo(const std::string& path, const char* flowfwd) {
   std::filesystem::remove(path);
-  ScopedEnv sched("ACTNET_SCHEDULER", scheduler);
-  ScopedEnv fast("ACTNET_FASTPATH", fastpath);
   ScopedEnv ffwd("ACTNET_FLOWFWD", flowfwd);
   core::Campaign c(reduced_config(path));
   core::ParallelRunner(c).prefetch_all();

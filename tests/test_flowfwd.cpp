@@ -9,18 +9,30 @@
 // deterministic switch stage (no RNG draws at all) even heavily contended
 // traffic — demotions in every phase of a message's life — must match the
 // per-packet path tick for tick, counter for counter, depth sample for
-// depth sample.
+// depth sample. On the reduced paper campaign, where ImpactB's contended
+// traffic shifts RNG draw order, the drift is gated against the envelope
+// in valid/tolerances.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/apps.h"
+#include "core/campaign.h"
 #include "equivalence_harness.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
+#include "util/error.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace actnet {
@@ -115,18 +127,13 @@ void make_deterministic(net::NetworkConfig& cfg) {
   cfg.output_queued.tail_prob = 0.0;
 }
 
-RunLog run_script(sim::SchedulerKind kind, const net::NetworkConfig& cfg,
-                  const std::vector<Send>& script, bool fastpath,
-                  bool flowfwd, std::uint64_t seed = 42) {
-  sim::Engine eng(kind);
+RunLog run_script(const net::NetworkConfig& cfg,
+                  const std::vector<Send>& script, bool flowfwd,
+                  std::uint64_t seed = 42) {
+  sim::Engine eng;
   obs::Registry reg;
   net::Network net(eng, cfg, Rng(seed));
   net.attach_metrics(reg);
-  if (!fastpath)
-    for (int n = 0; n < cfg.nodes; ++n) {
-      const_cast<net::Link&>(net.uplink(n)).set_fast_path(false);
-      const_cast<net::Link&>(net.downlink(n)).set_fast_path(false);
-    }
   net.set_flow_forward(flowfwd);
   const net::FlowId flows = net.allocate_flows(cfg.nodes);
 
@@ -189,10 +196,8 @@ std::vector<Send> serial_script() {
 TEST(FlowForward, SerialTrafficBitIdenticalWithRandomSwitch) {
   net::NetworkConfig cfg = irregular_config(4);  // default random switch
   const auto script = serial_script();
-  const RunLog off = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                /*fastpath=*/true, /*flowfwd=*/false);
-  const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                               /*fastpath=*/true, /*flowfwd=*/true);
+  const RunLog off = run_script(cfg, script, /*flowfwd=*/false);
+  const RunLog on = run_script(cfg, script, /*flowfwd=*/true);
   EXPECT_EQ(on, off);
   EXPECT_EQ(off.flowfwd_messages, 0u);
   EXPECT_EQ(on.flowfwd_messages, script.size());
@@ -227,27 +232,12 @@ TEST(FlowForward, ContendedTrafficExactWithDeterministicSwitch) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const auto script = random_script(seed, cfg.nodes, 40);
     // Reference: per-packet DRR all the way down.
-    const RunLog ref = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                  /*fastpath=*/false, /*flowfwd=*/false);
+    const RunLog ref = run_script(cfg, script, /*flowfwd=*/false);
     ASSERT_EQ(ref.messages_delivered, script.size()) << "seed " << seed;
-    // Every point of the {scheduler} x {fastpath} x {flowfwd} matrix must
-    // reproduce it exactly.
-    for (const auto kind :
-         {sim::SchedulerKind::kHeap, sim::SchedulerKind::kLadder}) {
-      for (const bool fast : {false, true}) {
-        for (const bool ffwd : {false, true}) {
-          const RunLog got = run_script(kind, cfg, script, fast, ffwd);
-          ASSERT_EQ(got, ref)
-              << "seed " << seed << " scheduler "
-              << (kind == sim::SchedulerKind::kHeap ? "heap" : "ladder")
-              << " fastpath " << fast << " flowfwd " << ffwd;
-          if (ffwd) {
-            total_demotions += got.flowfwd_demotions;
-            total_flowfwd += got.flowfwd_messages;
-          }
-        }
-      }
-    }
+    const RunLog got = run_script(cfg, script, /*flowfwd=*/true);
+    ASSERT_EQ(got, ref) << "seed " << seed;
+    total_demotions += got.flowfwd_demotions;
+    total_flowfwd += got.flowfwd_messages;
   }
   // The property is vacuous unless the sweep actually exercised both the
   // closed-form completions and the demotion machinery.
@@ -273,10 +263,8 @@ TEST(FlowForward, DemotionExactInEveryPhase) {
           Send{1000, 0, 1, msg},
           Send{td, hit_uplink ? 0 : 2, hit_uplink ? 2 : 1, 3000},
       };
-      const RunLog off = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                    /*fastpath=*/true, /*flowfwd=*/false);
-      const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                   /*fastpath=*/true, /*flowfwd=*/true);
+      const RunLog off = run_script(cfg, script, /*flowfwd=*/false);
+      const RunLog on = run_script(cfg, script, /*flowfwd=*/true);
       ASSERT_EQ(on, off) << "competitor at " << td << " hitting "
                          << (hit_uplink ? "uplink" : "downlink");
     }
@@ -288,9 +276,7 @@ TEST(FlowForward, DemotionExactInEveryPhase) {
 TEST(FlowForward, SharedQueueSwitchNeverFastForwards) {
   net::NetworkConfig cfg = irregular_config(4);
   cfg.switch_kind = net::SwitchKind::kSharedQueue;
-  const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg,
-                               serial_script(), /*fastpath=*/true,
-                               /*flowfwd=*/true);
+  const RunLog on = run_script(cfg, serial_script(), /*flowfwd=*/true);
   EXPECT_EQ(on.flowfwd_messages, 0u);
   EXPECT_EQ(on.messages_delivered, serial_script().size());
 }
@@ -299,7 +285,7 @@ TEST(FlowForward, EnvKnobParsesOnOffForms) {
   sim::Engine eng;
   const net::NetworkConfig cfg = irregular_config(2);
   const auto flag_means = [&](const char* v, bool expected) {
-    ::setenv("ACTNET_FLOWFWD", v, 1);
+    testing::ScopedEnv env("ACTNET_FLOWFWD", v);
     net::Network n(eng, cfg, Rng(1));
     EXPECT_EQ(n.flow_forward(), expected) << "ACTNET_FLOWFWD=" << v;
   };
@@ -309,7 +295,20 @@ TEST(FlowForward, EnvKnobParsesOnOffForms) {
   flag_means("no", false);
   flag_means("1", true);
   flag_means("on", true);
-  flag_means("bogus", true);  // unrecognized falls back to the default
+  flag_means("", true);  // empty means unset: the default
+  {
+    // A malformed value is a typed error naming the variable and value,
+    // never a silent fallback to the default.
+    testing::ScopedEnv env("ACTNET_FLOWFWD", "bogus");
+    try {
+      net::Network n(eng, cfg, Rng(1));
+      ADD_FAILURE() << "ACTNET_FLOWFWD=bogus was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ACTNET_FLOWFWD"), std::string::npos) << what;
+      EXPECT_NE(what.find("bogus"), std::string::npos) << what;
+    }
+  }
   ::unsetenv("ACTNET_FLOWFWD");
   net::Network n(eng, cfg, Rng(1));
   EXPECT_TRUE(n.flow_forward());  // default on
@@ -360,6 +359,82 @@ TEST(FlowForward, DemotionCooldownKeepsContendedPortsOnPacketPath) {
   EXPECT_EQ(net.counters().flowfwd_demotions, 1u);
   EXPECT_EQ(net.counters().flowfwd_messages, 2u);  // first and last send
   EXPECT_EQ(net.counters().messages_delivered, 4u);
+}
+
+// --- reduced campaign: flow-forward on vs off, tolerance-gated ---
+//
+// ImpactB's nine concurrent ping-pong pairs share switch ports, so the
+// flow-forward regime draws each message's stage delays at accept time in
+// a different global order than the per-packet path does. Same
+// distributions, different stream positions: the measured impacts drift by
+// sampling noise. The drift envelope lives in valid/tolerances.json next
+// to the predictor gates, so re-baselining it is an explicit, reviewed
+// edit.
+TEST(FlowForward, FlowForwardCampaignDriftStaysWithinEnvelope) {
+  const std::optional<util::JsonValue> doc = testing::load_tolerances();
+  if (!doc.has_value())
+    GTEST_SKIP() << "tolerances file not reachable from test cwd";
+  const util::JsonValue& env =
+      doc->at("tiers").at("quick").at("equivalence");
+  const double max_predicted =
+      env.at("flowfwd_max_predicted_drift_pct").as_number();
+  const double mean_predicted_limit =
+      env.at("flowfwd_mean_predicted_drift_pct").as_number();
+  const double max_measured =
+      env.at("flowfwd_max_measured_drift_pct").as_number();
+
+  const std::string on_path = testing::temp_cache("ffwd_on");
+  const std::string off_path = testing::temp_cache("ffwd_off");
+  testing::run_combo(on_path, "1");
+  const std::string off_bytes = testing::run_combo(off_path, "0");
+  ASSERT_FALSE(off_bytes.empty());
+
+  core::Campaign on(testing::reduced_config(on_path));
+  core::Campaign off(testing::reduced_config(off_path));
+  double worst_predicted = 0.0;
+  double worst_measured = 0.0;
+  double sum_predicted = 0.0;
+  std::size_t cells = 0;
+  const auto& apps = apps::all_apps();
+  for (const auto& victim : apps)
+    for (const auto& aggressor : apps) {
+      const auto pa = on.predict_pair(victim.id, aggressor.id);
+      const auto pb = off.predict_pair(victim.id, aggressor.id);
+      ASSERT_EQ(pa.size(), pb.size());
+      for (std::size_t m = 0; m < pa.size(); ++m) {
+        ASSERT_EQ(pa[m].model, pb[m].model);
+        const double dp = std::abs(pa[m].predicted_pct - pb[m].predicted_pct);
+        const double dm = std::abs(pa[m].measured_pct - pb[m].measured_pct);
+        worst_predicted = std::max(worst_predicted, dp);
+        worst_measured = std::max(worst_measured, dm);
+        sum_predicted += dp;
+        ++cells;
+      }
+    }
+  ASSERT_GT(cells, 0u);
+  const double mean_predicted = sum_predicted / static_cast<double>(cells);
+  std::fprintf(stderr,
+               "flowfwd drift: worst_measured=%.3f worst_predicted=%.3f "
+               "mean_predicted=%.3f over %zu cells\n",
+               worst_measured, worst_predicted, mean_predicted, cells);
+  // Measured impacts are simulation ground truth: the regimes run the same
+  // dynamics, only the RNG stream positions shift, so the drift is small.
+  EXPECT_LE(worst_measured, max_measured)
+      << "flow-forward regime shifted measurements beyond the envelope";
+  // Predictions pass through the paper's models, which amplify calibration
+  // noise near their knees (one AverageLT cell moves tens of points on a
+  // sub-point measurement shift) — so the per-cell bound is loose and the
+  // mean carries the real gate.
+  EXPECT_LE(mean_predicted, mean_predicted_limit)
+      << "flow-forward regime shifted predictions beyond the envelope";
+  EXPECT_LE(worst_predicted, max_predicted)
+      << "flow-forward regime shifted a prediction beyond the envelope";
+  // The comparison is vacuous if the regimes secretly agreed bit-for-bit
+  // (that would mean the contended sweep never actually flow-forwarded).
+  EXPECT_GT(worst_measured, 0.0);
+
+  std::filesystem::remove(on_path);
+  std::filesystem::remove(off_path);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // flows, counters.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/link.h"
@@ -150,9 +152,9 @@ TEST(Link, ProbePacketsUnderBulkLoadWaitFractionOfRoundNotBacklog) {
   EXPECT_LT(probe_wait_us.max(), 50.0);
 }
 
-// --- packet-train fast path (DESIGN.md §5.9) ---
+// --- message trains: one call queues a whole message on its flow ---
 
-TEST(Link, TrainUncontendedMatchesPerPacketTiming) {
+TEST(Link, TrainUncontendedServesBackToBack) {
   sim::Engine e;
   Link link(e, units::GBps(1.0), 0);
   std::vector<std::pair<std::uint32_t, Tick>> arrivals;
@@ -160,19 +162,19 @@ TEST(Link, TrainUncontendedMatchesPerPacketTiming) {
   link.transmit_train(1, 3, 500, 0, [&] { last_serialized = e.now(); },
                       [&](std::uint32_t i) { arrivals.emplace_back(i, e.now()); });
   EXPECT_TRUE(link.busy());
-  EXPECT_EQ(link.queued_packets(), 0u);  // served from the train record
+  EXPECT_EQ(link.queued_packets(), 2u);  // packet 0 is in service
+  EXPECT_EQ(link.trains_live(), 1u);
   e.run();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], (std::pair<std::uint32_t, Tick>{0, 500}));
   EXPECT_EQ(arrivals[1], (std::pair<std::uint32_t, Tick>{1, 1000}));
   EXPECT_EQ(arrivals[2], (std::pair<std::uint32_t, Tick>{2, 1500}));
   EXPECT_EQ(last_serialized, 1500);
-  EXPECT_EQ(link.fastpath_trains(), 1u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
   EXPECT_EQ(link.packets_sent(), 3u);
   EXPECT_EQ(link.bytes_sent(), 1500);
   EXPECT_EQ(link.busy_time(), 1500);
   EXPECT_FALSE(link.busy());
+  EXPECT_EQ(link.trains_live(), 0u);  // record released after last arrival
 }
 
 TEST(Link, TrainTailPacketUsesTailSize) {
@@ -189,56 +191,33 @@ TEST(Link, TrainTailPacketUsesTailSize) {
   EXPECT_EQ(link.bytes_sent(), 2250);
 }
 
-TEST(Link, DisabledFastPathGivesIdenticalTimingsWithoutTrains) {
+/// A competing flow lands mid-train: DRR interleaves it at the train
+/// flow's next visit boundary. Pinned log (1 GB/s, quantum 2048, 1000-byte
+/// train packets): the train flow earns 2048 per visit, so it serves two
+/// packets per visit; the competitor queued at 2500 waits out the visit in
+/// progress (packets 2 and 3) and serves at 4000-4800, after which the
+/// train resumes with its carried-over deficit.
+TEST(Link, MidTrainCompetitorInterleavesAtVisitBoundary) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
-  link.set_fast_path(false);
-  std::vector<Tick> arrivals;
-  link.transmit_train(1, 3, 500, 0, nullptr,
-                      [&](std::uint32_t) { arrivals.push_back(e.now()); });
+  Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
+  std::vector<std::pair<int, Tick>> log;  // (tag, arrival tick)
+  link.transmit_train(1, 8, 1000, 0, nullptr, [&](std::uint32_t i) {
+    log.emplace_back(static_cast<int>(i), e.now());
+  });
+  // Competitor arrives while packet 2 of the train is serializing.
+  e.schedule_at(2500, [&] {
+    link.transmit(2, 800, nullptr, [&] { log.emplace_back(100, e.now()); });
+    EXPECT_EQ(link.active_flows(), 2u);
+    EXPECT_EQ(link.queued_packets(), 6u);  // train packets 3..7 + competitor
+  });
   e.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], 500);
-  EXPECT_EQ(arrivals[1], 1000);
-  EXPECT_EQ(arrivals[2], 1500);
-  EXPECT_EQ(link.fastpath_trains(), 0u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
-}
-
-/// The determinism claim in one scenario: a competing flow lands mid-train
-/// and the fast path must demote the remaining packets into exactly the
-/// per-packet DRR state, so every arrival keeps its tick and order.
-TEST(Link, MidTrainFallbackReproducesPerPacketSchedule) {
-  const auto run_scenario = [](bool fast) {
-    sim::Engine e;
-    Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
-    link.set_fast_path(fast);
-    std::vector<std::pair<int, Tick>> log;  // (tag, arrival tick)
-    link.transmit_train(1, 8, 1000, 0, nullptr, [&](std::uint32_t i) {
-      log.emplace_back(static_cast<int>(i), e.now());
-    });
-    // Competitor arrives while packet 2 of the train is serializing.
-    e.schedule_at(2500, [&] {
-      link.transmit(2, 800, nullptr, [&] { log.emplace_back(100, e.now()); });
-      if (fast) {
-        EXPECT_EQ(link.fastpath_fallbacks(), 1u);
-        EXPECT_GT(link.queued_packets(), 0u);  // demoted tail is queued
-      }
-    });
-    e.run();
-    struct Result {
-      std::vector<std::pair<int, Tick>> log;
-      Tick finished;
-      Bytes bytes;
-    };
-    return Result{std::move(log), e.now(), link.bytes_sent()};
-  };
-  const auto fast = run_scenario(true);
-  const auto slow = run_scenario(false);
-  ASSERT_EQ(fast.log.size(), 9u);
-  EXPECT_EQ(fast.log, slow.log);
-  EXPECT_EQ(fast.finished, slow.finished);
-  EXPECT_EQ(fast.bytes, slow.bytes);
+  const std::vector<std::pair<int, Tick>> expected = {
+      {0, 1000}, {1, 2000}, {2, 3000}, {3, 4000}, {100, 4800},
+      {4, 5800}, {5, 6800}, {6, 7800}, {7, 8800}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(e.now(), 8800);
+  EXPECT_EQ(link.bytes_sent(), 8800);
+  EXPECT_EQ(link.trains_live(), 0u);
 }
 
 TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
@@ -249,8 +228,8 @@ TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
       1, 2, 500, 0,
       [&] {
         // Fires at t=1000, mid finish_service: the train is fully
-        // serialized but not yet retired. The new packet must queue behind
-        // it and serve immediately after.
+        // serialized but the port is not yet free. The new packet must
+        // queue behind it and serve immediately after.
         link.transmit(2, 300, nullptr,
                       [&] { log.emplace_back(100, e.now()); });
       },
@@ -260,8 +239,6 @@ TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
   EXPECT_EQ(log[0], (std::pair<int, Tick>{0, 500}));
   EXPECT_EQ(log[1], (std::pair<int, Tick>{1, 1000}));
   EXPECT_EQ(log[2], (std::pair<int, Tick>{100, 1300}));
-  // Fully serialized train is not "demoted": no fallback is counted.
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
   EXPECT_FALSE(link.busy());
 }
 
@@ -272,11 +249,15 @@ TEST(Link, BackToBackTrainsRecycleThePool) {
   for (int t = 0; t < 4; ++t) {
     link.transmit_train(1, 4, 250, 0, nullptr,
                         [&](std::uint32_t) { ++arrivals; });
+    EXPECT_EQ(link.trains_live(), 1u);
     e.run();
+    EXPECT_EQ(link.trains_live(), 0u);
   }
   EXPECT_EQ(arrivals, 16);
-  EXPECT_EQ(link.fastpath_trains(), 4u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
+  EXPECT_EQ(e.now(), 4000);
+  // Each train's record was released before the next was parked, so all
+  // four reused one slot.
+  EXPECT_EQ(link.trains_capacity(), 1u);
 }
 
 TEST(Link, InvalidTrainArgumentsThrow) {
