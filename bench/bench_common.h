@@ -22,6 +22,7 @@
 #include "core/parallel.h"
 #include "obs/telemetry.h"
 #include "util/cli.h"
+#include "util/env.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -30,6 +31,8 @@ namespace actnet::bench {
 using util::take_flag;
 
 /// Flags shared by every bench binary; zero/empty = defer to environment.
+/// Numeric flags are strict: `--jobs=abc` or `--jobs=4x` throws
+/// actnet::Error naming the flag and the value.
 struct CliOptions {
   int jobs = 0;        ///< --jobs: workers (else ACTNET_JOBS / hw default)
   std::string trace;   ///< --trace: Chrome trace path (else ACTNET_TRACE)
@@ -43,9 +46,9 @@ inline CliOptions parse_cli(int argc, char** argv) {
   std::string jobs, telemetry;
   for (int i = 1; i < argc; ++i) {
     if (take_flag(argc, argv, i, "--jobs", jobs))
-      cli.jobs = std::atoi(jobs.c_str());
+      cli.jobs = util::parse_count("--jobs", jobs);
     else if (take_flag(argc, argv, i, "--telemetry", telemetry))
-      cli.telemetry_ms = std::atoi(telemetry.c_str());
+      cli.telemetry_ms = util::parse_count("--telemetry", telemetry);
     else if (take_flag(argc, argv, i, "--trace", cli.trace) ||
              take_flag(argc, argv, i, "--report", cli.report) ||
              take_flag(argc, argv, i, "--telemetry-out", cli.telemetry_out)) {

@@ -1,8 +1,11 @@
 // Google-benchmark micro-benchmarks of the simulation substrate: event
 // throughput, event-queue scaling with the pending population, coroutine
-// round trips, DRR link scheduling, the M/G/1 simulator, and an end-to-end
-// MPI ping-pong — the costs that bound how much virtual time a campaign
-// can afford to simulate.
+// round trips, DRR link scheduling, the M/G/1 simulator, one eager MPI
+// message and an end-to-end MPI ping-pong — the costs that bound how much
+// virtual time a campaign can afford to simulate.
+//
+// The binary counts global operator new calls, so the message benchmarks
+// can report heap allocations per message next to events per message.
 //
 // `--json=FILE` additionally writes {name, ns_per_op, counters} per
 // benchmark for machine-readable tracking (BENCH_pr3.json is a committed
@@ -10,9 +13,12 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +36,30 @@
 
 namespace {
 
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_new(std::size_t bytes) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t bytes) { return counted_new(bytes); }
+void* operator new[](std::size_t bytes) { return counted_new(bytes); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
 using namespace actnet;
+
+std::uint64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
 
 /// Attaches events/sec plus the InlineFn heap-spill rate (allocations per
 /// event; 0 = the whole run stayed inside the inline buffers).
@@ -276,32 +305,37 @@ void BM_LinkDrrManyFlows(benchmark::State& state) {
 BENCHMARK(BM_LinkDrrManyFlows)->Arg(2)->Arg(32);
 
 /// Back-to-back message trains on an uncontended port: the per-packet DRR
-/// cost (queue entry, flow-map lookup, quantum credit) of a message's
-/// packets on one hop.
+/// cost (queue entry, flow lookup, quantum credit) of a message's packets
+/// on one hop. The argument is the number of flows the trains rotate over:
+/// 1 keeps one flow hot; 64 spreads them over a port that has seen many
+/// flows, so every train goes through the link's flow index.
 void BM_LinkMessageTrain(benchmark::State& state) {
   constexpr int kTrains = 64;
   constexpr std::uint32_t kPackets = 64;
+  const auto flows = static_cast<net::FlowId>(state.range(0));
   for (auto _ : state) {
     sim::Engine e;
     net::Link link(e, units::GBps(5.0), units::ns(50));
     struct Driver {
       net::Link* link;
+      net::FlowId flows;
       int remaining;
       void submit() {
         if (remaining-- <= 0) return;
-        link->transmit_train(1, kPackets, 4096, 0, nullptr,
+        link->transmit_train(1 + static_cast<net::FlowId>(remaining) % flows,
+                             kPackets, 4096, 0, nullptr,
                              [this](std::uint32_t i) {
                                if (i + 1 == kPackets) submit();
                              });
       }
     };
-    Driver d{&link, kTrains};
+    Driver d{&link, flows, kTrains};
     d.submit();
     e.run();
   }
   state.SetItemsProcessed(state.iterations() * kTrains * kPackets);
 }
-BENCHMARK(BM_LinkMessageTrain);
+BENCHMARK(BM_LinkMessageTrain)->Arg(1)->Arg(64);
 
 /// Serial large messages on an uncontended leaf-local route — the hybrid
 /// packet/flow regime's home turf (DESIGN.md §5.12). <true> advances each
@@ -465,6 +499,45 @@ void BM_MpiPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
 BENCHMARK(BM_MpiPingPong)->Arg(1000);
+
+/// One 1 KiB eager message between two ranks on different nodes of an
+/// idle Network per iteration: the receive and the send tasks, their
+/// requests, the network message and its packets. The cluster is built
+/// once; each iteration drains the engine. Counters: engine events and
+/// global operator new calls per message (0 once the pools are warm).
+void BM_EagerMessage(benchmark::State& state) {
+  sim::Engine engine;
+  mpi::MachineConfig mc;
+  mc.nodes = 2;
+  mpi::Machine machine(mc);
+  net::NetworkConfig nc;
+  nc.nodes = 2;
+  net::Network network(engine, nc, Rng(1));
+  mpi::Job job("eager", engine, network, machine, mpi::MpiConfig{},
+               mpi::Placement::per_socket(mc, 2, 1, 0), 1);
+  mpi::RankCtx& sender = job.ctx(0);
+  mpi::RankCtx& receiver = job.ctx(2);  // first rank on node 1
+  const auto one_message = [&] {
+    sim::Task recv = receiver.recv(0, 1);
+    sim::Task send = sender.send(2, 1, 1024);
+    recv.start();
+    send.start();
+    engine.run();
+    recv.rethrow_if_failed();
+    send.rethrow_if_failed();
+  };
+  for (int i = 0; i < 64; ++i) one_message();  // warm the pools
+  const std::uint64_t events0 = engine.events_processed();
+  const std::uint64_t allocs0 = heap_allocs();
+  for (auto _ : state) one_message();
+  const auto n = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["events_per_message"] =
+      static_cast<double>(engine.events_processed() - events0) / n;
+  state.counters["heap_allocs_per_message"] =
+      static_cast<double>(heap_allocs() - allocs0) / n;
+}
+BENCHMARK(BM_EagerMessage);
 
 /// Console output as usual, plus (with --json=FILE) a machine-readable
 /// {name, ns_per_op, counters} dump of every iteration run — the format

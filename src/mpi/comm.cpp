@@ -51,7 +51,7 @@ Request Comm::post_send(int src, int dst, int tag, Bytes bytes) {
   ACTNET_CHECK(src >= 0 && src < size());
   ACTNET_CHECK(dst >= 0 && dst < size());
   ACTNET_CHECK(bytes > 0);
-  auto sreq = std::make_shared<RequestState>(engine_);
+  auto sreq = make_request(engine_);
   const net::NodeId src_node = node_of(src);
   const net::NodeId dst_node = node_of(dst);
   const net::FlowId src_flow = flow_of(src);
@@ -116,7 +116,7 @@ Request Comm::post_recv(int dst, int src, int tag) {
   obs::ProfScope prof(obs::Subsystem::kMpi);
   ACTNET_CHECK(dst >= 0 && dst < size());
   ACTNET_CHECK(src == kAnySource || (src >= 0 && src < size()));
-  auto rreq = std::make_shared<RequestState>(engine_);
+  auto rreq = make_request(engine_);
   RankQueues& q = queues_[dst];
   for (auto it = q.unexpected.begin(); it != q.unexpected.end(); ++it) {
     if (matches(src, tag, it->src, it->tag)) {

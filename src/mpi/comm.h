@@ -107,9 +107,13 @@ class Comm {
     /// Invoked when a receive matches this arrival.
     std::function<void(const Request&)> on_match;
   };
+  /// Vectors, not deques: a deque frees and re-allocates a chunk every few
+  /// dozen push/pop pairs, while a vector reaches its high-water capacity
+  /// once and then matches without touching the heap. The queues are short
+  /// (a few entries on average), so erasing from the middle is cheap.
   struct RankQueues {
-    std::deque<PostedRecv> posted;
-    std::deque<Arrival> unexpected;
+    std::vector<PostedRecv> posted;
+    std::vector<Arrival> unexpected;
   };
 
   void arrive(int dst, Arrival arrival);

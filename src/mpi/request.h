@@ -3,13 +3,16 @@
 // A Request is shared state between the posting rank and the transport:
 // the transport fires it when the operation completes; the rank co_awaits
 // it. shared_ptr keeps the state alive across whichever side finishes
-// last.
+// last. Every message posts two requests, so make_request() places the
+// state and its control block in one block from the thread-local free
+// lists (util/freelist.h) instead of the heap.
 #pragma once
 
 #include <memory>
 
 #include "sim/awaitable.h"
 #include "sim/engine.h"
+#include "util/freelist.h"
 
 namespace actnet::mpi {
 
@@ -34,5 +37,11 @@ class RequestState {
 };
 
 using Request = std::shared_ptr<RequestState>;
+
+/// A fresh, incomplete request on `engine`.
+inline Request make_request(sim::Engine& engine) {
+  return std::allocate_shared<RequestState>(
+      util::PoolAllocator<RequestState>{}, engine);
+}
 
 }  // namespace actnet::mpi

@@ -19,12 +19,23 @@
 // queued in one call (transmit_train), which parks its arrival callback in
 // ONE pooled record per (message, hop) so the per-packet queue entries
 // capture only {this, slot, index} and stay allocation-free.
+//
+// Storage is allocation-free in steady state and sized for links by the
+// thousand:
+//  * each packet is an 80-byte record (size, FIFO link, arrival callback,
+//    and an index into a side pool for the rare serialization callback);
+//    a flow's queue is an intrusive list of records, and the packet in
+//    service is held by index;
+//  * records live in 16-record blocks taken lazily from the thread-local
+//    free lists (util/freelist.h); when the port goes idle every block but
+//    the first is handed back, so a burst does not pin memory on a link;
+//  * a flow's DRR state is a 24-byte entry in a vector holding only the
+//    flows this link has seen, found through a small open-addressing index.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/pool.h"
 #include "sim/engine.h"
@@ -53,11 +64,14 @@ class Link {
   /// serialize per scheduling round while others wait.
   Link(sim::Engine& engine, double bytes_per_sec, Tick propagation,
        Bytes quantum = 2048);
+  ~Link();
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Queues `size` bytes on `flow`. `on_serialized` (optional) fires when
   /// the last bit leaves the sender; `on_arrive` fires `propagation` later.
-  void transmit(FlowId flow, Bytes size, sim::EventFn on_serialized,
-                sim::EventFn on_arrive);
+  void transmit(FlowId flow, Bytes size, sim::EventFn&& on_serialized,
+                sim::EventFn&& on_arrive);
 
   /// Queues a back-to-back train of `count` packets on `flow`: packet i is
   /// `full_size` bytes except the last, which is `tail_size` bytes when
@@ -67,8 +81,8 @@ class Link {
   /// flow's DRR queue before any is served, so an idle port records
   /// enqueue-depth samples 1..count.
   void transmit_train(FlowId flow, std::uint32_t count, Bytes full_size,
-                      Bytes tail_size, sim::EventFn on_last_serialized,
-                      TrainArriveFn on_arrive);
+                      Bytes tail_size, sim::EventFn&& on_last_serialized,
+                      TrainArriveFn&& on_arrive);
 
   double bytes_per_sec() const { return bytes_per_sec_; }
   Tick propagation() const { return propagation_; }
@@ -77,13 +91,13 @@ class Link {
   /// True when a packet transmitted now would serialize immediately:
   /// nothing in service, nothing queued, and no armed flow-forward guard.
   /// The Network's flow-forward eligibility check.
-  bool idle() const { return !busy_ && ring_.empty() && !ffwd_guard_; }
+  bool idle() const { return !busy_ && ring_size_ == 0 && !ffwd_guard_; }
 
   /// Arms a demotion guard on an idle() port: the next transmit() /
   /// transmit_train() invokes `on_competitor` BEFORE doing anything else,
   /// so a flow-forwarded message can re-materialize its packets ahead of
   /// the newcomer in FIFO order. An armed port reports idle() == false.
-  void arm_flowfwd_guard(sim::EventFn on_competitor);
+  void arm_flowfwd_guard(sim::EventFn&& on_competitor);
   /// Disarms without firing (the flow-forward completed, or a guard on the
   /// other end of the route fired first).
   void disarm_flowfwd_guard() { ffwd_guard_ = {}; }
@@ -103,13 +117,14 @@ class Link {
   // packets via credit_flowfwd so totals match the per-packet path.
   /// Restores the packet currently serializing; `end_at` is its analytic
   /// serialization-end tick (>= now). The port must be free.
-  void restore_in_service(Bytes size, Tick end_at, sim::EventFn on_serialized,
-                          sim::EventFn on_arrive);
+  void restore_in_service(Bytes size, Tick end_at,
+                          sim::EventFn&& on_serialized,
+                          sim::EventFn&& on_arrive);
   /// Appends a not-yet-started packet to `flow`'s queue without recording
   /// a depth sample (the accept-time analytic sample already covered it).
   /// Only valid while the port is busy (the restored in-service packet).
-  void restore_queued(FlowId flow, Bytes size, sim::EventFn on_serialized,
-                      sim::EventFn on_arrive);
+  void restore_queued(FlowId flow, Bytes size, sim::EventFn&& on_serialized,
+                      sim::EventFn&& on_arrive);
   /// Sets `flow`'s DRR visit state (deficit earned minus spent, and
   /// whether it is mid-visit); the flow must sit at the ring front via
   /// restore_queued.
@@ -119,7 +134,7 @@ class Link {
   bool busy() const { return busy_; }
   std::size_t queued_packets() const { return queued_packets_; }
   Bytes queued_bytes() const { return queued_bytes_; }
-  std::size_t active_flows() const { return ring_.size(); }
+  std::size_t active_flows() const { return ring_size_; }
   std::uint64_t packets_sent() const { return packets_; }
   Bytes bytes_sent() const { return bytes_; }
   /// Total time spent serializing (utilization = busy_time / elapsed).
@@ -128,6 +143,11 @@ class Link {
   /// record pool's slot count (slots are recycled, so it stays small).
   std::size_t trains_live() const { return trains_.live(); }
   std::size_t trains_capacity() const { return trains_.capacity(); }
+  /// Packet-record blocks this link currently holds (0 before its first
+  /// packet, 1 whenever it is idle, more only while a backlog lasts).
+  std::size_t record_blocks() const { return blocks_.size(); }
+  /// Records per block.
+  static constexpr std::uint32_t kBlockRecords = 16;
 
   // --- observability (see obs/metrics.h; Network wires these) ---
   /// Shares aggregate metrics with sibling links: DRR scheduling rounds,
@@ -140,19 +160,32 @@ class Link {
   void set_trace(obs::Tracer* tracer, int pid, std::string track);
 
  private:
-  struct Item {
-    Bytes size;
-    sim::EventFn on_serialized;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// One queued or in-service packet.
+  struct Record {
+    Bytes size = 0;
+    /// Next record of the same flow (kNone at the tail); links the free
+    /// list while the record is unused.
+    std::uint32_t next = kNone;
+    /// Slot of the serialization callback in serialized_, or kNone.
+    std::uint32_t serialized = kNone;
     sim::EventFn on_arrive;
   };
+  static_assert(sizeof(Record) == 80);
+
+  /// DRR state of one flow the link has seen.
   struct FlowState {
-    std::deque<Item> queue;
     Bytes deficit = 0;
+    FlowId id = 0;
+    std::uint32_t head = kNone;  ///< first queued record, kNone when empty
+    std::uint32_t tail = kNone;
     bool in_ring = false;
     /// True while the flow is the front of the ring and has already been
     /// credited its quantum for this visit.
     bool visited = false;
   };
+  static_assert(sizeof(FlowState) == 24);
   /// One message's arrival callback, parked in trains_ for this hop.
   /// Queue entries capture {this, slot, index}, so the record must outlive
   /// every arrival; `live` counts them down.
@@ -161,10 +194,29 @@ class Link {
     std::uint32_t live = 0;  ///< arrivals not yet delivered
   };
 
-  void enqueue_item(FlowId flow, Item item);
+  Record& record(std::uint32_t r) {
+    return blocks_[r / kBlockRecords][r % kBlockRecords];
+  }
+  std::uint32_t new_record(Bytes size, sim::EventFn&& on_serialized,
+                           sim::EventFn&& on_arrive);
+  void free_record(std::uint32_t r);
+  void add_block();
+  /// Idle port: returns every record block but the first.
+  void release_spare_blocks();
+
+  /// Slot of `flow` in flows_, adding it on first sight.
+  std::uint32_t flow_slot(FlowId flow);
+  /// Slot of `flow`, or kNone when this link has never seen it.
+  std::uint32_t find_flow(FlowId flow) const;
+  /// Inserts flows_[slot] into flow_index_ (which has a free entry).
+  void index_flow(std::uint32_t slot);
+
+  void ring_push_back(std::uint32_t flow_slot);
+
+  void enqueue(std::uint32_t flow_slot, std::uint32_t r);
   void fire_flowfwd_guard();
   void note_enqueue_depth(std::size_t depth);
-  void begin_service(Item item);
+  void begin_service(std::uint32_t r);
   void finish_service();
   void train_arrive(std::uint32_t slot, std::uint32_t index);
   void start_next();
@@ -174,11 +226,23 @@ class Link {
   double bytes_per_sec_;
   Tick propagation_;
   Bytes quantum_;
-  std::unordered_map<FlowId, FlowState> flows_;
-  std::deque<FlowId> ring_;
-  /// The packet currently serializing (valid while busy_): kept here so the
+  /// Packet records, kBlockRecords per block (block memory never moves, so
+  /// a Record& survives a new block being added).
+  std::vector<Record*> blocks_;
+  std::uint32_t free_records_ = kNone;  ///< free-list head
+  SlotPool<sim::EventFn> serialized_;   ///< serialization callbacks
+  std::vector<FlowState> flows_;
+  /// Open-addressing FlowId -> flows_ slot index (power-of-two size,
+  /// linear probing, kNone = empty, at most half full).
+  std::vector<std::uint32_t> flow_index_;
+  /// Round-robin order of backlogged flows: a circular buffer of flows_
+  /// slots (power-of-two capacity).
+  std::vector<std::uint32_t> ring_;
+  std::uint32_t ring_head_ = 0;
+  std::uint32_t ring_size_ = 0;
+  /// Record of the packet currently serializing (valid while busy_): the
   /// serialization-end event captures only `this` and stays inline.
-  Item in_service_{};
+  std::uint32_t in_service_ = kNone;
   bool busy_ = false;
   SlotPool<Train> trains_;
   /// Fires on the next competing enqueue (flow-forward demotion hook).

@@ -1,10 +1,8 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -180,7 +178,7 @@ FlowId Network::allocate_flows(int count) {
 }
 
 MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
-                        Callback on_injected, Callback on_delivered) {
+                        Callback&& on_injected, Callback&& on_delivered) {
   // Per-message (not per-packet) scope: send() runs inside the engine's
   // drain frame, so this records under the "engine;net" collapsed path.
   obs::ProfScope prof(obs::Subsystem::kNet);
@@ -188,7 +186,6 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
   ACTNET_CHECK(dst >= 0 && dst < config_.nodes);
   ACTNET_CHECK(size > 0);
 
-  const MessageId id = next_msg_id_++;
   ++counters_.messages_sent;
   counters_.bytes_sent += size;
   if (m_messages_ != nullptr) {
@@ -199,23 +196,16 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
   if (src == dst) {
     // Shared-memory path: one serialized transfer through the node-local
     // channel; "injection" completes when serialization does.
-    in_flight_.emplace(id, InFlight{1, std::move(on_delivered)});
-    local_channels_[src]->transmit(
-        flow, size, std::move(on_injected), [this, id] {
-          auto it = in_flight_.find(id);
-          ACTNET_CHECK(it != in_flight_.end());
-          Callback cb = std::move(it->second.on_delivered);
-          in_flight_.erase(it);
-          ++counters_.messages_delivered;
-          if (cb) cb();
-        });
+    const MessageId id = open_message(1, std::move(on_delivered));
+    local_channels_[src]->transmit(flow, size, std::move(on_injected),
+                                   [this, id] { packet_delivered(id); });
     return id;
   }
 
   const auto full_packets = static_cast<std::uint32_t>(size / config_.mtu);
   const Bytes tail = size % config_.mtu;
   const std::uint32_t num_packets = full_packets + (tail > 0 ? 1 : 0);
-  in_flight_.emplace(id, InFlight{num_packets, std::move(on_delivered)});
+  const MessageId id = open_message(num_packets, std::move(on_delivered));
 
   if (flowfwd_eligible(src, dst)) {
     flow_forward(id, src, dst, flow, num_packets, config_.mtu, tail,
@@ -385,29 +375,32 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
   const Bytes quantum = config_.drr_quantum;
   DownlinkState st;
   bool in_ring = false;
-  std::deque<std::uint32_t> queue;  // positions in ff.order, FIFO
-  int cur = -1;                     // position in service, -1 = free
+  // The FIFO of waiting positions in ff.order. Arrivals are visited in
+  // order and every arrival queues while the port is busy, so the waiting
+  // set is always the contiguous run [q_front, q_front + q_len).
+  int q_front = 0;
+  int q_len = 0;
+  int cur = -1;  // position in service, -1 = free
   const auto pkt_at = [&](int m) -> FFPacket& {
     return ff.pkts[ff.order[static_cast<std::size_t>(m)]];
   };
   const auto pop_next = [&] {
-    const FFPacket& nx = pkt_at(static_cast<int>(queue.front()));
+    const FFPacket& nx = pkt_at(q_front);
     if (!st.visited) {
       st.visited = true;
       st.deficit += quantum;
     }
     while (st.deficit < nx.size) st.deficit += quantum;  // lone-flow rotations
     st.deficit -= nx.size;
-    cur = static_cast<int>(queue.front());
-    queue.pop_front();
-    if (queue.empty()) {
+    cur = q_front++;
+    if (--q_len == 0) {
       st.deficit = 0;
       in_ring = false;
       st.visited = false;
     }
   };
   const auto complete_cur = [&] {
-    if (queue.empty())
+    if (q_len == 0)
       cur = -1;
     else
       pop_next();
@@ -427,13 +420,14 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
       pk.depth = 1;  // free port: the direct-serve depth sample
       cur = m;
     } else {
-      queue.push_back(static_cast<std::uint32_t>(m));
+      if (q_len == 0) q_front = m;
+      ++q_len;
       if (!in_ring) {
         in_ring = true;
         st.deficit = 0;
         st.visited = false;
       }
-      pk.depth = static_cast<std::uint32_t>(queue.size());
+      pk.depth = static_cast<std::uint32_t>(q_len);
     }
   }
   while (cur >= 0 && pkt_at(cur).down_end <= bound) complete_cur();
@@ -442,14 +436,15 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
 
 void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
                            std::uint32_t num_packets, Bytes full_size,
-                           Bytes tail, Callback on_injected) {
+                           Bytes tail, Callback&& on_injected) {
   const Tick t0 = engine_.now();
   const Tick prop = config_.link_propagation;
   const double bw = config_.link_bandwidth;
   Switch& leaf = *leaves_[pod_of(src)];
   const std::uint32_t full_count = num_packets - (tail > 0 ? 1 : 0);
 
-  FlowFwd ff;
+  const std::uint32_t plan = acquire_flowfwd();
+  FlowFwd& ff = ffwd_[plan];
   ff.id = id;
   ff.src = src;
   ff.dst = dst;
@@ -477,14 +472,17 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   }
   ff.t_inj = t;
 
-  // Downlink service order: arrivals sorted by switch-output time; stable
+  // Downlink service order: arrivals sorted by switch-output time; a stable
   // sort keeps equal ticks in sequence order, exactly as the engine would.
+  // Insertion sort, because arrivals are already nearly in order and,
+  // unlike std::stable_sort, it needs no temporary buffer per message.
   ff.order.resize(num_packets);
-  std::iota(ff.order.begin(), ff.order.end(), 0u);
-  std::stable_sort(ff.order.begin(), ff.order.end(),
-                   [&ff](std::uint32_t a, std::uint32_t b) {
-                     return ff.pkts[a].fwd < ff.pkts[b].fwd;
-                   });
+  for (std::uint32_t i = 0; i < num_packets; ++i) {
+    std::uint32_t j = i;
+    for (; j > 0 && ff.pkts[i].fwd < ff.pkts[ff.order[j - 1]].fwd; --j)
+      ff.order[j] = ff.order[j - 1];
+    ff.order[j] = i;
+  }
   Tick free = std::numeric_limits<Tick>::min();
   for (const std::uint32_t idx : ff.order) {
     FFPacket& pk = ff.pkts[idx];
@@ -506,21 +504,41 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
     uplinks_[src]->credit_flowfwd_depth(i);
 
   ff.inj_ev = engine_.schedule_cancellable_at(
-      ff.t_inj, [this, id] { flowfwd_injected(id); });
+      ff.t_inj, [this, plan] { flowfwd_injected(plan); });
   ff.done_ev = engine_.schedule_cancellable_at(
-      ff.t_done, [this, id] { finish_flowfwd(id); });
-  uplinks_[src]->arm_flowfwd_guard([this, id] { demote_flowfwd(id); });
-  downlinks_[dst]->arm_flowfwd_guard([this, id] { demote_flowfwd(id); });
+      ff.t_done, [this, plan] { finish_flowfwd(plan); });
+  uplinks_[src]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
+  downlinks_[dst]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
 
   ++counters_.flowfwd_messages;
   if (m_ff_messages_ != nullptr) m_ff_messages_->inc();
-  ffwd_.emplace(id, std::move(ff));
 }
 
-void Network::flowfwd_injected(MessageId id) {
-  auto it = ffwd_.find(id);
-  ACTNET_CHECK(it != ffwd_.end());
-  FlowFwd& ff = it->second;
+std::uint32_t Network::acquire_flowfwd() {
+  if (ffwd_free_.empty()) {
+    ffwd_.emplace_back();
+    return static_cast<std::uint32_t>(ffwd_.size() - 1);
+  }
+  const std::uint32_t plan = ffwd_free_.back();
+  ffwd_free_.pop_back();
+  return plan;
+}
+
+void Network::release_flowfwd(std::uint32_t plan) {
+  FlowFwd& ff = ffwd_[plan];
+  ff.id = 0;
+  ff.pkts.clear();
+  ff.order.clear();
+  ff.inj_ev = {};
+  ff.done_ev = {};
+  ff.on_injected = nullptr;
+  ff.injected = false;
+  ffwd_free_.push_back(plan);
+}
+
+void Network::flowfwd_injected(std::uint32_t plan) {
+  FlowFwd& ff = ffwd_[plan];
+  ACTNET_CHECK(ff.id != 0);
   ff.injected = true;
   Bytes bytes = 0;
   for (const FFPacket& pk : ff.pkts) bytes += pk.size;
@@ -535,12 +553,9 @@ void Network::flowfwd_injected(MessageId id) {
   }
 }
 
-void Network::finish_flowfwd(MessageId id) {
-  auto it = ffwd_.find(id);
-  ACTNET_CHECK(it != ffwd_.end());
-  FlowFwd ff = std::move(it->second);
-  ffwd_.erase(it);
-  ACTNET_CHECK(ff.injected);
+void Network::finish_flowfwd(std::uint32_t plan) {
+  FlowFwd& ff = ffwd_[plan];
+  ACTNET_CHECK(ff.id != 0 && ff.injected);
   Link& down = *downlinks_[ff.dst];
   down.disarm_flowfwd_guard();
 
@@ -557,21 +572,18 @@ void Network::finish_flowfwd(MessageId id) {
     account_delivery(ff, ff.pkts[idx]);
   }
 
-  auto fit = in_flight_.find(id);
-  ACTNET_CHECK(fit != in_flight_.end());
-  ACTNET_CHECK(fit->second.remaining == ff.pkts.size());
-  Callback cb = std::move(fit->second.on_delivered);
-  in_flight_.erase(fit);
-  ++counters_.messages_delivered;
-  if (cb) cb();  // may reenter send()
+  const MessageId id = ff.id;
+  const auto n = static_cast<std::uint32_t>(ff.pkts.size());
+  ACTNET_CHECK(in_flight_.at(slot_of(id)).remaining == n);
+  release_flowfwd(plan);
+  packet_delivered(id, n);  // may reenter send()
 }
 
-void Network::demote_flowfwd(MessageId id) {
+void Network::demote_flowfwd(std::uint32_t plan) {
   const Tick td = engine_.now();
-  auto fit = ffwd_.find(id);
-  ACTNET_CHECK(fit != ffwd_.end());
-  FlowFwd ff = std::move(fit->second);
-  ffwd_.erase(fit);
+  FlowFwd& ff = ffwd_[plan];
+  ACTNET_CHECK(ff.id != 0);
+  const MessageId id = ff.id;
   const auto n = static_cast<std::uint32_t>(ff.pkts.size());
   const double bw = config_.link_bandwidth;
   Link& up = *uplinks_[ff.src];
@@ -788,19 +800,9 @@ void Network::demote_flowfwd(MessageId id) {
   // Callbacks fire only now that every link holds its exact packet-level
   // state: either may reenter send(), and eligibility must see the
   // restored (busy) route, not a half-demoted one.
+  release_flowfwd(plan);
   if (inject_now && on_injected) on_injected();
-  if (completed > 0) {
-    auto iit = in_flight_.find(id);
-    ACTNET_CHECK(iit != in_flight_.end());
-    ACTNET_CHECK(iit->second.remaining >= completed);
-    iit->second.remaining -= completed;
-    if (iit->second.remaining == 0) {
-      Callback cb = std::move(iit->second.on_delivered);
-      in_flight_.erase(iit);
-      ++counters_.messages_delivered;
-      if (cb) cb();
-    }
-  }
+  if (completed > 0) packet_delivered(id, completed);
 }
 
 void Network::complete_packet(const Packet& p) {
@@ -817,15 +819,26 @@ void Network::complete_packet(const Packet& p) {
     tracer_->complete(trace_pid_, p.dst, p.injected_at,
                       engine_.now() - p.injected_at, "packet");
   }
-  auto it = in_flight_.find(p.msg_id);
-  ACTNET_CHECK(it != in_flight_.end());
-  ACTNET_CHECK(it->second.remaining > 0);
-  if (--it->second.remaining == 0) {
-    Callback cb = std::move(it->second.on_delivered);
-    in_flight_.erase(it);
-    ++counters_.messages_delivered;
-    if (cb) cb();
-  }
+  packet_delivered(p.msg_id);
+}
+
+MessageId Network::open_message(std::uint32_t packets,
+                                Callback&& on_delivered) {
+  const std::uint32_t slot =
+      in_flight_.put(InFlight{0, packets, std::move(on_delivered)});
+  const MessageId id = (next_msg_id_++ << 32) | slot;
+  in_flight_.at(slot).id = id;
+  return id;
+}
+
+void Network::packet_delivered(MessageId id, std::uint32_t packets) {
+  InFlight& f = in_flight_.at(slot_of(id));
+  ACTNET_CHECK(f.id == id && f.remaining >= packets);
+  f.remaining -= packets;
+  if (f.remaining > 0) return;
+  Callback cb = in_flight_.take(slot_of(id)).on_delivered;
+  ++counters_.messages_delivered;
+  if (cb) cb();  // may reenter send()
 }
 
 }  // namespace actnet::net

@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.h"
@@ -150,7 +150,7 @@ class Network {
   /// (local send completion); `on_delivered` fires when the last packet has
   /// been received at the destination. Either callback may be null.
   MessageId send(NodeId src, NodeId dst, FlowId flow, Bytes size,
-                 Callback on_injected, Callback on_delivered);
+                 Callback&& on_injected, Callback&& on_delivered);
 
   /// Flow-forward regime on/off (wired from ACTNET_FLOWFWD at
   /// construction, default on; see DESIGN.md §5.12). It changes RNG draw
@@ -171,7 +171,7 @@ class Network {
   int pod_of(NodeId n) const;
   const Link& uplink(NodeId n) const;
   const Link& downlink(NodeId n) const;
-  std::size_t in_flight_messages() const { return in_flight_.size(); }
+  std::size_t in_flight_messages() const { return in_flight_.live(); }
 
   // --- observability ---
   /// Registers aggregate traffic metrics ("net.*") in `r` and wires the
@@ -187,9 +187,19 @@ class Network {
 
  private:
   struct InFlight {
-    std::uint32_t remaining;
+    MessageId id = 0;
+    std::uint32_t remaining = 0;
     Callback on_delivered;
   };
+  /// Parks a message's delivery state; returns its id.
+  MessageId open_message(std::uint32_t packets, Callback&& on_delivered);
+  /// The in_flight_ slot a MessageId carries in its low 32 bits (the high
+  /// bits hold a send counter, so ids stay unique as slots are reused).
+  static std::uint32_t slot_of(MessageId id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  /// Counts one delivered packet of `id`; the last one completes it.
+  void packet_delivered(MessageId id, std::uint32_t packets = 1);
 
   /// One packet of a flow-forwarded message: the closed-form schedule the
   /// per-packet path would have produced on the uncontended route.
@@ -240,10 +250,13 @@ class Network {
   bool flowfwd_eligible(NodeId src, NodeId dst) const;
   void flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
                     std::uint32_t num_packets, Bytes full_size, Bytes tail,
-                    Callback on_injected);
-  void flowfwd_injected(MessageId id);
-  void finish_flowfwd(MessageId id);
-  void demote_flowfwd(MessageId id);
+                    Callback&& on_injected);
+  /// A cleared plan slot (recycled plans keep their vectors' capacity).
+  std::uint32_t acquire_flowfwd();
+  void release_flowfwd(std::uint32_t plan);
+  void flowfwd_injected(std::uint32_t plan);
+  void finish_flowfwd(std::uint32_t plan);
+  void demote_flowfwd(std::uint32_t plan);
   Packet flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const;
   sim::EventFn parked_arrival(const Packet& p, Tick stage_delay);
   void account_delivery(const FlowFwd& ff, const FFPacket& pkt);
@@ -267,7 +280,7 @@ class Network {
   /// Trunks indexed [pod][spine].
   std::vector<std::vector<std::unique_ptr<Link>>> leaf_to_spine_;
   std::vector<std::vector<std::unique_ptr<Link>>> spine_to_leaf_;
-  std::unordered_map<MessageId, InFlight> in_flight_;
+  SlotPool<InFlight> in_flight_;
   MessageId next_msg_id_ = 1;
   FlowId next_flow_ = 1;
   NetworkCounters counters_;
@@ -277,7 +290,11 @@ class Network {
   // the virtual query made once at construction.
   bool flowfwd_ = true;
   bool switch_contention_free_ = false;
-  std::unordered_map<MessageId, FlowFwd> ffwd_;
+  /// Flow-forward plans by slot (the events and guards capture the slot).
+  /// A deque, so a plan's address survives new plans being added while
+  /// it is in use.
+  std::deque<FlowFwd> ffwd_;
+  std::vector<std::uint32_t> ffwd_free_;
   SlotPool<FFParked> ffwd_parked_;
   std::vector<Tick> ffwd_cooldown_up_;
   std::vector<Tick> ffwd_cooldown_down_;

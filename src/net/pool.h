@@ -18,7 +18,7 @@ template <class T>
 class SlotPool {
  public:
   /// Stores `value`, returning its slot index.
-  std::uint32_t put(T value) {
+  std::uint32_t put(T&& value) {
     if (!free_.empty()) {
       const std::uint32_t s = free_.back();
       free_.pop_back();

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "util/env.h"
 #include "util/fsio.h"
 #include "util/log.h"
 
@@ -64,10 +65,8 @@ void write_escaped(std::ostream& os, const std::string& s) {
 TraceConfig TraceConfig::from_env() {
   TraceConfig cfg;
   if (const char* p = std::getenv("ACTNET_TRACE")) cfg.path = p;
-  if (const char* w = std::getenv("ACTNET_TRACE_WINDOW_MS")) {
-    const double ms = std::atof(w);
-    if (ms > 0) cfg.end = cfg.start + static_cast<Tick>(ms * 1e6);
-  }
+  if (const double ms = util::env_double("ACTNET_TRACE_WINDOW_MS"); ms > 0)
+    cfg.end = cfg.start + static_cast<Tick>(ms * 1e6);
   return cfg;
 }
 

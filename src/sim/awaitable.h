@@ -34,6 +34,10 @@ inline Delay delay(Engine& engine, Tick d) { return Delay{engine, d}; }
 /// One-shot event: tasks co_await it; fire() releases all of them (current
 /// and future awaiters complete immediately once fired).
 ///
+/// Nearly every event (an MPI request's completion) has exactly one waiter,
+/// so the first waiter is held inline and only the second and later ones
+/// go to a vector: waiting on a request allocates nothing.
+///
 /// Lifetime: the Event must outlive any suspended waiter that will be
 /// resumed. Waiters whose coroutine frames are destroyed before the event
 /// fires leave dangling handles behind, so events must either fire or never
@@ -52,18 +56,18 @@ class Event {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (auto h : waiters_)
-      engine_.schedule_now([h] { h.resume(); });
-    waiters_.clear();
+    if (!first_) return;
+    engine_.schedule_now([h = first_] { h.resume(); });
+    first_ = {};
+    for (auto h : more_) engine_.schedule_now([h] { h.resume(); });
+    more_.clear();
   }
 
   auto wait() {
     struct Awaiter {
       Event& ev;
       bool await_ready() const noexcept { return ev.fired_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ev.waiters_.push_back(h);
-      }
+      void await_suspend(std::coroutine_handle<> h) { ev.add_waiter(h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -76,15 +80,25 @@ class Event {
       engine_.schedule_now([h] { h.resume(); });
       return;
     }
-    waiters_.push_back(h);
+    add_waiter(h);
   }
 
-  std::size_t waiter_count() const { return waiters_.size(); }
+  std::size_t waiter_count() const {
+    return (first_ ? 1 : 0) + more_.size();
+  }
 
  private:
+  void add_waiter(std::coroutine_handle<> h) {
+    if (!first_)
+      first_ = h;
+    else
+      more_.push_back(h);
+  }
+
   Engine& engine_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;  ///< first waiter (resumed first)
+  std::vector<std::coroutine_handle<>> more_;
 };
 
 }  // namespace actnet::sim

@@ -31,7 +31,7 @@ bool Engine::next_event_time(Tick* t) const {
   return true;
 }
 
-std::uint32_t Engine::alloc_slot(EventFn fn) {
+std::uint32_t Engine::alloc_slot(EventFn&& fn) {
   if (!free_slots_.empty()) {
     const std::uint32_t s = free_slots_.back();
     free_slots_.pop_back();
@@ -43,7 +43,7 @@ std::uint32_t Engine::alloc_slot(EventFn fn) {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-EventKey Engine::push_event(Tick t, EventFn fn) {
+EventKey Engine::push_event(Tick t, EventFn&& fn) {
   ACTNET_CHECK_MSG(t >= now_, "event scheduled in the past: t=" << t
                                                                 << " now=" << now_);
   ACTNET_CHECK(fn);
@@ -58,9 +58,7 @@ EventKey Engine::push_event(Tick t, EventFn fn) {
   return k;
 }
 
-void Engine::schedule_at(Tick t, EventFn fn) { push_event(t, std::move(fn)); }
-
-Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn fn) {
+Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn&& fn) {
   const EventKey k = push_event(t, std::move(fn));
   return CancelToken{k.slot, k.seq};
 }

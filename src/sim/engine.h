@@ -10,12 +10,15 @@
 // free-listed slot vector, so queue maintenance moves 24-byte keys instead
 // of 64-byte callables, and slot reuse keeps the steady state
 // allocation-free. Callables are sim::InlineFn — closures up to 48 bytes
-// of capture never touch the heap.
+// of capture never touch the heap — and travel by rvalue reference from
+// schedule_*() into their slot, so each event moves its callable once on
+// the way in and once on the way out.
 //
 // The queue itself is a 4-ary min-heap over those keys (event_queue.h).
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -51,7 +54,7 @@ class Engine {
   Tick now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (>= now()).
-  void schedule_at(Tick t, EventFn fn);
+  void schedule_at(Tick t, EventFn&& fn) { push_event(t, std::move(fn)); }
 
   /// Handle to a cancellable event. Tokens are validated against the
   /// event's slot+sequence pair, so a stale token (the event already fired,
@@ -64,7 +67,7 @@ class Engine {
 
   /// Like schedule_at, but returns a token that cancel() accepts. Same
   /// ordering semantics; the only cost over schedule_at is the token.
-  CancelToken schedule_cancellable_at(Tick t, EventFn fn);
+  CancelToken schedule_cancellable_at(Tick t, EventFn&& fn);
 
   /// Cancels a pending event. Returns true when the event had not yet
   /// fired (it now never will); false for stale tokens. Cancelled events
@@ -75,11 +78,13 @@ class Engine {
   std::uint64_t events_cancelled() const { return cancelled_; }
 
   /// Schedules `fn` `delay` after the current time (delay >= 0).
-  void schedule_in(Tick delay, EventFn fn) { schedule_at(now_ + delay, std::move(fn)); }
+  void schedule_in(Tick delay, EventFn&& fn) {
+    push_event(now_ + delay, std::move(fn));
+  }
 
   /// Schedules `fn` at the current time, after already-queued events for
   /// this instant.
-  void schedule_now(EventFn fn) { schedule_at(now_, std::move(fn)); }
+  void schedule_now(EventFn&& fn) { push_event(now_, std::move(fn)); }
 
   /// Runs events until the queue drains. Returns the number of events run.
   std::uint64_t run();
@@ -107,8 +112,8 @@ class Engine {
   /// sequence numbers never reach it.
   static constexpr std::uint64_t kDeadSeq = ~std::uint64_t{0};
 
-  std::uint32_t alloc_slot(EventFn fn);
-  EventKey push_event(Tick t, EventFn fn);
+  std::uint32_t alloc_slot(EventFn&& fn);
+  EventKey push_event(Tick t, EventFn&& fn);
   /// The shared drain loop behind run()/run_until(): one dispatch, budget
   /// check, and events_processed() accounting for both.
   std::uint64_t drain(Tick limit, bool bounded);

@@ -8,11 +8,17 @@
 // falls back to the heap beyond that. It is move-only (no shared targets,
 // no copies mid-queue) and its heap fallbacks are counted so benches and
 // tests can assert the hot path allocates nothing.
+//
+// Most hot-path closures capture only pointers, ids and a Packet — they are
+// trivially copyable. Those store no manager: moving one is a fixed-size
+// memcpy and destroying one is free, so the several moves a packet's
+// callback makes (link record, event slot, drain) cost no indirect calls.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -54,7 +60,8 @@ class InlineFn<R(Args...), Capacity> {
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
-      manage_ = &inline_manage<D>;
+      if constexpr (!std::is_trivially_copyable_v<D>)
+        manage_ = &inline_manage<D>;
     } else {
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
       detail::g_inline_fn_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -122,7 +129,10 @@ class InlineFn<R(Args...), Capacity> {
 
   void move_from(InlineFn& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(other.buf_, buf_, Op::kMoveTo);
+    if (other.manage_ == nullptr)
+      std::memcpy(buf_, other.buf_, Capacity);  // trivially copyable target
+    else
+      other.manage_(other.buf_, buf_, Op::kMoveTo);
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -131,7 +141,7 @@ class InlineFn<R(Args...), Capacity> {
 
   void reset() noexcept {
     if (invoke_ == nullptr) return;
-    manage_(buf_, nullptr, Op::kDestroy);
+    if (manage_ != nullptr) manage_(buf_, nullptr, Op::kDestroy);
     invoke_ = nullptr;
     manage_ = nullptr;
   }

@@ -75,7 +75,7 @@ int PartitionedEngine::workers_from_env(int domains) {
     const unsigned hw = std::thread::hardware_concurrency();
     n = hw == 0 ? 1 : static_cast<int>(hw);
   } else {
-    n = std::atoi(v.c_str());
+    n = util::parse_count("ACTNET_PARTITIONS", v);
     ACTNET_CHECK_MSG(n >= 1, "ACTNET_PARTITIONS must be a positive integer "
                              "or 'auto', got '"
                                  << v << "'");

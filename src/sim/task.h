@@ -9,13 +9,19 @@
 // Ownership: a Task owns its coroutine frame and destroys it in its
 // destructor. A parent awaiting a child keeps the child Task alive in its
 // own frame, so tearing down a root task releases the whole await chain.
+//
+// Frames come from the thread-local size-class free lists (util/freelist.h):
+// an MPI send/recv is a short-lived child task, so the message path would
+// otherwise pay one heap allocation per call.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
 #include "util/error.h"
+#include "util/freelist.h"
 
 namespace actnet::sim {
 
@@ -28,6 +34,13 @@ class [[nodiscard]] Task {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
     bool finished = false;
+
+    static void* operator new(std::size_t bytes) {
+      return util::pooled_alloc(bytes);
+    }
+    static void operator delete(void* p, std::size_t bytes) noexcept {
+      util::pooled_free(p, bytes);
+    }
 
     Task get_return_object() noexcept {
       return Task(Handle::from_promise(*this));

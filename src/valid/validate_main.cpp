@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     valid::MatrixSpec spec =
         quick ? valid::quick_matrix() : valid::full_matrix();
     if (!seeds_arg.empty()) spec.seeds = parse_seed_list(seeds_arg);
-    if (!jobs_arg.empty()) spec.jobs = std::atoi(jobs_arg.c_str());
+    if (!jobs_arg.empty()) spec.jobs = util::parse_count("--jobs", jobs_arg);
     const valid::PerturbSpec perturb = valid::PerturbSpec::parse(perturb_arg);
     if (perturb.active())
       std::cout << "[perturbing " << perturb.model << " by x" << perturb.scale

@@ -260,6 +260,48 @@ TEST(Link, BackToBackTrainsRecycleThePool) {
   EXPECT_EQ(link.trains_capacity(), 1u);
 }
 
+// --- storage: record blocks and the flow index ---
+
+TEST(Link, RecordBlocksGrowWithBacklogAndShrinkWhenIdle) {
+  sim::Engine e;
+  Link link(e, units::GBps(1.0), 0);
+  EXPECT_EQ(link.record_blocks(), 0u);  // nothing allocated before use
+  int arrivals = 0;
+  for (int i = 0; i < 100; ++i)
+    link.transmit(1 + i % 3, 500, nullptr, [&] { ++arrivals; });
+  // 100 records (99 queued + 1 in service) need ceil(100 / 16) blocks.
+  EXPECT_EQ(link.record_blocks(), 7u);
+  e.run();
+  EXPECT_EQ(arrivals, 100);
+  // The idle port hands every block but the first back.
+  EXPECT_EQ(link.record_blocks(), 1u);
+  // ...and a second burst reuses it and grows again.
+  link.transmit_train(5, 40, 500, 0, nullptr, [&](std::uint32_t) { ++arrivals; });
+  EXPECT_EQ(link.record_blocks(), 3u);
+  e.run();
+  EXPECT_EQ(arrivals, 140);
+  EXPECT_EQ(link.record_blocks(), 1u);
+}
+
+TEST(Link, ManyFlowsServeInRoundRobinOrder) {
+  // 300 flows (past several flow-index and ring growths), two
+  // quantum-sized packets each: DRR serves every flow's first packet in
+  // arrival order, then every flow's second.
+  sim::Engine e;
+  Link link(e, units::GBps(1.0), 0, /*quantum=*/1000);
+  constexpr int kFlows = 300;
+  std::vector<int> order;
+  for (int round = 0; round < 2; ++round)
+    for (int f = 0; f < kFlows; ++f)
+      link.transmit(static_cast<FlowId>(7919 * f + 13), 1000, nullptr,
+                    [&order, f] { order.push_back(f); });
+  EXPECT_EQ(link.active_flows(), static_cast<std::size_t>(kFlows));
+  e.run();
+  ASSERT_EQ(order.size(), 2u * kFlows);
+  for (int i = 0; i < 2 * kFlows; ++i) EXPECT_EQ(order[i], i % kFlows) << i;
+  EXPECT_EQ(link.active_flows(), 0u);
+}
+
 TEST(Link, InvalidTrainArgumentsThrow) {
   sim::Engine e;
   Link link(e, units::GBps(1.0), 0);

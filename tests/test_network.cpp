@@ -72,7 +72,8 @@ TEST(Network, IdleLatencyCalibration) {
   Tick t = 0;
   for (int i = 0; i < 4000; ++i) {
     t += units::us(5);  // spaced out: no queueing
-    f.engine.schedule_at(t, [&] {
+    // `i` by value: the event runs after the loop has moved on.
+    f.engine.schedule_at(t, [&, i] {
       const Tick sent = f.engine.now();
       f.net.send(i % 18, (i + 1) % 18, 100 + i % 7, 1088, nullptr,
                  [&, sent] { lat.add(units::to_us(f.engine.now() - sent)); });

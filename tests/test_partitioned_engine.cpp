@@ -126,6 +126,10 @@ TEST(PartitionedEngine, WorkersFromEnvParsing) {
     ScopedEnv bogus("ACTNET_PARTITIONS", "zero");
     EXPECT_THROW(sim::PartitionedEngine::workers_from_env(4), Error);
   }
+  for (const char* bad : {"4x", "-2", "0"}) {
+    ScopedEnv env("ACTNET_PARTITIONS", bad);
+    EXPECT_THROW(sim::PartitionedEngine::workers_from_env(4), Error) << bad;
+  }
 }
 
 /// Random cross-domain ping workload whose execution log must not depend

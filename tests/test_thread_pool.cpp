@@ -1,5 +1,6 @@
 // ThreadPool: result/exception propagation through futures, clean shutdown
-// with queued work, wait_idle, and the ACTNET_JOBS default.
+// with queued work, wait_idle, and the ACTNET_JOBS default (strictly
+// parsed, like every numeric ACTNET_* knob).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/telemetry.h"
+#include "util/env.h"
+#include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace actnet::util {
@@ -62,12 +66,83 @@ TEST(ThreadPool, DefaultJobsHonorsEnv) {
   const std::string saved_value = saved ? saved : "";
   ::setenv("ACTNET_JOBS", "3", 1);
   EXPECT_EQ(ThreadPool::default_jobs(), 3);
-  ::setenv("ACTNET_JOBS", "0", 1);  // non-positive → hardware default
-  EXPECT_GE(ThreadPool::default_jobs(), 1);
+  ::setenv("ACTNET_JOBS", "0", 1);  // 0 → hardware default
+  const int hw_default = ThreadPool::default_jobs();
+  EXPECT_GE(hw_default, 1);
+  ::setenv("ACTNET_JOBS", "", 1);  // empty = unset → hardware default
+  EXPECT_EQ(ThreadPool::default_jobs(), hw_default);
+  // Malformed values are typed errors naming the variable and the value,
+  // never a silent default ("abc") or a silently used prefix ("4x").
+  for (const char* bad : {"abc", "4x", "-2", " 3", "3 ", "1.5"}) {
+    ::setenv("ACTNET_JOBS", bad, 1);
+    try {
+      ThreadPool::default_jobs();
+      ADD_FAILURE() << "ACTNET_JOBS='" << bad << "' was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ACTNET_JOBS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
   if (saved)
     ::setenv("ACTNET_JOBS", saved_value.c_str(), 1);
   else
     ::unsetenv("ACTNET_JOBS");
+}
+
+TEST(ThreadPool, NumericKnobsAreStrict) {
+  const auto with_env = [](const char* name, const char* value, auto fn) {
+    const char* saved = std::getenv(name);
+    const std::string saved_value = saved ? saved : "";
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+    fn();
+    if (saved)
+      ::setenv(name, saved_value.c_str(), 1);
+    else
+      ::unsetenv(name);
+  };
+  // Integers: unset/empty/0 → fallback, digits → value, anything else throws.
+  with_env("ACTNET_TEST_INT", nullptr,
+           [] { EXPECT_EQ(env_int("ACTNET_TEST_INT", 7), 7); });
+  with_env("ACTNET_TEST_INT", "",
+           [] { EXPECT_EQ(env_int("ACTNET_TEST_INT", 7), 7); });
+  with_env("ACTNET_TEST_INT", "0",
+           [] { EXPECT_EQ(env_int("ACTNET_TEST_INT", 7), 7); });
+  with_env("ACTNET_TEST_INT", "12",
+           [] { EXPECT_EQ(env_int("ACTNET_TEST_INT", 7), 12); });
+  for (const char* bad : {"abc", "12ms", "-1", "+3", "99999999999"})
+    with_env("ACTNET_TEST_INT", bad,
+             [] { EXPECT_THROW(env_int("ACTNET_TEST_INT", 7), Error); });
+  // Doubles: the same rule, plus fractions.
+  with_env("ACTNET_TEST_DBL", "",
+           [] { EXPECT_EQ(env_double("ACTNET_TEST_DBL", 2.5), 2.5); });
+  with_env("ACTNET_TEST_DBL", "0",
+           [] { EXPECT_EQ(env_double("ACTNET_TEST_DBL", 2.5), 2.5); });
+  with_env("ACTNET_TEST_DBL", "0.75",
+           [] { EXPECT_EQ(env_double("ACTNET_TEST_DBL", 2.5), 0.75); });
+  for (const char* bad : {"fast", "8ms", "-4", "nan", "inf", " 1"})
+    with_env("ACTNET_TEST_DBL", bad,
+             [] { EXPECT_THROW(env_double("ACTNET_TEST_DBL", 2.5), Error); });
+  // Command-line flags share the integer rule.
+  EXPECT_EQ(parse_count("--jobs", "4"), 4);
+  EXPECT_EQ(parse_count("--jobs", "0"), 0);
+  EXPECT_THROW(parse_count("--jobs", "4x"), Error);
+  EXPECT_THROW(parse_count("--jobs", ""), Error);
+  // campaign_bench exports ACTNET_TELEMETRY= (empty): sampler off, no error;
+  // ACTNET_TELEMETRY=0 is documented as off too.
+  with_env("ACTNET_TELEMETRY", "", [] {
+    EXPECT_EQ(obs::TelemetryConfig::from_env().interval_ms, 0);
+  });
+  with_env("ACTNET_TELEMETRY", "0", [] {
+    EXPECT_EQ(obs::TelemetryConfig::from_env().interval_ms, 0);
+  });
+  with_env("ACTNET_TELEMETRY", "10ms", [] {
+    EXPECT_THROW(obs::TelemetryConfig::from_env(), Error);
+  });
 }
 
 }  // namespace
