@@ -16,7 +16,9 @@ namespace {
 /// invalidates cached measurements. v3: topology gained k-ary builder
 /// parameters (k, trunk_propagation) and a partition layout — caches
 /// written before those fields existed must not be served against them.
-constexpr const char* kSchemaVersion = "actnet-v3";
+/// v4: switch-stage delays became keyed per-packet draws instead of one
+/// sequential stream per switch, which moves every simulated number.
+constexpr const char* kSchemaVersion = "actnet-v4";
 
 }  // namespace
 

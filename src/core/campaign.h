@@ -94,6 +94,9 @@ class Campaign {
                                            apps::AppId aggressor);
 
   MeasurementDb& db() { return db_; }
+  /// The cache fingerprint: schema version plus every result-affecting
+  /// knob. A cache recorded under another fingerprint is discarded.
+  std::string fingerprint() const;
 
   // --- thread-safe result merging (used by ParallelRunner workers) ---
 
@@ -107,7 +110,6 @@ class Campaign {
   void record_pair(apps::AppId first, apps::AppId second, const PairTimes& t);
 
  private:
-  std::string fingerprint() const;
   /// Ordered pair iteration times, running each unordered pair once.
   PairTimes pair_times(apps::AppId first, apps::AppId second);
 

@@ -7,33 +7,10 @@
 #include "util/error.h"
 
 namespace actnet::net {
-namespace {
-
-/// SplitMix64 finalizer: the same mixer Rng seeds through, reused here to
-/// collapse a (seed, switch, flow, message, packet) tuple into one key.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t stage_key(std::uint64_t seed, std::uint64_t sw,
-                        std::uint64_t flow, std::uint64_t msg,
-                        std::uint64_t seq) {
-  std::uint64_t h = mix64(seed);
-  h = mix64(h ^ sw);
-  h = mix64(h ^ flow);
-  h = mix64(h ^ msg);
-  h = mix64(h ^ seq);
-  return h;
-}
-
-}  // namespace
 
 Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed, int workers)
     : config_(config),
-      seed_(seed),
+      seed_key_(mix64(seed)),
       pods_(config.pods),
       nodes_per_pod_(config.nodes / std::max(config.pods, 1)),
       spine_domain_(config.pods > 1 ? config.pods : -1),
@@ -159,13 +136,8 @@ void Fabric::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
 
 Tick Fabric::stage_delay(std::uint32_t sw, const Packet& p,
                          SwitchCounters& c) {
-  Rng rng(stage_key(seed_, sw, p.flow, p.msg_id, p.seq));
-  const Tick d = sample_output_queued_delay(rng, config_.output_queued);
-  ++c.packets;
-  c.bytes += p.size;
-  c.time_in_switch += d;
-  c.stage_latency_us.add(units::to_us(d));
-  return d;
+  return keyed_stage_delay(config_.output_queued, mix64(seed_key_ ^ sw),
+                           p.msg_id, p, c);
 }
 
 void Fabric::uplink_arrival(int src_domain, std::uint32_t slot,

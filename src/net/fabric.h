@@ -1,8 +1,8 @@
 // Partitioned k-ary fat-tree fabric (DESIGN.md §5.14).
 //
 // The Network class models the paper's measured system faithfully but
-// holds whole-topology mutable state (message table, counters, shared
-// switch RNG streams) behind one engine, so it cannot execute in parallel
+// holds whole-topology mutable state (message table, per-flow send
+// ordinals, counters) behind one engine, so it cannot execute in parallel
 // without changing results. Fabric is the datacenter-scale sibling built
 // for the partitioned runtime from the start:
 //
@@ -15,12 +15,11 @@
 //    propagation ahead. The trunk propagation IS the conservative
 //    lookahead.
 //
-//  * Switch stage delays are drawn from a fresh RNG keyed on
-//    (seed, switch, flow, message, packet) — the PR 6 discipline taken to
-//    its conclusion: no sequential stream exists to disagree about, so
-//    results are independent of partition count, worker interleaving, and
-//    message admission order by construction. The distribution arithmetic
-//    is shared with OutputQueuedSwitch (sample_output_queued_delay).
+//  * Switch stage delays are keyed draws (keyed_stage_delay, shared with
+//    Network's OutputQueuedSwitch) on (seed, switch, flow, message,
+//    packet): no sequential stream exists to disagree about, so results
+//    are independent of partition count, worker interleaving, and message
+//    admission order by construction.
 //
 //  * Per-port DRR queueing, packetization, and NIC overheads reuse
 //    net::Link unchanged — each link simply binds to its domain's engine.
@@ -156,8 +155,8 @@ class Fabric {
   }
   DomainState& dom(int d) { return dom_[static_cast<std::size_t>(d)]; }
 
-  /// Keyed stage-delay draw + counter credit for switch `sw` (leaves are
-  /// 0..pods-1, spines pods..pods+spines-1).
+  /// keyed_stage_delay at switch `sw` (leaves are 0..pods-1, spines
+  /// pods..pods+spines-1), whose key is mix64(mix64(seed) ^ sw).
   Tick stage_delay(std::uint32_t sw, const Packet& p, SwitchCounters& c);
 
   void uplink_arrival(int src_domain, std::uint32_t slot, std::uint32_t i);
@@ -171,7 +170,7 @@ class Fabric {
   void complete_packet(const Packet& p);
 
   NetworkConfig config_;
-  std::uint64_t seed_;
+  std::uint64_t seed_key_;  ///< mix64(seed)
   int pods_;
   int nodes_per_pod_;
   int spine_domain_;  ///< == pods_ when pods_ > 1, else unused

@@ -21,7 +21,7 @@ std::unique_ptr<Switch> make_switch(sim::Engine& engine,
   switch (config.switch_kind) {
     case SwitchKind::kOutputQueued:
       return std::make_unique<OutputQueuedSwitch>(engine, config.output_queued,
-                                                  rng);
+                                                  rng());
     case SwitchKind::kSharedQueue:
       return std::make_unique<SharedQueueSwitch>(
           engine,
@@ -196,7 +196,7 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
   if (src == dst) {
     // Shared-memory path: one serialized transfer through the node-local
     // channel; "injection" completes when serialization does.
-    const MessageId id = open_message(1, std::move(on_delivered));
+    const MessageId id = open_message(flow, 1, std::move(on_delivered));
     local_channels_[src]->transmit(flow, size, std::move(on_injected),
                                    [this, id] { packet_delivered(id); });
     return id;
@@ -205,7 +205,7 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
   const auto full_packets = static_cast<std::uint32_t>(size / config_.mtu);
   const Bytes tail = size % config_.mtu;
   const std::uint32_t num_packets = full_packets + (tail > 0 ? 1 : 0);
-  const MessageId id = open_message(num_packets, std::move(on_delivered));
+  const MessageId id = open_message(flow, num_packets, std::move(on_delivered));
 
   if (flowfwd_eligible(src, dst)) {
     flow_forward(id, src, dst, flow, num_packets, config_.mtu, tail,
@@ -454,10 +454,9 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   ff.on_injected = std::move(on_injected);
 
   // Uplink: packets serialize back-to-back from t0. The switch stage is
-  // contention-free, so each packet's delay is drawn now, in arrival
-  // order — for serial traffic this is the exact draw order the
-  // per-packet path would have used (bit-identical results); concurrent
-  // messages interleave draws differently and land in tolerance territory.
+  // contention-free and its draws are keyed per packet, so each packet's
+  // delay is drawn now and equals the one the per-packet path would draw
+  // on arrival, however other messages interleave.
   Packet proto = flowfwd_packet(ff, 0);
   Tick t = t0;
   for (std::uint32_t i = 0; i < num_packets; ++i) {
@@ -822,11 +821,13 @@ void Network::complete_packet(const Packet& p) {
   packet_delivered(p.msg_id);
 }
 
-MessageId Network::open_message(std::uint32_t packets,
+MessageId Network::open_message(FlowId flow, std::uint32_t packets,
                                 Callback&& on_delivered) {
+  if (flow >= flow_sends_.size()) flow_sends_.resize(flow + std::size_t{1});
   const std::uint32_t slot =
       in_flight_.put(InFlight{0, packets, std::move(on_delivered)});
-  const MessageId id = (next_msg_id_++ << 32) | slot;
+  const MessageId id =
+      (static_cast<MessageId>(++flow_sends_[flow]) << 32) | slot;
   in_flight_.at(slot).id = id;
   return id;
 }

@@ -153,9 +153,9 @@ class Network {
                  Callback&& on_injected, Callback&& on_delivered);
 
   /// Flow-forward regime on/off (wired from ACTNET_FLOWFWD at
-  /// construction, default on; see DESIGN.md §5.12). It changes RNG draw
-  /// order on shared switches, so contended results are
-  /// tolerance-equivalent, not bit-identical.
+  /// construction, default on; see DESIGN.md §5.12). Switch-stage draws
+  /// are keyed per packet, so the regime reproduces the per-packet path's
+  /// delays exactly, contended traffic included.
   void set_flow_forward(bool on) { flowfwd_ = on; }
   bool flow_forward() const { return flowfwd_; }
 
@@ -191,10 +191,13 @@ class Network {
     std::uint32_t remaining = 0;
     Callback on_delivered;
   };
-  /// Parks a message's delivery state; returns its id.
-  MessageId open_message(std::uint32_t packets, Callback&& on_delivered);
+  /// Parks a message's delivery state and counts one send on `flow`;
+  /// returns its id.
+  MessageId open_message(FlowId flow, std::uint32_t packets,
+                         Callback&& on_delivered);
   /// The in_flight_ slot a MessageId carries in its low 32 bits (the high
-  /// bits hold a send counter, so ids stay unique as slots are reused).
+  /// bits hold the flow's send ordinal, so ids stay unique as slots are
+  /// reused).
   static std::uint32_t slot_of(MessageId id) {
     return static_cast<std::uint32_t>(id);
   }
@@ -281,7 +284,9 @@ class Network {
   std::vector<std::vector<std::unique_ptr<Link>>> leaf_to_spine_;
   std::vector<std::vector<std::unique_ptr<Link>>> spine_to_leaf_;
   SlotPool<InFlight> in_flight_;
-  MessageId next_msg_id_ = 1;
+  /// Sends so far per flow id: the ordinal keying each message's switch
+  /// draws follows the flow's own send order, not the global interleaving.
+  std::vector<std::uint32_t> flow_sends_;
   FlowId next_flow_ = 1;
   NetworkCounters counters_;
 

@@ -7,15 +7,17 @@
 
 namespace actnet::net {
 
-OutputQueuedSwitch::OutputQueuedSwitch(sim::Engine& engine,
-                                       OutputQueuedConfig config, Rng rng)
-    : engine_(engine), config_(config), rng_(rng) {
-  ACTNET_CHECK(config_.routing_latency >= 0);
-  ACTNET_CHECK(config_.jitter_mean_ns >= 0.0);
-  ACTNET_CHECK(config_.tail_prob >= 0.0 && config_.tail_prob < 1.0);
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
-Tick sample_output_queued_delay(Rng& rng, const OutputQueuedConfig& config) {
+Tick keyed_stage_delay(const OutputQueuedConfig& config,
+                       std::uint64_t switch_key, std::uint64_t msg,
+                       const Packet& p, SwitchCounters& c) {
+  Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
   Tick d = config.routing_latency;
   if (config.jitter_mean_ns > 0.0)
     d += units::ns(rng.lognormal_by_moments(config.jitter_mean_ns,
@@ -23,20 +25,21 @@ Tick sample_output_queued_delay(Rng& rng, const OutputQueuedConfig& config) {
   if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
     d += units::ns(config.tail_offset_ns +
                    rng.exponential(config.tail_mean_excess_ns));
+  c.credit(p.size, d);
   return d;
 }
 
-Tick OutputQueuedSwitch::sample_stage_delay() {
-  return sample_output_queued_delay(rng_, config_);
+OutputQueuedSwitch::OutputQueuedSwitch(sim::Engine& engine,
+                                       OutputQueuedConfig config,
+                                       std::uint64_t key)
+    : engine_(engine), config_(config), key_(key) {
+  ACTNET_CHECK(config_.routing_latency >= 0);
+  ACTNET_CHECK(config_.jitter_mean_ns >= 0.0);
+  ACTNET_CHECK(config_.tail_prob >= 0.0 && config_.tail_prob < 1.0);
 }
 
 Tick OutputQueuedSwitch::flowfwd_delay(const Packet& p) {
-  const Tick d = sample_stage_delay();
-  ++counters_.packets;
-  counters_.bytes += p.size;
-  counters_.time_in_switch += d;
-  counters_.stage_latency_us.add(units::to_us(d));
-  return d;
+  return keyed_stage_delay(config_, key_, msg_ordinal(p.msg_id), p, counters_);
 }
 
 void OutputQueuedSwitch::route(const Packet& p, ForwardFn forward) {
@@ -71,11 +74,7 @@ void SharedQueueSwitch::route(const Packet& p, ForwardFn forward) {
   const Tick service =
       std::max<Tick>(1, static_cast<Tick>(service_->sample(rng_)));
   busy_until_ = start + service;
-  const Tick sojourn = busy_until_ - now;
-  ++counters_.packets;
-  counters_.bytes += p.size;
-  counters_.time_in_switch += sojourn;
-  counters_.stage_latency_us.add(units::to_us(sojourn));
+  counters_.credit(p.size, busy_until_ - now);
   const std::uint32_t slot = pending_.put(PendingRoute{p, std::move(forward)});
   engine_.schedule_at(busy_until_, [this, slot] {
     PendingRoute r = pending_.take(slot);

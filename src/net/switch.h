@@ -8,6 +8,8 @@
 //    handed to the destination's output port for serialization (the
 //    Network owns the per-port downlinks). Contention therefore appears at
 //    output ports, exactly where it appears in a real crossbar switch.
+//    Each packet's delay is a keyed draw (keyed_stage_delay), so it does
+//    not depend on the order in which the switch sees packets.
 //
 //  * SharedQueueSwitch — a literal M/G/1 single-server switch: every packet
 //    is serviced FIFO by one server with a configurable service-time
@@ -34,6 +36,14 @@ using ForwardFn = sim::InlineFn<void(const Packet&), 32>;
 
 /// Aggregate switch statistics (reset-free, monotone).
 struct SwitchCounters {
+  /// Credits one packet of `size` bytes that spent `d` in the stage.
+  void credit(Bytes size, Tick d) {
+    ++packets;
+    bytes += size;
+    time_in_switch += d;
+    stage_latency_us.add(units::to_us(d));
+  }
+
   std::uint64_t packets = 0;
   Bytes bytes = 0;
   /// Time packets spent inside the switch stage (routing/service only,
@@ -78,24 +88,33 @@ struct OutputQueuedConfig {
   double tail_mean_excess_ns = 2000.0;  ///< mean extra beyond the offset
 };
 
-/// Draws one output-queued routing-stage delay from `rng`: fixed pipeline
-/// latency + log-normal arbitration jitter + a rare exponential-excess
-/// tail. Shared by OutputQueuedSwitch (sequential stream) and the
-/// partitioned Fabric (a fresh keyed stream per packet), so both stages
-/// sample the exact same distribution arithmetic.
-Tick sample_output_queued_delay(Rng& rng, const OutputQueuedConfig& config);
+/// SplitMix64 finalizer (the mixer Rng seeds through): collapses a key
+/// tuple into one 64-bit key, one component at a time.
+std::uint64_t mix64(std::uint64_t x);
+
+/// Draws one output-queued routing-stage delay — fixed pipeline latency +
+/// log-normal arbitration jitter + a rare exponential-excess tail — from a
+/// fresh stream keyed on (switch_key, p.flow, msg, p.seq), and credits it
+/// to `c`. A pure function of those four values: the delay does not depend
+/// on which packets the switch saw before, so a packet drawn at
+/// flow-forward accept time gets the delay the per-packet path would draw
+/// on arrival, and partitioned domains need no shared stream. `msg` names
+/// the packet's message within its flow: Network passes the per-flow send
+/// ordinal (msg_ordinal), Fabric its domain-local message id.
+Tick keyed_stage_delay(const OutputQueuedConfig& config,
+                       std::uint64_t switch_key, std::uint64_t msg,
+                       const Packet& p, SwitchCounters& c);
 
 class OutputQueuedSwitch final : public Switch {
  public:
-  OutputQueuedSwitch(sim::Engine& engine, OutputQueuedConfig config, Rng rng);
+  /// `key` is the switch's draw key: any 64-bit value, distinct per switch.
+  OutputQueuedSwitch(sim::Engine& engine, OutputQueuedConfig config,
+                     std::uint64_t key);
 
   void route(const Packet& p, ForwardFn forward) override;
   bool contention_free() const override { return true; }
   Tick flowfwd_delay(const Packet& p) override;
   const SwitchCounters& counters() const override { return counters_; }
-
-  /// Draws one routing-stage delay (exposed for calibration tests).
-  Tick sample_stage_delay();
 
  private:
   struct PendingRoute {
@@ -105,12 +124,14 @@ class OutputQueuedSwitch final : public Switch {
 
   sim::Engine& engine_;
   OutputQueuedConfig config_;
-  Rng rng_;
+  std::uint64_t key_;
   SwitchCounters counters_;
   SlotPool<PendingRoute> pending_;
 };
 
-/// Literal M/G/1 switch: one FIFO server shared by all ports.
+/// Literal M/G/1 switch: one FIFO server shared by all ports. Its service
+/// times come from one sequential stream: a single FIFO server orders its
+/// packets anyway, and the switch never flow-forwards.
 class SharedQueueSwitch final : public Switch {
  public:
   SharedQueueSwitch(sim::Engine& engine,

@@ -10,8 +10,14 @@ namespace actnet::net {
 /// Compute-node index within the simulated cluster (0-based).
 using NodeId = std::int32_t;
 
-/// Unique message identifier assigned by the Network at send time.
+/// Message identifier assigned at send time. Network's ids carry the
+/// sending flow's send ordinal in the high 32 bits (the key of the
+/// message's switch-stage draws) and an in-flight table slot in the low
+/// 32 bits.
 using MessageId = std::uint64_t;
+
+/// The per-flow send ordinal a Network MessageId carries.
+inline std::uint64_t msg_ordinal(MessageId id) { return id >> 32; }
 
 /// A message fragment travelling through the network.
 struct Packet {

@@ -95,6 +95,22 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
     EXPECT_EQ(c.db().get("probe"), std::nullopt);
     EXPECT_EQ(c.db().size(), 1u);
   }
+  {
+    // A cache written under the previous schema (sequential switch-stage
+    // draws) carries the same config under the old version tag; it must
+    // miss rather than mix with keyed-draw measurements.
+    std::string old_fingerprint = Campaign(tiny_config()).fingerprint();
+    ASSERT_EQ(old_fingerprint.rfind("actnet-v4|", 0), 0u);
+    old_fingerprint.replace(0, 9, "actnet-v3");
+    {
+      MeasurementDb db(path);
+      db.bind_fingerprint(old_fingerprint);
+      db.put("probe", "1");
+    }
+    Campaign c(tiny_config(path));
+    EXPECT_EQ(c.db().get("probe"), std::nullopt);
+    EXPECT_EQ(c.db().size(), 1u);
+  }
   std::filesystem::remove(path);
 }
 

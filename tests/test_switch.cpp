@@ -20,6 +20,15 @@ Packet make_packet(std::uint64_t id, Bytes size = 1024) {
   return p;
 }
 
+/// Packet `i` of a 1000-packet message series on flow 1: distinct
+/// (message ordinal, seq) keys, so its stage delays are independent draws.
+Packet keyed_packet(int i) {
+  Packet p = make_packet((static_cast<MessageId>(1 + i / 1000) << 32) | 7);
+  p.flow = 1;
+  p.seq = static_cast<std::uint32_t>(i % 1000);
+  return p;
+}
+
 TEST(OutputQueuedSwitch, DelayWithinConfiguredEnvelope) {
   sim::Engine e;
   OutputQueuedConfig cfg;
@@ -27,10 +36,10 @@ TEST(OutputQueuedSwitch, DelayWithinConfiguredEnvelope) {
   cfg.jitter_mean_ns = 200.0;
   cfg.jitter_stddev_ns = 100.0;
   cfg.tail_prob = 0.0;
-  OutputQueuedSwitch sw(e, cfg, Rng(1));
+  OutputQueuedSwitch sw(e, cfg, 1);
   OnlineStats stage;
   for (int i = 0; i < 20000; ++i)
-    stage.add(static_cast<double>(sw.sample_stage_delay()));
+    stage.add(static_cast<double>(sw.flowfwd_delay(keyed_packet(i))));
   EXPECT_GT(stage.min(), 150.0);
   EXPECT_NEAR(stage.mean(), 350.0, 10.0);
 }
@@ -41,12 +50,37 @@ TEST(OutputQueuedSwitch, TailAddsRareLargeDelays) {
   cfg.tail_prob = 0.05;
   cfg.tail_offset_ns = 1000.0;
   cfg.tail_mean_excess_ns = 2000.0;
-  OutputQueuedSwitch sw(e, cfg, Rng(2));
+  OutputQueuedSwitch sw(e, cfg, 2);
   int slow = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i)
-    if (sw.sample_stage_delay() > units::ns(1200)) ++slow;
+    if (sw.flowfwd_delay(keyed_packet(i)) > units::ns(1200)) ++slow;
   EXPECT_NEAR(static_cast<double>(slow) / n, 0.05, 0.01);
+}
+
+TEST(OutputQueuedSwitch, DelayIsPureFunctionOfKeyAndPacket) {
+  // Draw order, in-flight slot (the id's low bits) and prior traffic do
+  // not move a packet's delay; the switch key and the packet's
+  // (flow, ordinal, seq) do.
+  sim::Engine e;
+  const OutputQueuedConfig cfg;
+  OutputQueuedSwitch fwd(e, cfg, 11);
+  OutputQueuedSwitch rev(e, cfg, 11);
+  OutputQueuedSwitch other(e, cfg, 12);
+  const int n = 200;
+  std::vector<Tick> a(n), b(n);
+  int differs = 0;
+  for (int i = 0; i < n; ++i) a[i] = fwd.flowfwd_delay(keyed_packet(i));
+  for (int i = n - 1; i >= 0; --i) {
+    Packet p = keyed_packet(i);
+    p.msg_id ^= 0x5a5a;  // another slot
+    b[i] = rev.flowfwd_delay(p);
+    if (other.flowfwd_delay(p) != b[i]) ++differs;
+  }
+  EXPECT_EQ(a, b);
+  EXPECT_GT(differs, n / 2);
+  EXPECT_EQ(fwd.counters().packets, rev.counters().packets);
+  EXPECT_EQ(fwd.counters().time_in_switch, rev.counters().time_in_switch);
 }
 
 TEST(OutputQueuedSwitch, RouteForwardsOnceWithDelay) {
@@ -56,7 +90,7 @@ TEST(OutputQueuedSwitch, RouteForwardsOnceWithDelay) {
   cfg.jitter_stddev_ns = 0.0;
   cfg.tail_prob = 0.0;
   cfg.routing_latency = 150;
-  OutputQueuedSwitch sw(e, cfg, Rng(3));
+  OutputQueuedSwitch sw(e, cfg, 3);
   int forwarded = 0;
   Tick when = -1;
   sw.route(make_packet(1), [&](const Packet& p) {
@@ -80,7 +114,7 @@ TEST(OutputQueuedSwitch, StageIsParallelNotSerial) {
   cfg.jitter_stddev_ns = 0.0;
   cfg.tail_prob = 0.0;
   cfg.routing_latency = 200;
-  OutputQueuedSwitch sw(e, cfg, Rng(4));
+  OutputQueuedSwitch sw(e, cfg, 4);
   std::vector<Tick> out;
   sw.route(make_packet(1), [&](const Packet&) { out.push_back(e.now()); });
   sw.route(make_packet(2), [&](const Packet&) { out.push_back(e.now()); });
