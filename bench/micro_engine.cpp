@@ -27,7 +27,6 @@
 #include "core/probes.h"
 #include "mpi/job.h"
 #include "net/link.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 #include "queueing/mg1_sim.h"
@@ -87,50 +86,13 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(65536);
 
-/// The instrumentation overhead pair. Metrics hooks are always compiled
-/// into Engine::schedule_at; when no counters are attached (the default —
-/// ACTNET_METRICS unset) the entire cost is one null-pointer branch per
-/// schedule. The acceptance budget is "Disabled" within 2% of
-/// BM_EngineScheduleRun/65536 (the identical loop, for a same-binary
-/// baseline).
-void BM_EngineMetricsDisabled(benchmark::State& state) {
-  const auto heap0 = sim::inline_fn_heap_allocations();
-  for (auto _ : state) {
-    sim::Engine e;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
-    benchmark::DoNotOptimize(e.run());
-  }
-  report_event_counters(state, state.iterations() * state.range(0), heap0);
-}
-BENCHMARK(BM_EngineMetricsDisabled)->Arg(65536);
-
-/// Same loop with counters attached (a private registry, so the default
-/// stays untouched): two relaxed atomic increments + two peak-gauge reads
-/// per schedule, one batched add per run.
-void BM_EngineMetricsEnabled(benchmark::State& state) {
-  const auto heap0 = sim::inline_fn_heap_allocations();
-  obs::Registry reg;
-  for (auto _ : state) {
-    sim::Engine e;
-    e.attach_metrics(reg);
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
-    benchmark::DoNotOptimize(e.run());
-  }
-  report_event_counters(state, state.iterations() * state.range(0), heap0);
-}
-BENCHMARK(BM_EngineMetricsEnabled)->Arg(65536);
-
-/// The telemetry overhead pair (PR 7 acceptance: "On" within 2% of "Off").
-/// Off = metrics attached but no sampler/profiler, the BM_EngineMetrics
-/// Enabled configuration.
+/// The telemetry overhead pair ("On" within 2% of "Off"). Off is the
+/// plain loop: every engine publishes its counts when destroyed, with or
+/// without a sampler.
 void BM_EngineTelemetryOff(benchmark::State& state) {
   const auto heap0 = sim::inline_fn_heap_allocations();
-  obs::Registry reg;
   for (auto _ : state) {
     sim::Engine e;
-    e.attach_metrics(reg);
     const int n = static_cast<int>(state.range(0));
     for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
     benchmark::DoNotOptimize(e.run());
@@ -141,23 +103,22 @@ BENCHMARK(BM_EngineTelemetryOff)->Arg(65536);
 
 /// Same loop with the full live pipeline on it: the profiler active (one
 /// ProfScope per drain call — two clock reads per run(), amortized over
-/// 65536 events) and a background Sampler snapshotting the registry every
-/// 10 ms. The sampler only reads relaxed atomics, so the cost it can
-/// impose on the simulation is cache-line sharing, which this measures.
+/// 65536 events) and a background Sampler snapshotting the default
+/// registry every 10 ms. The sampler only reads relaxed atomics, so the
+/// cost it can impose on the simulation is cache-line sharing, which this
+/// measures.
 void BM_EngineTelemetryOn(benchmark::State& state) {
   const auto heap0 = sim::inline_fn_heap_allocations();
-  obs::Registry reg;
   const bool prof_before = obs::profiling_enabled();
   obs::set_profiling_enabled(true);
   obs::TelemetryConfig cfg;
   cfg.interval_ms = 10;
   cfg.out_path.clear();  // measure sampling, not the bench box's disk
   cfg.stall_ms = 0;
-  obs::Sampler sampler(cfg, &reg);
+  obs::Sampler sampler(cfg);
   sampler.start();
   for (auto _ : state) {
     sim::Engine e;
-    e.attach_metrics(reg);
     const int n = static_cast<int>(state.range(0));
     for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
     benchmark::DoNotOptimize(e.run());
@@ -295,7 +256,8 @@ void BM_LinkDrrManyFlows(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine e;
-    net::Link link(e, units::GBps(5.0), units::ns(50));
+    net::PortStats stats;
+    net::Link link(e, stats, units::GBps(5.0), units::ns(50));
     for (int i = 0; i < 4096; ++i)
       link.transmit(i % flows, 4096, nullptr, [] {});
     e.run();
@@ -315,7 +277,8 @@ void BM_LinkMessageTrain(benchmark::State& state) {
   const auto flows = static_cast<net::FlowId>(state.range(0));
   for (auto _ : state) {
     sim::Engine e;
-    net::Link link(e, units::GBps(5.0), units::ns(50));
+    net::PortStats stats;
+    net::Link link(e, stats, units::GBps(5.0), units::ns(50));
     struct Driver {
       net::Link* link;
       net::FlowId flows;

@@ -87,16 +87,25 @@ bool write_all(int fd, const char* data, std::size_t n) {
   return true;
 }
 
+/// The "core.cache.*" counters in the default registry.
+struct CacheMetrics {
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& corrupt;
+  obs::Counter& recovered;
+};
+
+const CacheMetrics& cache_metrics() {
+  obs::Registry& r = obs::default_registry();
+  static const CacheMetrics m{
+      r.counter("core.cache.hits"), r.counter("core.cache.misses"),
+      r.counter("core.cache.corrupt_lines"), r.counter("core.cache.recovered")};
+  return m;
+}
+
 }  // namespace
 
 MeasurementDb::MeasurementDb(std::string path) : path_(std::move(path)) {
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::default_registry();
-    m_hits_ = &reg.counter("core.cache.hits");
-    m_misses_ = &reg.counter("core.cache.misses");
-    m_corrupt_ = &reg.counter("core.cache.corrupt_lines");
-    m_recovered_ = &reg.counter("core.cache.recovered");
-  }
   if (path_.empty()) return;
   load_file();
 }
@@ -182,8 +191,8 @@ void MeasurementDb::load_file() {
   corrupt_lines_ = corrupt;
   if (corrupt > 0) {
     recovered_ = entries_.size();
-    if (m_corrupt_) m_corrupt_->inc(corrupt);
-    if (m_recovered_) m_recovered_->inc(recovered_);
+    cache_metrics().corrupt.inc(corrupt);
+    cache_metrics().recovered.inc(recovered_);
     ACTNET_WARN("measurement cache " << path_ << ": skipped " << corrupt
                                      << " corrupt line(s), recovered "
                                      << recovered_ << " record(s)");
@@ -221,10 +230,10 @@ std::optional<std::string> MeasurementDb::get(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
-    if (m_misses_) m_misses_->inc();
+    cache_metrics().misses.inc();
     return std::nullopt;
   }
-  if (m_hits_) m_hits_->inc();
+  cache_metrics().hits.inc();
   return it->second;
 }
 
@@ -253,8 +262,8 @@ std::optional<double> MeasurementDb::get_double(const std::string& key) const {
     if (!warned_unparseable_.exchange(true))
       ACTNET_WARN("measurement cache: unparseable numeric value for '"
                   << key << "' (\"" << *v << "\"); treating as a miss");
-    if (m_corrupt_) m_corrupt_->inc();
-    if (m_misses_) m_misses_->inc();
+    cache_metrics().corrupt.inc();
+    cache_metrics().misses.inc();
     return std::nullopt;
   }
   return d;
@@ -271,7 +280,7 @@ void MeasurementDb::invalidate(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.erase(key) == 0) return;
   ++corrupt_lines_;
-  if (m_corrupt_) m_corrupt_->inc();
+  cache_metrics().corrupt.inc();
   if (deferred_) dirty_ = true;
   ACTNET_WARN("measurement cache: discarding undecodable value for '"
               << key << "'; it will be re-measured");

@@ -37,10 +37,6 @@
 #include <optional>
 #include <string>
 
-namespace actnet::obs {
-class Counter;
-}  // namespace actnet::obs
-
 namespace actnet::core {
 
 class MeasurementDb {
@@ -107,12 +103,6 @@ class MeasurementDb {
   std::size_t corrupt_lines_ = 0;
   std::size_t recovered_ = 0;
   mutable std::atomic<bool> warned_unparseable_{false};
-  /// "core.cache.*" counters in the default registry; null unless metrics
-  /// were enabled when the db was constructed.
-  obs::Counter* m_hits_ = nullptr;
-  obs::Counter* m_misses_ = nullptr;
-  obs::Counter* m_corrupt_ = nullptr;
-  obs::Counter* m_recovered_ = nullptr;
 };
 
 }  // namespace actnet::core

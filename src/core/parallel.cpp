@@ -133,12 +133,10 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
   report.executed = pending.size();
   report.cached = cached_keys.size();
 
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::default_registry();
-    reg.counter("core.jobs.executed").inc(pending.size());
-    reg.counter("core.jobs.cached").inc(cached_keys.size());
-    reg.counter(std::string("core.scope.") + scope_name(scope)).inc();
-  }
+  obs::Registry& reg = obs::default_registry();
+  reg.counter("core.jobs.executed").inc(pending.size());
+  reg.counter("core.jobs.cached").inc(cached_keys.size());
+  reg.counter(std::string("core.scope.") + scope_name(scope)).inc();
 
   // Pre-size the stats table (cached entries first) so worker threads can
   // write their own rows by index without reallocation or locking.
@@ -191,15 +189,14 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
 
   // Fold the registry's counter totals into the report so engine and
   // flow-forward health (events executed, flow-forwards, demotions) ship
-  // with the campaign summary.
-  if (obs::enabled()) {
-    for (const auto& s : obs::default_registry().snapshot()) {
-      if (s.kind == 'c') {
-        report.run.metrics.push_back(obs::MetricSample{s.name, s.value});
-      } else if (s.kind == 'h' && s.count > 0) {
-        report.run.hists.push_back(obs::HistogramSample{
-            s.name, s.count, s.value, s.p50_bound, s.p90_bound, s.p99_bound});
-      }
+  // with the campaign summary. Every experiment's owners were destroyed
+  // with it, so their counts are already published.
+  for (const auto& s : reg.snapshot()) {
+    if (s.kind == 'c') {
+      report.run.metrics.push_back(obs::MetricSample{s.name, s.value});
+    } else if (s.kind == 'h' && s.count > 0) {
+      report.run.hists.push_back(obs::HistogramSample{
+          s.name, s.count, s.value, s.p50_bound, s.p90_bound, s.p99_bound});
     }
   }
 

@@ -14,7 +14,7 @@ constexpr int kCompressionTag = 2002;
 
 sim::Task impact_initiator(mpi::RankCtx& ctx, ImpactConfig cfg,
                            LatencyCollector* collector,
-                           obs::Counter* samples, int tpn) {
+                           obs::Counter& samples, int tpn) {
   const int partner = ctx.rank() + tpn;
   while (!ctx.stop_requested()) {
     const Tick t0 = ctx.now();
@@ -26,7 +26,7 @@ sim::Task impact_initiator(mpi::RankCtx& ctx, ImpactConfig cfg,
     // Half the round trip = one-way latency of a single packet, the W the
     // queue model inverts.
     collector->add(ctx.now(), units::to_us(ctx.now() - t0) / 2.0);
-    if (samples) samples->inc();
+    samples.inc();
     co_await ctx.sleep(cfg.sleep);
   }
 }
@@ -79,10 +79,9 @@ mpi::RankProgram make_impact_program(ImpactConfig config,
                                      int ranks_per_node) {
   ACTNET_CHECK(collector != nullptr);
   ACTNET_CHECK(ranks_per_node > 0);
-  obs::Counter* samples =
-      obs::enabled() ? &obs::default_registry().counter("core.probe.samples")
-                     : nullptr;
-  return [config, collector, samples, ranks_per_node](mpi::RankCtx& ctx) {
+  static obs::Counter& samples =
+      obs::default_registry().counter("core.probe.samples");
+  return [config, collector, ranks_per_node](mpi::RankCtx& ctx) {
     const int tpn = ranks_per_node;
     const int node = ctx.rank() / tpn;
     const int nodes = ctx.size() / tpn;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace actnet::mpi {
@@ -18,14 +17,18 @@ Comm::Comm(sim::Engine& engine, net::Network& network, MpiConfig config,
     ACTNET_CHECK(n >= 0 && n < network_.nodes());
   ACTNET_CHECK(config_.eager_threshold >= 0);
   ACTNET_CHECK(config_.ctrl_bytes > 0);
-  if (obs::enabled()) attach_metrics(obs::default_registry());
 }
 
-void Comm::attach_metrics(obs::Registry& r) {
-  m_eager_ = &r.counter("mpi.sends_eager");
-  m_rendezvous_ = &r.counter("mpi.sends_rendezvous");
-  m_unexpected_depth_ = &r.histogram("mpi.unexpected_queue_depth");
-  m_unexpected_peak_ = &r.gauge("mpi.unexpected_queue_peak");
+Comm::~Comm() {
+  obs::Registry& r = obs::default_registry();
+  static obs::Counter& eager = r.counter("mpi.sends_eager");
+  static obs::Counter& rendezvous = r.counter("mpi.sends_rendezvous");
+  static obs::Histogram& depth = r.histogram("mpi.unexpected_queue_depth");
+  static obs::Gauge& peak = r.gauge("mpi.unexpected_queue_peak");
+  eager.inc(sends_eager_);
+  rendezvous.inc(sends_rendezvous_);
+  depth.merge(unexpected_depth_);
+  peak.max(static_cast<double>(unexpected_depth_.max()));
 }
 
 net::NodeId Comm::node_of(int rank) const {
@@ -59,7 +62,7 @@ Request Comm::post_send(int src, int dst, int tag, Bytes bytes) {
   const Bytes wire = bytes + config_.header_bytes;
 
   if (bytes <= config_.eager_threshold) {
-    if (m_eager_ != nullptr) m_eager_->inc();
+    ++sends_eager_;
     // Eager: push the data now; the send completes on injection, the
     // receive on matching after full arrival.
     network_.send(src_node, dst_node, src_flow, wire,
@@ -72,7 +75,7 @@ Request Comm::post_send(int src, int dst, int tag, Bytes bytes) {
     return sreq;
   }
 
-  if (m_rendezvous_ != nullptr) m_rendezvous_->inc();
+  ++sends_rendezvous_;
   // Rendezvous: RTS -> (match at receiver) -> CTS -> data. The CTS send
   // needs the receiving rank's MPI library to act, and the data injection
   // needs the sending rank's — both go through run_on_progress, which is
@@ -141,10 +144,7 @@ void Comm::arrive(int dst, Arrival arrival) {
     }
   }
   q.unexpected.push_back(std::move(arrival));
-  if (m_unexpected_depth_ != nullptr) {
-    m_unexpected_depth_->add(q.unexpected.size());
-    m_unexpected_peak_->max(static_cast<double>(q.unexpected.size()));
-  }
+  unexpected_depth_.add(q.unexpected.size());
 }
 
 void Comm::run_on_progress(int rank, std::function<void()> fn) {

@@ -24,14 +24,8 @@
 #include "mpi/machine.h"
 #include "mpi/request.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "util/units.h"
-
-namespace actnet::obs {
-class Counter;
-class Gauge;
-class Histogram;
-class Registry;
-}  // namespace actnet::obs
 
 namespace actnet::mpi {
 
@@ -58,6 +52,9 @@ class Comm {
  public:
   Comm(sim::Engine& engine, net::Network& network, MpiConfig config,
        std::vector<net::NodeId> rank_nodes);
+  /// Publishes the protocol counts into obs::default_registry() ("mpi.*":
+  /// eager/rendezvous sends, unexpected-queue depth distribution and peak).
+  ~Comm();
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
 
@@ -88,11 +85,6 @@ class Comm {
   // --- introspection for tests ---
   std::size_t posted_count(int rank) const;
   std::size_t unexpected_count(int rank) const;
-
-  /// Registers protocol metrics ("mpi.*": eager/rendezvous send counts,
-  /// unexpected-queue depth distribution and peak) in `r`. Called
-  /// automatically with obs::default_registry() when obs::enabled().
-  void attach_metrics(obs::Registry& r);
 
  private:
   struct PostedRecv {
@@ -131,11 +123,10 @@ class Comm {
   std::vector<std::deque<std::function<void()>>> deferred_;
   std::vector<char> blocked_;
 
-  // Observability (null = off).
-  obs::Counter* m_eager_ = nullptr;
-  obs::Counter* m_rendezvous_ = nullptr;
-  obs::Histogram* m_unexpected_depth_ = nullptr;
-  obs::Gauge* m_unexpected_peak_ = nullptr;
+  std::uint64_t sends_eager_ = 0;
+  std::uint64_t sends_rendezvous_ = 0;
+  /// Unexpected-queue depth after each unmatched arrival.
+  obs::LocalHistogram unexpected_depth_;
 };
 
 }  // namespace actnet::mpi

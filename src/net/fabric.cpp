@@ -35,11 +35,14 @@ Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed, int workers)
   uplinks_.reserve(static_cast<std::size_t>(config_.nodes));
   downlinks_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
-    sim::Engine& e = pe_.domain(domain_of(n));
-    uplinks_.push_back(std::make_unique<Link>(e, config_.link_bandwidth,
+    const int d = domain_of(n);
+    sim::Engine& e = pe_.domain(d);
+    uplinks_.push_back(std::make_unique<Link>(e, dom(d).ports,
+                                              config_.link_bandwidth,
                                               config_.link_propagation,
                                               config_.drr_quantum));
-    downlinks_.push_back(std::make_unique<Link>(e, config_.link_bandwidth,
+    downlinks_.push_back(std::make_unique<Link>(e, dom(d).ports,
+                                                config_.link_bandwidth,
                                                 config_.link_propagation,
                                                 config_.drr_quantum));
   }
@@ -57,30 +60,35 @@ Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed, int workers)
         // spine_forward post at serialization end + trunk_prop), so each
         // half binds cleanly to the domain that owns its sending port.
         leaf_to_spine_[static_cast<std::size_t>(p)].push_back(
-            std::make_unique<Link>(pe_.domain(p), trunk_bw, /*propagation=*/0,
-                                   config_.drr_quantum));
+            std::make_unique<Link>(pe_.domain(p), dom(p).ports, trunk_bw,
+                                   /*propagation=*/0, config_.drr_quantum));
         spine_to_leaf_[static_cast<std::size_t>(p)].push_back(
-            std::make_unique<Link>(pe_.domain(spine_domain_), trunk_bw,
+            std::make_unique<Link>(pe_.domain(spine_domain_),
+                                   dom(spine_domain_).ports, trunk_bw,
                                    /*propagation=*/0, config_.drr_quantum));
       }
     }
   }
+}
 
-  // Aggregate port metrics live in a fabric-private registry: Counter /
-  // Histogram / Gauge mutations are atomic, so concurrent domains may bump
-  // them and the totals (and CAS-max peak) stay order-independent —
-  // digest() may include them. DRR rounds stay out of the digest: they
-  // count scheduler visits, not simulated traffic.
-  m_drr_rounds_ = &metrics_.counter("fabric.drr_rounds");
-  m_depth_ = &metrics_.histogram("fabric.port.depth");
-  m_depth_peak_ = &metrics_.gauge("fabric.port.depth_peak");
-  for (auto& l : uplinks_) l->attach_metrics(m_drr_rounds_, m_depth_, m_depth_peak_);
-  for (auto& l : downlinks_)
-    l->attach_metrics(m_drr_rounds_, m_depth_, m_depth_peak_);
-  for (auto& pod : leaf_to_spine_)
-    for (auto& l : pod) l->attach_metrics(m_drr_rounds_, m_depth_, m_depth_peak_);
-  for (auto& pod : spine_to_leaf_)
-    for (auto& l : pod) l->attach_metrics(m_drr_rounds_, m_depth_, m_depth_peak_);
+Fabric::~Fabric() {
+  obs::Registry& r = obs::default_registry();
+  static obs::Counter& drr_rounds = r.counter("fabric.drr_rounds");
+  static obs::Histogram& depth = r.histogram("fabric.port.depth");
+  static obs::Gauge& depth_peak = r.gauge("fabric.port.depth_peak");
+  const PortStats t = port_totals();
+  drr_rounds.inc(t.drr_rounds);
+  depth.merge(t.depth);
+  depth_peak.max(static_cast<double>(t.depth.max()));
+}
+
+PortStats Fabric::port_totals() const {
+  PortStats t;
+  for (const DomainState& d : dom_) {
+    t.drr_rounds += d.ports.drr_rounds;
+    t.depth.merge(d.ports.depth);
+  }
+  return t;
 }
 
 FlowId Fabric::allocate_flows(int count) {
@@ -282,11 +290,12 @@ std::string Fabric::digest() const {
        << " delivered " << c.messages_delivered << ' ' << c.packets_delivered
        << " events " << pe_.domain(d).events_processed() << "\n";
   }
-  os << "depth " << m_depth_->count() << ' ' << m_depth_->sum() << " peak "
-     << m_depth_peak_->value() << " buckets";
+  // DRR rounds stay out: they count scheduler visits, not simulated traffic.
+  const obs::LocalHistogram depth = port_totals().depth;
+  os << "depth " << depth.count() << ' ' << depth.sum() << " peak "
+     << depth.max() << " buckets";
   for (int i = 0; i < obs::Histogram::kBuckets; ++i)
-    if (m_depth_->bucket(i) > 0)
-      os << ' ' << i << ':' << m_depth_->bucket(i);
+    if (depth.bucket(i) > 0) os << ' ' << i << ':' << depth.bucket(i);
   os << "\n";
   return os.str();
 }

@@ -60,6 +60,9 @@ class Fabric {
   /// partitioned). `seed` keys every per-packet stage-delay draw.
   /// `workers` as in PartitionedEngine (0 = ACTNET_PARTITIONS).
   Fabric(const NetworkConfig& config, std::uint64_t seed, int workers = 0);
+  /// Publishes the port stats of every domain into obs::default_registry()
+  /// ("fabric.drr_rounds", "fabric.port.depth", "fabric.port.depth_peak").
+  ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -114,8 +117,8 @@ class Fabric {
 
   /// Canonical fixed-order dump of every regime-independent observable:
   /// per-port packet/byte/busy counters, per-switch stage statistics, the
-  /// shared queue-depth histogram, per-domain traffic counters and event
-  /// counts. Two runs that simulated the same system byte-compare equal
+  /// queue-depth histogram summed over domains, per-domain traffic
+  /// counters and event counts. Two runs that simulated the same system byte-compare equal
   /// here regardless of partition count — the conformance surface the
   /// determinism harness diffs.
   std::string digest() const;
@@ -144,6 +147,8 @@ class Fabric {
     SwitchCounters leaf;               ///< pod domains only
     std::vector<SwitchCounters> spine; ///< spine domain only
     FabricCounters counters;
+    /// Stats of the ports that serialize in this domain.
+    PortStats ports;
     std::uint64_t next_msg = 1;
   };
 
@@ -154,6 +159,8 @@ class Fabric {
     return static_cast<int>(flow % static_cast<FlowId>(config_.spines));
   }
   DomainState& dom(int d) { return dom_[static_cast<std::size_t>(d)]; }
+  /// Every domain's port stats, merged.
+  PortStats port_totals() const;
 
   /// keyed_stage_delay at switch `sw` (leaves are 0..pods-1, spines
   /// pods..pods+spines-1), whose key is mix64(mix64(seed) ^ sw).
@@ -175,6 +182,7 @@ class Fabric {
   int nodes_per_pod_;
   int spine_domain_;  ///< == pods_ when pods_ > 1, else unused
   sim::PartitionedEngine pe_;
+  /// Sized once at construction: links hold references to its PortStats.
   std::vector<DomainState> dom_;
   std::vector<std::unique_ptr<Link>> uplinks_;
   std::vector<std::unique_ptr<Link>> downlinks_;
@@ -184,12 +192,6 @@ class Fabric {
   std::vector<std::vector<std::unique_ptr<Link>>> leaf_to_spine_;
   std::vector<std::vector<std::unique_ptr<Link>>> spine_to_leaf_;
   FlowId next_flow_ = 1;
-  /// Port metrics shared by every link; all-atomic, so worker threads add
-  /// samples concurrently and the sums stay order-independent.
-  obs::Registry metrics_;
-  obs::Counter* m_drr_rounds_ = nullptr;
-  obs::Histogram* m_depth_ = nullptr;
-  obs::Gauge* m_depth_peak_ = nullptr;
 };
 
 }  // namespace actnet::net

@@ -4,16 +4,15 @@
 #include <new>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/freelist.h"
 
 namespace actnet::net {
 
-Link::Link(sim::Engine& engine, double bytes_per_sec, Tick propagation,
-           Bytes quantum)
-    : engine_(engine), bytes_per_sec_(bytes_per_sec),
+Link::Link(sim::Engine& engine, PortStats& stats, double bytes_per_sec,
+           Tick propagation, Bytes quantum)
+    : engine_(engine), stats_(stats), bytes_per_sec_(bytes_per_sec),
       propagation_(propagation), quantum_(quantum) {
   ACTNET_CHECK(bytes_per_sec > 0.0);
   ACTNET_CHECK(propagation >= 0);
@@ -25,14 +24,6 @@ Link::~Link() {
     for (std::uint32_t i = 0; i < kBlockRecords; ++i) block[i].~Record();
     util::pooled_free(block, sizeof(Record) * kBlockRecords);
   }
-}
-
-void Link::attach_metrics(obs::Counter* drr_rounds,
-                          obs::Histogram* queue_depth,
-                          obs::Gauge* queue_depth_peak) {
-  m_drr_rounds_ = drr_rounds;
-  m_queue_depth_ = queue_depth;
-  m_queue_peak_ = queue_depth_peak;
 }
 
 void Link::set_trace(obs::Tracer* tracer, int pid, std::string track) {
@@ -187,13 +178,6 @@ void Link::transmit_train(FlowId flow, std::uint32_t count, Bytes full_size,
   if (!busy_) start_next();
 }
 
-void Link::note_enqueue_depth(std::size_t depth) {
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->add(depth);
-    m_queue_peak_->max(static_cast<double>(depth));
-  }
-}
-
 void Link::enqueue(std::uint32_t flow_slot, std::uint32_t r) {
   FlowState& st = flows_[flow_slot];
   if (st.tail == kNone)
@@ -206,7 +190,7 @@ void Link::enqueue(std::uint32_t flow_slot, std::uint32_t r) {
   // Demotion replay re-creates entries whose depth samples were already
   // recorded when the flow-forward was accepted; re-sampling them here
   // would make the depth distribution depend on the regime.
-  if (!suppress_depth_samples_) note_enqueue_depth(queued_packets_);
+  if (!suppress_depth_samples_) stats_.depth.add(queued_packets_);
   if (tracer_ != nullptr) note_depth_change();
   if (!st.in_ring) {
     st.in_ring = true;
@@ -270,9 +254,7 @@ void Link::credit_flowfwd(std::uint64_t packets, Bytes bytes, Tick busy) {
   busy_time_ += busy;
 }
 
-void Link::credit_flowfwd_depth(std::size_t depth) {
-  note_enqueue_depth(depth);
-}
+void Link::credit_flowfwd_depth(std::size_t depth) { stats_.depth.add(depth); }
 
 void Link::restore_in_service(Bytes size, Tick end_at,
                               sim::EventFn&& on_serialized,
@@ -332,7 +314,7 @@ void Link::start_next() {
     if (!st.visited) {
       st.visited = true;
       st.deficit += quantum_;
-      if (m_drr_rounds_ != nullptr) m_drr_rounds_->inc();
+      ++stats_.drr_rounds;
     }
     const std::uint32_t r = st.head;
     const Bytes size = record(r).size;

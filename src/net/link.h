@@ -38,13 +38,11 @@
 #include <vector>
 
 #include "net/pool.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "util/units.h"
 
 namespace actnet::obs {
-class Counter;
-class Gauge;
-class Histogram;
 class Tracer;
 }  // namespace actnet::obs
 
@@ -58,12 +56,23 @@ using FlowId = std::uint32_t;
 /// capture (48 bytes) stays inline.
 using TrainArriveFn = sim::InlineFn<void(std::uint32_t), 56>;
 
+/// Scheduling statistics of the ports one owner drives on one engine
+/// thread (a Network, or one Fabric domain). Every writer runs on that
+/// thread, so the fields are plain; the owner publishes them.
+struct PortStats {
+  std::uint64_t drr_rounds = 0;  ///< DRR quantum credits
+  /// Queue depth on every enqueue; depth.max() is the high-water mark.
+  obs::LocalHistogram depth;
+};
+
 class Link {
  public:
-  /// `quantum` is the DRR byte quantum: roughly how many bytes one flow may
-  /// serialize per scheduling round while others wait.
-  Link(sim::Engine& engine, double bytes_per_sec, Tick propagation,
-       Bytes quantum = 2048);
+  /// `stats` (shared with the owner's other ports, must outlive the link)
+  /// receives this port's DRR rounds and depth samples. `quantum` is the
+  /// DRR byte quantum: roughly how many bytes one flow may serialize per
+  /// scheduling round while others wait.
+  Link(sim::Engine& engine, PortStats& stats, double bytes_per_sec,
+       Tick propagation, Bytes quantum = 2048);
   ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -149,12 +158,7 @@ class Link {
   /// Records per block.
   static constexpr std::uint32_t kBlockRecords = 16;
 
-  // --- observability (see obs/metrics.h; Network wires these) ---
-  /// Shares aggregate metrics with sibling links: DRR scheduling rounds,
-  /// the queue-depth-on-enqueue distribution, and the depth high-water
-  /// mark. Null pointers leave that metric off.
-  void attach_metrics(obs::Counter* drr_rounds, obs::Histogram* queue_depth,
-                      obs::Gauge* queue_depth_peak);
+  // --- observability ---
   /// Emits this link's queue depth as a Chrome-trace counter `track`
   /// whenever the depth changes inside the tracer's time window.
   void set_trace(obs::Tracer* tracer, int pid, std::string track);
@@ -215,7 +219,6 @@ class Link {
 
   void enqueue(std::uint32_t flow_slot, std::uint32_t r);
   void fire_flowfwd_guard();
-  void note_enqueue_depth(std::size_t depth);
   void begin_service(std::uint32_t r);
   void finish_service();
   void train_arrive(std::uint32_t slot, std::uint32_t index);
@@ -223,6 +226,7 @@ class Link {
   void note_depth_change();
 
   sim::Engine& engine_;
+  PortStats& stats_;
   double bytes_per_sec_;
   Tick propagation_;
   Bytes quantum_;
@@ -256,10 +260,7 @@ class Link {
   Bytes bytes_ = 0;
   Tick busy_time_ = 0;
 
-  // Observability (null = off; never influences scheduling decisions).
-  obs::Counter* m_drr_rounds_ = nullptr;
-  obs::Histogram* m_queue_depth_ = nullptr;
-  obs::Gauge* m_queue_peak_ = nullptr;
+  // Tracing (null = off; never influences scheduling decisions).
   obs::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
   std::string trace_track_;

@@ -65,13 +65,13 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
   local_channels_.reserve(config_.nodes);
   for (int n = 0; n < config_.nodes; ++n) {
     uplinks_.push_back(std::make_unique<Link>(
-        engine_, config_.link_bandwidth, config_.link_propagation,
+        engine_, ports_, config_.link_bandwidth, config_.link_propagation,
         config_.drr_quantum));
     downlinks_.push_back(std::make_unique<Link>(
-        engine_, config_.link_bandwidth, config_.link_propagation,
+        engine_, ports_, config_.link_bandwidth, config_.link_propagation,
         config_.drr_quantum));
     local_channels_.push_back(std::make_unique<Link>(
-        engine_, config_.local_bandwidth, config_.local_latency,
+        engine_, ports_, config_.local_bandwidth, config_.local_latency,
         config_.drr_quantum));
   }
 
@@ -88,10 +88,10 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     for (int p = 0; p < config_.pods; ++p) {
       for (int s = 0; s < config_.spines; ++s) {
         leaf_to_spine_[p].push_back(std::make_unique<Link>(
-            engine_, trunk_bw, config_.trunk_prop(),
+            engine_, ports_, trunk_bw, config_.trunk_prop(),
             config_.drr_quantum));
         spine_to_leaf_[p].push_back(std::make_unique<Link>(
-            engine_, trunk_bw, config_.trunk_prop(),
+            engine_, ports_, trunk_bw, config_.trunk_prop(),
             config_.drr_quantum));
       }
     }
@@ -104,32 +104,30 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
   switch_contention_free_ = leaves_[0]->contention_free();
   ffwd_cooldown_up_.assign(static_cast<std::size_t>(config_.nodes), 0);
   ffwd_cooldown_down_.assign(static_cast<std::size_t>(config_.nodes), 0);
-
-  if (obs::enabled()) attach_metrics(obs::default_registry());
 }
 
-void Network::attach_metrics(obs::Registry& r) {
-  m_messages_ = &r.counter("net.messages_sent");
-  m_packets_ = &r.counter("net.packets_delivered");
-  m_bytes_ = &r.counter("net.bytes_sent");
-  m_ff_messages_ = &r.counter("net.flowfwd.messages");
-  m_ff_demotions_ = &r.counter("net.flowfwd.demotions");
-  m_ff_fallback_ = &r.counter("net.flowfwd.fallback_packets");
-  m_latency_ns_ = &r.histogram("net.packet_latency_ns");
-  // Lossless fabric: registered so dashboards can rely on the names, but
-  // nothing in the model drops or retransmits.
-  r.counter("net.packet_drops");
-  r.counter("net.packet_retries");
-  obs::Counter* drr = &r.counter("net.link.drr_rounds");
-  obs::Histogram* depth = &r.histogram("net.port.queue_depth");
-  obs::Gauge* peak = &r.gauge("net.port.queue_depth_peak");
-  for (auto& l : uplinks_) l->attach_metrics(drr, depth, peak);
-  for (auto& l : downlinks_) l->attach_metrics(drr, depth, peak);
-  for (auto& l : local_channels_) l->attach_metrics(drr, depth, peak);
-  for (auto& pod : leaf_to_spine_)
-    for (auto& l : pod) l->attach_metrics(drr, depth, peak);
-  for (auto& pod : spine_to_leaf_)
-    for (auto& l : pod) l->attach_metrics(drr, depth, peak);
+Network::~Network() {
+  obs::Registry& r = obs::default_registry();
+  static obs::Counter& messages = r.counter("net.messages_sent");
+  static obs::Counter& packets = r.counter("net.packets_delivered");
+  static obs::Counter& bytes = r.counter("net.bytes_sent");
+  static obs::Counter& ff_messages = r.counter("net.flowfwd.messages");
+  static obs::Counter& ff_demotions = r.counter("net.flowfwd.demotions");
+  static obs::Counter& ff_fallback = r.counter("net.flowfwd.fallback_packets");
+  static obs::Histogram& latency_ns = r.histogram("net.packet_latency_ns");
+  static obs::Counter& drr_rounds = r.counter("net.link.drr_rounds");
+  static obs::Histogram& depth = r.histogram("net.port.queue_depth");
+  static obs::Gauge& depth_peak = r.gauge("net.port.queue_depth_peak");
+  messages.inc(counters_.messages_sent);
+  packets.inc(counters_.packets_delivered);
+  bytes.inc(static_cast<std::uint64_t>(counters_.bytes_sent));
+  ff_messages.inc(counters_.flowfwd_messages);
+  ff_demotions.inc(counters_.flowfwd_demotions);
+  ff_fallback.inc(counters_.flowfwd_fallback_packets);
+  latency_ns.merge(latency_ns_);
+  drr_rounds.inc(ports_.drr_rounds);
+  depth.merge(ports_.depth);
+  depth_peak.max(static_cast<double>(ports_.depth.max()));
 }
 
 void Network::set_tracer(obs::Tracer* tracer) {
@@ -188,10 +186,6 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
 
   ++counters_.messages_sent;
   counters_.bytes_sent += size;
-  if (m_messages_ != nullptr) {
-    m_messages_->inc();
-    m_bytes_->inc(static_cast<std::uint64_t>(size));
-  }
 
   if (src == dst) {
     // Shared-memory path: one serialized transfer through the node-local
@@ -347,10 +341,7 @@ sim::EventFn Network::parked_arrival(const Packet& p, Tick stage_delay) {
 void Network::account_delivery(const FlowFwd& ff, const FFPacket& pk) {
   ++counters_.packets_delivered;
   counters_.packet_latency_us.add(units::to_us(pk.complete - ff.t0));
-  if (m_packets_ != nullptr) {
-    m_packets_->inc();
-    m_latency_ns_->add(static_cast<std::uint64_t>(pk.complete - ff.t0));
-  }
+  latency_ns_.add(static_cast<std::uint64_t>(pk.complete - ff.t0));
   // The same lifecycle span complete_packet() records on the slow path.
   if (tracer_ != nullptr && tracer_->active(ff.t0))
     tracer_->complete(trace_pid_, ff.dst, ff.t0, pk.complete - ff.t0,
@@ -510,7 +501,6 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   downlinks_[dst]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
 
   ++counters_.flowfwd_messages;
-  if (m_ff_messages_ != nullptr) m_ff_messages_->inc();
 }
 
 std::uint32_t Network::acquire_flowfwd() {
@@ -791,10 +781,6 @@ void Network::demote_flowfwd(std::uint32_t plan) {
 
   ++counters_.flowfwd_demotions;
   counters_.flowfwd_fallback_packets += n - completed;
-  if (m_ff_demotions_ != nullptr) {
-    m_ff_demotions_->inc();
-    m_ff_fallback_->inc(n - completed);
-  }
 
   // Callbacks fire only now that every link holds its exact packet-level
   // state: either may reenter send(), and eligibility must see the
@@ -807,11 +793,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
 void Network::complete_packet(const Packet& p) {
   ++counters_.packets_delivered;
   counters_.packet_latency_us.add(units::to_us(engine_.now() - p.injected_at));
-  if (m_packets_ != nullptr) {
-    m_packets_->inc();
-    m_latency_ns_->add(
-        static_cast<std::uint64_t>(engine_.now() - p.injected_at));
-  }
+  latency_ns_.add(static_cast<std::uint64_t>(engine_.now() - p.injected_at));
   if (tracer_ != nullptr && tracer_->active(p.injected_at)) {
     // Full lifecycle span: inject -> route -> serialize -> deliver, one
     // lane per destination node.

@@ -28,9 +28,6 @@
 #include "util/rng.h"
 
 namespace actnet::obs {
-class Counter;
-class Histogram;
-class Registry;
 class Tracer;
 }  // namespace actnet::obs
 
@@ -136,6 +133,9 @@ class Network {
   using Callback = sim::EventFn;
 
   Network(sim::Engine& engine, NetworkConfig config, Rng rng);
+  /// Publishes counters(), port_stats() and the packet-latency histogram
+  /// into obs::default_registry() ("net.*").
+  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -172,12 +172,10 @@ class Network {
   const Link& uplink(NodeId n) const;
   const Link& downlink(NodeId n) const;
   std::size_t in_flight_messages() const { return in_flight_.live(); }
+  /// DRR rounds and queue-depth samples of every port.
+  const PortStats& port_stats() const { return ports_; }
 
   // --- observability ---
-  /// Registers aggregate traffic metrics ("net.*") in `r` and wires the
-  /// shared link metrics into every port. Called automatically with
-  /// obs::default_registry() at construction when obs::enabled().
-  void attach_metrics(obs::Registry& r);
   /// Starts recording into `tracer`: per-packet lifecycle spans
   /// (inject -> deliver), switch-stage spans, and per-port queue-depth
   /// counter tracks, all inside the tracer's virtual-time window. The
@@ -275,6 +273,7 @@ class Network {
   sim::Engine& engine_;
   NetworkConfig config_;
   int nodes_per_pod_;
+  PortStats ports_;  ///< shared by every link below
   std::vector<std::unique_ptr<Switch>> leaves_;
   std::vector<std::unique_ptr<Switch>> spines_;
   std::vector<std::unique_ptr<Link>> uplinks_;
@@ -289,6 +288,9 @@ class Network {
   std::vector<std::uint32_t> flow_sends_;
   FlowId next_flow_ = 1;
   NetworkCounters counters_;
+  /// Cross-node packet latency in ns (counters_ keeps the same samples
+  /// in microseconds as running moments).
+  obs::LocalHistogram latency_ns_;
 
   // Flow-forward state. Cooldowns are per-port demotion backoff stamps
   // (eligibility requires now >= stamp); switch_contention_free_ caches
@@ -304,16 +306,6 @@ class Network {
   std::vector<Tick> ffwd_cooldown_up_;
   std::vector<Tick> ffwd_cooldown_down_;
 
-  // Observability (null = off). Drops/retries are registered for parity
-  // with real fabrics but stay 0: the model is lossless (credit-based
-  // link-level flow control, like InfiniBand).
-  obs::Counter* m_messages_ = nullptr;
-  obs::Counter* m_packets_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_ff_messages_ = nullptr;
-  obs::Counter* m_ff_demotions_ = nullptr;
-  obs::Counter* m_ff_fallback_ = nullptr;
-  obs::Histogram* m_latency_ns_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
 };

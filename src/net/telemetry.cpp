@@ -13,22 +13,6 @@ TelemetryRecorder::TelemetryRecorder(sim::Engine& engine,
       horizon_(horizon) {
   ACTNET_CHECK(interval > 0);
   ACTNET_CHECK(horizon >= interval);
-  const Network* net = &network_;
-  g_switch_packets_ = &gauges_.callback_gauge("net.switch.packets", [net] {
-    std::uint64_t packets = 0;
-    for (int p = 0; p < net->config().pods; ++p)
-      packets += net->leaf_counters(p).packets;
-    return static_cast<double>(packets);
-  });
-  g_bytes_sent_ = &gauges_.callback_gauge("net.bytes_sent", [net] {
-    return static_cast<double>(net->counters().bytes_sent);
-  });
-  g_uplink_busy_.reserve(static_cast<std::size_t>(network_.nodes()));
-  for (int n = 0; n < network_.nodes(); ++n) {
-    g_uplink_busy_.push_back(&gauges_.callback_gauge(
-        "net.uplink." + std::to_string(n) + ".busy_ticks",
-        [net, n] { return static_cast<double>(net->uplink(n).busy_time()); }));
-  }
   prev_uplink_busy_.resize(network_.nodes(), 0);
   arm();
 }
@@ -41,24 +25,22 @@ void TelemetryRecorder::arm() {
 }
 
 void TelemetryRecorder::sample_now() {
-  // Everything below reads the counters through the registry gauges; the
-  // values are integer-exact in double (see the class comment).
-  TelemetrySample s;
+  TrafficSample s;
   s.at = engine_.now();
 
-  const auto switch_packets =
-      static_cast<std::uint64_t>(g_switch_packets_->value());
+  std::uint64_t switch_packets = 0;
+  for (int p = 0; p < network_.config().pods; ++p)
+    switch_packets += network_.leaf_counters(p).packets;
   s.switch_packets = switch_packets - prev_switch_packets_;
   prev_switch_packets_ = switch_packets;
 
-  const auto bytes_sent = static_cast<Bytes>(g_bytes_sent_->value());
+  const Bytes bytes_sent = network_.counters().bytes_sent;
   s.bytes_sent = bytes_sent - prev_bytes_sent_;
   prev_bytes_sent_ = bytes_sent;
 
   double total_util = 0.0;
   for (int n = 0; n < network_.nodes(); ++n) {
-    const auto busy =
-        static_cast<Tick>(g_uplink_busy_[static_cast<std::size_t>(n)]->value());
+    const Tick busy = network_.uplink(n).busy_time();
     const double util = static_cast<double>(busy - prev_uplink_busy_[n]) /
                         static_cast<double>(interval_);
     prev_uplink_busy_[n] = busy;

@@ -12,13 +12,12 @@
 #include <vector>
 
 #include "net/network.h"
-#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace actnet::net {
 
 /// One sampling interval's worth of traffic deltas.
-struct TelemetrySample {
+struct TrafficSample {
   Tick at = 0;                      ///< end of the interval
   std::uint64_t switch_packets = 0; ///< packets routed by the leaf switches
   Bytes bytes_sent = 0;             ///< bytes injected network-wide
@@ -28,16 +27,8 @@ struct TelemetrySample {
 
 /// Self-scheduling sampler; construct after the Network, before running.
 /// Sampling stops automatically at `horizon` (or when the engine drains).
-///
-/// Implemented as a sampler over an obs metrics registry: the recorder owns
-/// a private `obs::Registry` of callback gauges wired to the network's raw
-/// counters ("net.switch.packets", "net.bytes_sent", "net.uplink.<n>.
-/// busy_ticks") and each interval reads those gauges and keeps the deltas.
-/// The registry is private — not obs::default_registry() — because gauge
-/// values are per-network, and a campaign runs many networks concurrently.
-/// All sampled quantities are integers far below 2^53, so the trip through
-/// a double gauge is exact and the samples are bit-identical to reading
-/// the counters directly.
+/// Each interval reads the network's own counters (leaf switch packets,
+/// bytes sent, per-NIC uplink busy time) and keeps the deltas.
 class TelemetryRecorder {
  public:
   TelemetryRecorder(sim::Engine& engine, const Network& network,
@@ -45,10 +36,7 @@ class TelemetryRecorder {
   TelemetryRecorder(const TelemetryRecorder&) = delete;
   TelemetryRecorder& operator=(const TelemetryRecorder&) = delete;
 
-  const std::vector<TelemetrySample>& samples() const { return samples_; }
-
-  /// The gauge registry backing the sampler (for inspection/export).
-  const obs::Registry& gauges() const { return gauges_; }
+  const std::vector<TrafficSample>& samples() const { return samples_; }
 
   /// Busiest-interval share of link capacity over the recorded run.
   double peak_uplink_utilization() const;
@@ -64,14 +52,8 @@ class TelemetryRecorder {
   const Network& network_;
   Tick interval_;
   Tick horizon_;
-  std::vector<TelemetrySample> samples_;
-  // The gauges this recorder samples, plus cached handles (stable for the
-  // registry's lifetime) so sample_now does no name lookups.
-  obs::Registry gauges_;
-  obs::Gauge* g_switch_packets_ = nullptr;
-  obs::Gauge* g_bytes_sent_ = nullptr;
-  std::vector<obs::Gauge*> g_uplink_busy_;
-  // previous-gauge state for deltas
+  std::vector<TrafficSample> samples_;
+  // Counter values at the previous sample, for deltas.
   std::uint64_t prev_switch_packets_ = 0;
   Bytes prev_bytes_sent_ = 0;
   std::vector<Tick> prev_uplink_busy_;

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <bit>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 
@@ -10,11 +9,6 @@
 namespace actnet::obs {
 
 namespace {
-
-std::atomic<bool> g_enabled{[] {
-  const char* v = std::getenv("ACTNET_METRICS");
-  return v != nullptr && v[0] == '1';
-}()};
 
 void json_escape(std::ostream& os, const std::string& s) {
   for (char c : s) {
@@ -29,14 +23,21 @@ void json_escape(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
 void Histogram::add(std::uint64_t v) {
   const int b = std::bit_width(v);  // 0 for v==0, else floor(log2(v))+1
   buckets_[static_cast<std::size_t>(b)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+void Histogram::merge(const LocalHistogram& h) {
+  if (h.count() == 0) return;
+  for (int i = 0; i < kBuckets; ++i)
+    if (const std::uint64_t n = h.bucket(i); n > 0)
+      buckets_[static_cast<std::size_t>(i)].fetch_add(
+          n, std::memory_order_relaxed);
+  count_.fetch_add(h.count(), std::memory_order_relaxed);
+  sum_.fetch_add(h.sum(), std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::quantile_upper_bound(double q) const {
@@ -178,8 +179,9 @@ void Registry::print(std::ostream& os) const {
 }
 
 Registry& default_registry() {
-  static Registry r;
-  return r;
+  // Leaked: owners destroyed during static teardown still publish here.
+  static Registry* r = new Registry;
+  return *r;
 }
 
 }  // namespace actnet::obs

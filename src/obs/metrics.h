@@ -1,25 +1,28 @@
 // Metrics registry: named counters, gauges, and log2-bucketed histograms.
 //
 // Design constraints (see DESIGN.md §5.8):
-//  * Near-zero cost when disabled. Components hold plain `Counter*` members
-//    that stay nullptr unless observability is on, so the hot path is a
-//    single well-predicted branch — no allocation, no locks, no atomics.
-//  * Lock-free when enabled. All metric mutations are relaxed atomic ops;
-//    the registry mutex is taken only on get-or-create and on snapshot.
+//  * The owner counts. Every observed quantity lives in a plain field of
+//    the object that produces it (Engine, Network, Link's owner, Comm,
+//    ...), written by that object's one thread. Nothing on the simulation
+//    path touches a shared atomic, so observation costs the same at N
+//    workers as at one.
+//  * Publish once. An owner folds its fields into `default_registry()`
+//    when it is destroyed: one relaxed add per counter, one CAS-max per
+//    peak, one bucket-wise merge per histogram. The registry only
+//    aggregates; there is no switch to turn counting on or off.
 //  * Non-perturbing. Nothing in here touches the simulation: no engine
 //    events, no RNG draws, no virtual time. Metrics observe, never steer.
 //
 // Metrics live in a `Registry` keyed by dotted names ("sim.engine.
 // events_executed"). Handles returned by the registry are stable for the
-// registry's lifetime (deque-backed storage), so callers cache raw pointers
-// once and mutate them without further lookups. Most instrumentation uses
-// the process-wide `default_registry()`, where same-named metrics aggregate
-// across instances (every `sim::Engine` bumps the same counter); per-object
-// series belong in a private `Registry` (see `net::TelemetryRecorder`).
+// registry's lifetime (deque-backed storage), so publishers look each name
+// up once per process and keep the reference. Same-named metrics aggregate
+// across instances: every destroyed `sim::Engine` adds to the same counter.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -32,11 +35,7 @@
 
 namespace actnet::obs {
 
-/// Process-wide enable flag for self-attaching instrumentation. Read once
-/// per component construction (not per event), so flipping it mid-run only
-/// affects components built afterwards. Initialized from ACTNET_METRICS=1.
-bool enabled();
-void set_enabled(bool on);
+class LocalHistogram;
 
 /// Monotonic event count. Relaxed increments: totals are exact, but
 /// cross-metric ordering is unspecified under concurrency.
@@ -82,6 +81,9 @@ class Histogram {
   static constexpr int kBuckets = 65;  // bit_width(uint64) in [0, 64]
 
   void add(std::uint64_t v);
+  /// Adds every sample of `h` (bucket-wise, so the result is exactly what
+  /// adding them one by one would have produced).
+  void merge(const LocalHistogram& h);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -105,6 +107,39 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+};
+
+/// Single-writer twin of Histogram: the same buckets in plain fields, plus
+/// the largest sample. Owners fill one on their own thread and merge it
+/// into a registry Histogram when they publish.
+class LocalHistogram {
+ public:
+  void add(std::uint64_t v) {
+    ++buckets_[static_cast<std::size_t>(std::bit_width(v))];
+    ++count_;
+    sum_ += v;
+    if (v > max_) max_ = v;
+  }
+  void merge(const LocalHistogram& o) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i)
+      buckets_[i] += o.buckets_[i];
+    count_ += o.count_;
+    sum_ += o.sum_;
+    if (o.max_ > max_) max_ = o.max_;
+  }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
+  /// Largest sample so far (0 when empty).
+  std::uint64_t max() const { return max_; }
+  std::uint64_t bucket(int i) const {
+    return buckets_[static_cast<std::size_t>(i)];
+  }
+
+ private:
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t max_ = 0;
+  std::array<std::uint64_t, Histogram::kBuckets> buckets_{};
 };
 
 /// Named metric store. Get-or-create is mutex-guarded; returned references
@@ -162,7 +197,7 @@ class Registry {
   std::deque<Histogram> histograms_;
 };
 
-/// The process-wide registry used by self-attaching instrumentation.
+/// The process-wide registry every owner publishes into.
 Registry& default_registry();
 
 }  // namespace actnet::obs

@@ -16,10 +16,6 @@ namespace {
 
 std::atomic<bool> g_profiling{util::env_flag("ACTNET_PROFILE")};
 
-/// Per-subsystem self-time totals, bumped once per scope exit. Plain
-/// atomics so the busy-seconds gauges read without touching the path maps.
-std::atomic<std::uint64_t> g_busy_ns[kSubsystemCount];
-
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -124,6 +120,22 @@ std::string decode_path(PathKey key) {
   return out;
 }
 
+/// Every thread's path map (live and retired), summed per path.
+std::map<PathKey, PathStat> merged_paths() {
+  Global& g = global();
+  std::lock_guard<std::mutex> lock(g.mu);
+  std::map<PathKey, PathStat> merged = g.retired;
+  for (ThreadProf* tp : g.threads) {
+    std::lock_guard<std::mutex> tlock(tp->mu);
+    for (const auto& [k, v] : tp->paths) {
+      PathStat& r = merged[k];
+      r.self_ns += v.self_ns;
+      r.count += v.count;
+    }
+  }
+  return merged;
+}
+
 }  // namespace
 
 const char* subsystem_name(Subsystem s) {
@@ -170,8 +182,6 @@ ProfScope::~ProfScope() {
   const std::uint64_t dur = now_ns() - f.t0;
   const std::uint64_t self = dur > f.child_ns ? dur - f.child_ns : 0;
   if (tp.depth > 0) tp.stack[tp.depth - 1].child_ns += dur;
-  g_busy_ns[static_cast<int>(f.subsystem)].fetch_add(
-      self, std::memory_order_relaxed);
   // Re-push conceptually: the key must include this frame.
   PathKey key = 0;
   for (int i = 0; i < tp.depth; ++i)
@@ -184,20 +194,7 @@ ProfScope::~ProfScope() {
 }
 
 std::vector<ProfEntry> profile_snapshot() {
-  Global& g = global();
-  std::map<PathKey, PathStat> merged;
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    merged = g.retired;
-    for (ThreadProf* tp : g.threads) {
-      std::lock_guard<std::mutex> tlock(tp->mu);
-      for (const auto& [k, v] : tp->paths) {
-        PathStat& r = merged[k];
-        r.self_ns += v.self_ns;
-        r.count += v.count;
-      }
-    }
-  }
+  const std::map<PathKey, PathStat> merged = merged_paths();
   std::vector<ProfEntry> out;
   out.reserve(merged.size());
   for (const auto& [k, v] : merged)
@@ -210,7 +207,12 @@ std::vector<ProfEntry> profile_snapshot() {
 }
 
 std::uint64_t profile_busy_ns(Subsystem s) {
-  return g_busy_ns[static_cast<int>(s)].load(std::memory_order_relaxed);
+  // The innermost frame sits in a path key's low nibble.
+  const PathKey leaf = static_cast<PathKey>(s) + 1;
+  std::uint64_t total = 0;
+  for (const auto& [k, v] : merged_paths())
+    if ((k & 0xF) == leaf) total += v.self_ns;
+  return total;
 }
 
 void write_profile_collapsed(std::ostream& os) {
@@ -226,7 +228,6 @@ void reset_profile() {
     std::lock_guard<std::mutex> tlock(tp->mu);
     tp->paths.clear();
   }
-  for (auto& b : g_busy_ns) b.store(0, std::memory_order_relaxed);
 }
 
 void attach_profile_gauges(Registry& r) {

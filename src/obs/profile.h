@@ -33,8 +33,7 @@ namespace actnet::obs {
 class Registry;
 
 /// The instrumented subsystems. Fixed and small on purpose: a scope's path
-/// is encoded as one nibble per frame, and the busy totals are a plain
-/// array of atomics.
+/// is encoded as one nibble per frame.
 enum class Subsystem : std::uint8_t {
   kEngine = 0,   ///< sim::Engine::drain — the event loop itself
   kNet = 1,      ///< net::Network::send — message injection / transmit
@@ -49,10 +48,9 @@ inline constexpr int kSubsystemCount = 6;
 /// collapsed-stack paths.
 const char* subsystem_name(Subsystem s);
 
-/// Process-wide profiler switch. Like obs::enabled() it is read per scope
-/// construction; initialized from ACTNET_PROFILE=1 and flipped on by the
-/// telemetry sampler. Scopes constructed while disabled stay inert for
-/// their whole lifetime.
+/// Process-wide profiler switch, read per scope construction; initialized
+/// from ACTNET_PROFILE=1 and flipped on by the telemetry sampler. Scopes
+/// constructed while disabled stay inert for their whole lifetime.
 bool profiling_enabled();
 void set_profiling_enabled(bool on);
 
@@ -83,7 +81,8 @@ struct ProfEntry {
 /// Merged view across all threads (live and exited), sorted by path.
 std::vector<ProfEntry> profile_snapshot();
 
-/// Total self-time ever attributed to `s`, at any stack depth.
+/// Total self-time ever attributed to `s`, at any stack depth: the sum of
+/// every path whose innermost frame is `s`.
 std::uint64_t profile_busy_ns(Subsystem s);
 
 /// Writes profile_snapshot() in collapsed-stack format, one

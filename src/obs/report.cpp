@@ -108,7 +108,7 @@ void RunReport::print(std::ostream& os, std::size_t max_rows) const {
     if (!conformance.detail.empty()) os << " — " << conformance.detail;
     os << "\n";
   }
-  // The flow-forward health counters, when metrics were on.
+  // The flow-forward health counters, once any network has published.
   for (const char* name : {"net.flowfwd.messages", "net.flowfwd.demotions",
                            "net.flowfwd.fallback_packets"}) {
     for (const auto& m : metrics) {

@@ -88,8 +88,7 @@ struct RunReport {
   int workers = 0;
   double wall_ms = 0.0;  ///< campaign wall time (prefetch start to finish)
   std::vector<JobStats> jobs;
-  /// Counter totals from the default metrics registry (empty when
-  /// ACTNET_METRICS is off).
+  /// Counter totals from the default metrics registry.
   std::vector<MetricSample> metrics;
   /// Histogram distributions (latencies, queue depths) from the same
   /// registry, with log2-bucket p50/p90/p99 bounds.

@@ -256,7 +256,7 @@ void Sampler::check_stall(const TelemetrySample& s) {
       break;
     }
   }
-  if (events < 0.0) return;  // engine not instrumented (metrics off)
+  if (events < 0.0) return;  // no engine has finished yet
   if (events != last_events_) {
     last_events_ = events;
     last_advance_ms_ = s.t_ms;
@@ -537,20 +537,15 @@ std::unique_ptr<Sampler>& global_sampler_slot() {
 }  // namespace
 
 Sampler* start_global_sampler(const TelemetryConfig& cfg) {
-  // Construct the registry's function-local static *before* the sampler
-  // slot's: statics destroy in reverse construction order, and the slot's
-  // exit-time stop() takes a final snapshot of this registry. The other
-  // way round the registry dies first and that snapshot reads freed memory.
-  Registry& reg = default_registry();
   std::unique_ptr<Sampler>& slot = global_sampler_slot();
   if (slot != nullptr) return slot.get();
   if (cfg.interval_ms <= 0) return nullptr;
-  // Instrumentation self-attaches at component construction; flip the
-  // switches before the campaign builds anything so the sampler has
-  // something to read.
-  set_enabled(true);
+  // Scopes read the profiler switch at construction; flip it before the
+  // campaign builds anything. (The registry needs no switch: owners
+  // publish into it as they are destroyed, and it is never torn down, so
+  // the slot's exit-time stop() can still snapshot it.)
   set_profiling_enabled(true);
-  attach_profile_gauges(reg);
+  attach_profile_gauges(default_registry());
   slot = std::make_unique<Sampler>(cfg);
   slot->start();
   return slot.get();

@@ -23,7 +23,9 @@
 // stops advancing for a configurable window while work is outstanding, it
 // emits a one-shot diagnostic record (with a collapsed-stack profile of
 // where wall time went — see obs/profile.h) instead of staying silent
-// until the campaign is killed.
+// until the campaign is killed. Engines publish that counter when they are
+// destroyed, so it advances once per finished experiment: the window must
+// exceed the longest single experiment.
 #pragma once
 
 #include <chrono>
@@ -175,10 +177,10 @@ void write_prometheus(std::ostream& os,
                       const std::vector<Registry::Sample>& metrics);
 
 /// Starts (once) a process-lifetime sampler over default_registry() and
-/// returns it; returns nullptr when cfg.interval_ms <= 0. Also flips on
-/// obs::enabled() and profiling so instrumentation constructed afterwards
-/// self-attaches. The sampler stops (and writes its profile record) at
-/// process exit. Repeated calls return the first sampler.
+/// returns it; returns nullptr when cfg.interval_ms <= 0. Also turns the
+/// profiler on, so scopes constructed afterwards record. The sampler stops
+/// (and writes its profile record) at process exit. Repeated calls return
+/// the first sampler.
 Sampler* start_global_sampler(const TelemetryConfig& cfg);
 /// The sampler start_global_sampler created, or nullptr.
 Sampler* global_sampler();

@@ -7,22 +7,21 @@
 
 namespace actnet::sim {
 
-Engine::Engine() {
-  if (obs::enabled()) attach_metrics(obs::default_registry());
-}
-
-void Engine::attach_metrics(obs::Registry& r) {
-  m_scheduled_ = &r.counter("sim.engine.events_scheduled");
-  m_executed_ = &r.counter("sim.engine.events_executed");
-  m_heap_peak_ = &r.gauge("sim.engine.heap_peak");
-  m_slots_peak_ = &r.gauge("sim.engine.slots_peak");
-  obs::Counter* executed = m_executed_;
-  r.callback_gauge("sim.engine.heap_allocs_per_event", [executed] {
-    const auto ev = executed->value();
-    return ev > 0 ? static_cast<double>(inline_fn_heap_allocations()) /
-                        static_cast<double>(ev)
-                  : 0.0;
-  });
+Engine::~Engine() {
+  obs::Registry& r = obs::default_registry();
+  static obs::Counter& scheduled = r.counter("sim.engine.events_scheduled");
+  static obs::Counter& executed = r.counter("sim.engine.events_executed");
+  static obs::Gauge& heap_peak = r.gauge("sim.engine.heap_peak");
+  [[maybe_unused]] static obs::Gauge& allocs_per_event =
+      r.callback_gauge("sim.engine.heap_allocs_per_event", [] {
+        const auto ev = executed.value();
+        return ev > 0 ? static_cast<double>(inline_fn_heap_allocations()) /
+                            static_cast<double>(ev)
+                      : 0.0;
+      });
+  scheduled.inc(next_seq_);
+  executed.inc(processed_);
+  heap_peak.max(static_cast<double>(slots_.size()));
 }
 
 bool Engine::next_event_time(Tick* t) const {
@@ -50,11 +49,6 @@ EventKey Engine::push_event(Tick t, EventFn&& fn) {
   const EventKey k{t, next_seq_++, alloc_slot(std::move(fn))};
   slot_seq_[k.slot] = k.seq;
   detail::heap_push(heap_, k);
-  if (m_scheduled_ != nullptr) {
-    m_scheduled_->inc();
-    m_heap_peak_->max(static_cast<double>(pending()));
-    m_slots_peak_->max(static_cast<double>(slots_.size()));
-  }
   return k;
 }
 
@@ -95,7 +89,6 @@ std::uint64_t Engine::drain(Tick limit, bool bounded) {
     ACTNET_CHECK_MSG(budget_ == 0 || n <= budget_,
                      "event budget exhausted (" << budget_ << ")");
   }
-  if (m_executed_ != nullptr) m_executed_->inc(n);
   return n;
 }
 

@@ -26,12 +26,6 @@
 #include "util/error.h"
 #include "util/units.h"
 
-namespace actnet::obs {
-class Counter;
-class Gauge;
-class Registry;
-}  // namespace actnet::obs
-
 namespace actnet::sim {
 
 /// Event callback: move-only, small-buffer-inline (see inline_fn.h).
@@ -39,16 +33,12 @@ using EventFn = InlineFn<void()>;
 
 class Engine {
  public:
-  /// Self-attaches to obs::default_registry() when obs::enabled(); with
-  /// observability off the metric pointers stay null and the engine is
-  /// exactly as fast as before they existed.
-  Engine();
+  Engine() = default;
+  /// Publishes this engine's counts into obs::default_registry()
+  /// ("sim.engine.*", aggregated over every engine in the process).
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Registers this engine's metrics in `r`. Metric names are aggregates:
-  /// every attached engine bumps the same counters ("sim.engine.*").
-  void attach_metrics(obs::Registry& r);
 
   /// Current simulated time. Monotonically non-decreasing.
   Tick now() const { return now_; }
@@ -119,24 +109,19 @@ class Engine {
   std::uint64_t drain(Tick limit, bool bounded);
 
   std::vector<EventKey> heap_;   ///< 4-ary min-heap of pending keys
-  std::vector<EventFn> slots_;   ///< out-of-line callables
+  /// Out-of-line callables. Its size is the queue's high-water mark: a
+  /// slot stays held by one queued key until that key pops, and the
+  /// vector grows only when no slot is free.
+  std::vector<EventFn> slots_;
   std::vector<std::uint32_t> free_slots_;
   /// Sequence number of the event currently occupying each slot (kDeadSeq
   /// when free); lets cancel() reject tokens whose event already fired.
   std::vector<std::uint64_t> slot_seq_;
   Tick now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< also the count of events scheduled
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t budget_ = 0;
-
-  // Observability (null unless attached). Executed counts are credited in
-  // one batched add after each run loop, so the per-event path only pays
-  // for metrics on schedule_at — one predictable branch when disabled.
-  obs::Counter* m_scheduled_ = nullptr;
-  obs::Counter* m_executed_ = nullptr;
-  obs::Gauge* m_heap_peak_ = nullptr;
-  obs::Gauge* m_slots_peak_ = nullptr;
 };
 
 }  // namespace actnet::sim

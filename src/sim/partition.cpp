@@ -44,7 +44,6 @@ PartitionedEngine::PartitionedEngine(int domains, Tick lookahead, int workers)
   domains_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d)
     domains_.push_back(std::make_unique<Engine>());
-  if (obs::enabled()) attach_metrics(obs::default_registry());
 }
 
 int PartitionedEngine::resolve_workers(int domains, int workers) {
@@ -59,12 +58,14 @@ PartitionedEngine::~PartitionedEngine() {
     phase_.notify_all();
     for (std::thread& t : threads_) t.join();
   }
-}
-
-void PartitionedEngine::attach_metrics(obs::Registry& r) {
-  m_windows_ = &r.counter("sim.partition.windows");
-  m_stalls_ = &r.counter("sim.partition.barrier_stalls");
-  m_messages_ = &r.counter("sim.partition.messages");
+  obs::Registry& r = obs::default_registry();
+  static obs::Counter& windows = r.counter("sim.partition.windows");
+  static obs::Counter& stalls = r.counter("sim.partition.barrier_stalls");
+  static obs::Counter& messages = r.counter("sim.partition.messages");
+  const DomainStats t = total_stats();
+  windows.inc(t.windows);
+  stalls.inc(t.barrier_stalls);
+  messages.inc(t.messages_in);
 }
 
 int PartitionedEngine::workers_from_env(int domains) {
@@ -183,8 +184,6 @@ void PartitionedEngine::drain_channels() {
                                                              std::move(c.fn));
       ++stats_[static_cast<std::size_t>(c.dst)].messages_in;
     }
-    if (m_messages_ != nullptr && !box.empty())
-      m_messages_->inc(static_cast<std::uint64_t>(box.size()));
     box.clear();
   }
 }
@@ -212,12 +211,7 @@ std::uint64_t PartitionedEngine::run_until(Tick t) {
     Tick wend = wstart + (lookahead_ - 1);
     if (wend > t) wend = t;
     safe_time_ = wend + 1;
-    const std::uint64_t delta = execute_window(wend);
-    ran += delta;
-    if (m_windows_ != nullptr) {
-      m_windows_->inc();
-      if (delta == 0) m_stalls_->inc();
-    }
+    ran += execute_window(wend);
     drain_channels();
   }
   // No events <= t remain anywhere; advance every clock to t so follow-up

@@ -43,11 +43,6 @@
 #include "sim/engine.h"
 #include "util/units.h"
 
-namespace actnet::obs {
-class Counter;
-class Registry;
-}  // namespace actnet::obs
-
 namespace actnet::sim {
 
 class PartitionedEngine {
@@ -68,6 +63,8 @@ class PartitionedEngine {
   PartitionedEngine(int domains, Tick lookahead, int workers = 0);
   PartitionedEngine(const PartitionedEngine&) = delete;
   PartitionedEngine& operator=(const PartitionedEngine&) = delete;
+  /// Joins the workers and publishes total_stats() into
+  /// obs::default_registry() ("sim.partition.*").
   ~PartitionedEngine();
 
   int domains() const { return static_cast<int>(domains_.size()); }
@@ -108,12 +105,6 @@ class PartitionedEngine {
   /// Aggregates over all domains (windows/stalls sum domain entries, so a
   /// 4-domain run counts 4 per global window).
   DomainStats total_stats() const;
-
-  /// Registers aggregate partition counters ("sim.partition.*") in `r`:
-  /// windows executed, barrier stalls, and cross-partition messages.
-  /// Self-attaches to obs::default_registry() at construction when
-  /// obs::enabled(), like Engine.
-  void attach_metrics(obs::Registry& r);
 
   /// Resolves ACTNET_PARTITIONS: unset/empty -> 1 (serial), "auto" ->
   /// hardware_concurrency, "<n>" -> n (must parse positive). The result is
@@ -162,12 +153,6 @@ class PartitionedEngine {
   /// ordinary exceptions instead of terminating a worker.
   std::mutex err_mu_;
   std::exception_ptr err_;
-
-  // Observability (null unless attached); bumped by the coordinating
-  // thread only, after each window's barrier.
-  obs::Counter* m_windows_ = nullptr;
-  obs::Counter* m_stalls_ = nullptr;
-  obs::Counter* m_messages_ = nullptr;
 };
 
 }  // namespace actnet::sim

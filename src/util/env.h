@@ -58,7 +58,7 @@ inline std::string env_string(const char* name, std::string fallback = {}) {
 }
 
 /// True when `name` is set to a value starting with '1' (the convention of
-/// ACTNET_FAST=1, ACTNET_METRICS=1, ...).
+/// ACTNET_FAST=1, ACTNET_PROFILE=1, ...).
 inline bool env_flag(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] == '1';

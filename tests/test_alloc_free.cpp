@@ -109,7 +109,8 @@ TEST(AllocFree, ContendedDrrBurstAllocatesNothingPerPacket) {
   constexpr int kFlows = 24;
   constexpr int kPacketsPerFlow = 40;
   sim::Engine e;
-  net::Link link(e, units::GBps(5.0), units::ns(50), /*quantum=*/2048);
+  net::PortStats stats;
+  net::Link link(e, stats, units::GBps(5.0), units::ns(50), /*quantum=*/2048);
   int arrived = 0;
   // Backlogged flows of mixed packet sizes (several DRR rounds per visit)
   // plus single packets and trains with a serialization callback, so the

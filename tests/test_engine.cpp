@@ -1,9 +1,11 @@
 // Discrete-event engine: ordering, determinism, budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace actnet::sim {
@@ -191,6 +193,47 @@ TEST(Engine, StressManyEventsStayOrdered) {
   }
   e.run();
   EXPECT_TRUE(ordered);
+}
+
+// The engine publishes its queue high-water mark when destroyed; the
+// published number must equal the largest pending() ever observed, with
+// cancelled tombstones still counting as queued.
+TEST(Engine, PublishedHeapPeakIsMaxPending) {
+  obs::Gauge& peak = obs::default_registry().gauge("sim.engine.heap_peak");
+  obs::Counter& scheduled =
+      obs::default_registry().counter("sim.engine.events_scheduled");
+  obs::Counter& executed =
+      obs::default_registry().counter("sim.engine.events_executed");
+  peak.set(0.0);  // a process-wide max: clear what earlier tests published
+  const std::uint64_t scheduled0 = scheduled.value();
+  const std::uint64_t executed0 = executed.value();
+  std::size_t max_pending = 0;
+  std::uint64_t ran = 0;
+  {
+    Engine e;
+    const auto note = [&] { max_pending = std::max(max_pending, e.pending()); };
+    std::vector<Engine::CancelToken> tokens;
+    for (int round = 0; round < 4; ++round) {
+      const Tick base = e.now();
+      for (int i = 0; i < 20 + 7 * round; ++i) {
+        tokens.push_back(e.schedule_cancellable_at(base + 1 + i % 9, [&] {
+          // Events that schedule more events while the queue drains.
+          e.schedule_in(3, [&] { note(); });
+          note();
+        }));
+        note();
+      }
+      for (std::size_t i = 0; i < tokens.size(); i += 3) e.cancel(tokens[i]);
+      tokens.clear();
+      ran += e.run_until(base + 5);  // partial drain, then refill
+      note();
+    }
+    ran += e.run();
+  }
+  EXPECT_GT(max_pending, 0u);
+  EXPECT_EQ(peak.value(), static_cast<double>(max_pending));
+  EXPECT_EQ(executed.value() - executed0, ran);
+  EXPECT_GT(scheduled.value() - scheduled0, ran);  // cancelled never ran
 }
 
 }  // namespace

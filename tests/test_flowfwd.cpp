@@ -141,9 +141,7 @@ RunLog run_script(const net::NetworkConfig& cfg,
                   const std::vector<Send>& script, bool flowfwd,
                   std::uint64_t seed = 42) {
   sim::Engine eng;
-  obs::Registry reg;
   net::Network net(eng, cfg, Rng(seed));
-  net.attach_metrics(reg);
   net.set_flow_forward(flowfwd);
   const net::FlowId flows = net.allocate_flows(cfg.nodes);
 
@@ -173,7 +171,7 @@ RunLog run_script(const net::NetworkConfig& cfg,
       log.port_busy.push_back(l->busy_time());
     }
   }
-  const obs::Histogram& depth = reg.histogram("net.port.queue_depth");
+  const obs::LocalHistogram& depth = net.port_stats().depth;
   log.depth_count = depth.count();
   log.depth_sum = depth.sum();
   for (int b = 0; b < obs::Histogram::kBuckets; ++b)
@@ -389,28 +387,39 @@ TEST(FlowForward, EnvKnobParsesOnOffForms) {
 TEST(FlowForward, CountersSurfaceInRegistry) {
   net::NetworkConfig cfg = irregular_config(4);
   make_deterministic(cfg);
-  sim::Engine eng;
-  obs::Registry reg;
-  net::Network net(eng, cfg, Rng(7));
-  net.attach_metrics(reg);
-  net.set_flow_forward(true);
-  const net::FlowId flows = net.allocate_flows(4);
-  // One clean flow-forward and one demoted by downlink cross-traffic.
-  eng.schedule_at(1000, [&] { net.send(0, 1, flows, 8192, {}, {}); });
-  eng.schedule_at(units::us(200), [&] { net.send(0, 1, flows, 8192, {}, {}); });
-  eng.schedule_at(units::us(200) + 300,
-                  [&] { net.send(2, 1, flows + 2, 4096, {}, {}); });
-  eng.run();
-  EXPECT_EQ(reg.counter("net.flowfwd.messages").value(),
-            net.counters().flowfwd_messages);
-  EXPECT_EQ(reg.counter("net.flowfwd.demotions").value(),
-            net.counters().flowfwd_demotions);
-  EXPECT_EQ(reg.counter("net.flowfwd.fallback_packets").value(),
-            net.counters().flowfwd_fallback_packets);
-  EXPECT_EQ(net.counters().flowfwd_messages, 2u);
-  EXPECT_EQ(net.counters().flowfwd_demotions, 1u);
-  EXPECT_GT(net.counters().flowfwd_fallback_packets, 0u);
-  EXPECT_EQ(net.counters().messages_delivered, 3u);
+  // The network publishes into the process-wide registry when destroyed;
+  // compare the registry's deltas with the counters it had at that point.
+  obs::Registry& reg = obs::default_registry();
+  const std::uint64_t messages0 = reg.counter("net.flowfwd.messages").value();
+  const std::uint64_t demotions0 =
+      reg.counter("net.flowfwd.demotions").value();
+  const std::uint64_t fallback0 =
+      reg.counter("net.flowfwd.fallback_packets").value();
+  net::NetworkCounters counters;
+  {
+    sim::Engine eng;
+    net::Network net(eng, cfg, Rng(7));
+    net.set_flow_forward(true);
+    const net::FlowId flows = net.allocate_flows(4);
+    // One clean flow-forward and one demoted by downlink cross-traffic.
+    eng.schedule_at(1000, [&] { net.send(0, 1, flows, 8192, {}, {}); });
+    eng.schedule_at(units::us(200),
+                    [&] { net.send(0, 1, flows, 8192, {}, {}); });
+    eng.schedule_at(units::us(200) + 300,
+                    [&] { net.send(2, 1, flows + 2, 4096, {}, {}); });
+    eng.run();
+    counters = net.counters();
+  }
+  EXPECT_EQ(reg.counter("net.flowfwd.messages").value() - messages0,
+            counters.flowfwd_messages);
+  EXPECT_EQ(reg.counter("net.flowfwd.demotions").value() - demotions0,
+            counters.flowfwd_demotions);
+  EXPECT_EQ(reg.counter("net.flowfwd.fallback_packets").value() - fallback0,
+            counters.flowfwd_fallback_packets);
+  EXPECT_EQ(counters.flowfwd_messages, 2u);
+  EXPECT_EQ(counters.flowfwd_demotions, 1u);
+  EXPECT_GT(counters.flowfwd_fallback_packets, 0u);
+  EXPECT_EQ(counters.messages_delivered, 3u);
 }
 
 TEST(FlowForward, DemotionCooldownKeepsContendedPortsOnPacketPath) {
@@ -458,8 +467,6 @@ TEST(FlowForward, FlowForwardCampaignDriftStaysWithinEnvelope) {
   const std::string off_path = testing::temp_cache("ffwd_off");
   // The on-run's flow-forward counters, read as deltas of the process-wide
   // registry (metrics observe, never steer: the cache bytes do not move).
-  const bool obs_before = obs::enabled();
-  obs::set_enabled(true);
   obs::Counter& ff_messages =
       obs::default_registry().counter("net.flowfwd.messages");
   obs::Counter& ff_demotions =
@@ -469,7 +476,6 @@ TEST(FlowForward, FlowForwardCampaignDriftStaysWithinEnvelope) {
   testing::run_combo(on_path, "1");
   const std::uint64_t flowfwd_messages = ff_messages.value() - messages0;
   const std::uint64_t flowfwd_demotions = ff_demotions.value() - demotions0;
-  obs::set_enabled(obs_before);
   const std::string off_bytes = testing::run_combo(off_path, "0");
   ASSERT_FALSE(off_bytes.empty());
 

@@ -15,8 +15,9 @@ namespace {
 
 TEST(Link, SingleTransferTiming) {
   sim::Engine e;
+  PortStats stats;
   // 1 GB/s, 100 ns propagation: 1000 bytes -> 1000 ns ser + 100 ns prop.
-  Link link(e, units::GBps(1.0), 100);
+  Link link(e, stats, units::GBps(1.0), 100);
   Tick serialized = -1, arrived = -1;
   link.transmit(1, 1000, [&] { serialized = e.now(); },
                 [&] { arrived = e.now(); });
@@ -30,7 +31,8 @@ TEST(Link, SingleTransferTiming) {
 
 TEST(Link, SameFlowIsFifoAndBackToBack) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   std::vector<Tick> arrivals;
   for (int i = 0; i < 3; ++i)
     link.transmit(7, 500, nullptr, [&] { arrivals.push_back(e.now()); });
@@ -43,7 +45,8 @@ TEST(Link, SameFlowIsFifoAndBackToBack) {
 
 TEST(Link, SmallPacketOnOtherFlowOvertakesBulkBacklog) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0, /*quantum=*/2048);
   // Flow 1 queues 20 x 4 KB (80 us of backlog); then flow 2 submits one
   // 1 KB packet. Under FIFO the small packet would wait ~80 us; under DRR
   // it waits roughly one 4 KB service (4 us) plus its own (1 us).
@@ -58,7 +61,8 @@ TEST(Link, SmallPacketOnOtherFlowOvertakesBulkBacklog) {
 
 TEST(Link, FairBandwidthSplitBetweenTwoBackloggedFlows) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   Tick last_a = 0, last_b = 0;
   for (int i = 0; i < 50; ++i) {
     link.transmit(1, 1000, nullptr, [&] { last_a = e.now(); });
@@ -73,7 +77,8 @@ TEST(Link, FairBandwidthSplitBetweenTwoBackloggedFlows) {
 
 TEST(Link, WorkConservingUnderMixedSizes) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   Bytes total = 0;
   for (int i = 0; i < 10; ++i) {
     link.transmit(i % 3, 100 + i * 300, nullptr, [] {});
@@ -87,7 +92,8 @@ TEST(Link, WorkConservingUnderMixedSizes) {
 
 TEST(Link, QueueCountersTrackBacklog) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   link.transmit(1, 1000, nullptr, [] {});
   link.transmit(1, 1000, nullptr, [] {});
   link.transmit(2, 500, nullptr, [] {});
@@ -104,7 +110,8 @@ TEST(Link, QueueCountersTrackBacklog) {
 
 TEST(Link, TinyPacketStillTakesAtLeastOneTick) {
   sim::Engine e;
-  Link link(e, units::GBps(100.0), 0);  // 1 byte = 0.01 ns -> clamps to 1
+  PortStats stats;
+  Link link(e, stats, units::GBps(100.0), 0);  // 1 byte = 0.01 ns -> clamps to 1
   Tick arrived = -1;
   link.transmit(1, 1, nullptr, [&] { arrived = e.now(); });
   e.run();
@@ -113,11 +120,12 @@ TEST(Link, TinyPacketStillTakesAtLeastOneTick) {
 
 TEST(Link, InvalidArgumentsThrow) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   EXPECT_THROW(link.transmit(1, 0, nullptr, [] {}), Error);
   EXPECT_THROW(link.transmit(1, 100, nullptr, nullptr), Error);
-  EXPECT_THROW(Link(e, 0.0, 0), Error);
-  EXPECT_THROW(Link(e, 1.0, -1), Error);
+  EXPECT_THROW(Link(e, stats, 0.0, 0), Error);
+  EXPECT_THROW(Link(e, stats, 1.0, -1), Error);
 }
 
 TEST(Link, ProbePacketsUnderBulkLoadWaitFractionOfRoundNotBacklog) {
@@ -126,7 +134,8 @@ TEST(Link, ProbePacketsUnderBulkLoadWaitFractionOfRoundNotBacklog) {
   // must be on the order of one DRR round (tens of microseconds at most),
   // never the multi-hundred-microsecond standing backlog.
   sim::Engine e;
-  Link link(e, units::GBps(5.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(5.0), 0);
   std::function<void(int)> refill = [&](int flow) {
     link.transmit(flow, 4096, nullptr, [&, flow] {
       if (e.now() < units::ms(2)) refill(flow);
@@ -156,7 +165,8 @@ TEST(Link, ProbePacketsUnderBulkLoadWaitFractionOfRoundNotBacklog) {
 
 TEST(Link, TrainUncontendedServesBackToBack) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   std::vector<std::pair<std::uint32_t, Tick>> arrivals;
   Tick last_serialized = -1;
   link.transmit_train(1, 3, 500, 0, [&] { last_serialized = e.now(); },
@@ -179,7 +189,8 @@ TEST(Link, TrainUncontendedServesBackToBack) {
 
 TEST(Link, TrainTailPacketUsesTailSize) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 100);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 100);
   std::vector<Tick> arrivals;
   link.transmit_train(1, 3, 1000, 250, nullptr,
                       [&](std::uint32_t) { arrivals.push_back(e.now()); });
@@ -199,7 +210,8 @@ TEST(Link, TrainTailPacketUsesTailSize) {
 /// train resumes with its carried-over deficit.
 TEST(Link, MidTrainCompetitorInterleavesAtVisitBoundary) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0, /*quantum=*/2048);
   std::vector<std::pair<int, Tick>> log;  // (tag, arrival tick)
   link.transmit_train(1, 8, 1000, 0, nullptr, [&](std::uint32_t i) {
     log.emplace_back(static_cast<int>(i), e.now());
@@ -222,7 +234,8 @@ TEST(Link, MidTrainCompetitorInterleavesAtVisitBoundary) {
 
 TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   std::vector<std::pair<int, Tick>> log;
   link.transmit_train(
       1, 2, 500, 0,
@@ -244,7 +257,8 @@ TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
 
 TEST(Link, BackToBackTrainsRecycleThePool) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   int arrivals = 0;
   for (int t = 0; t < 4; ++t) {
     link.transmit_train(1, 4, 250, 0, nullptr,
@@ -264,7 +278,8 @@ TEST(Link, BackToBackTrainsRecycleThePool) {
 
 TEST(Link, RecordBlocksGrowWithBacklogAndShrinkWhenIdle) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   EXPECT_EQ(link.record_blocks(), 0u);  // nothing allocated before use
   int arrivals = 0;
   for (int i = 0; i < 100; ++i)
@@ -288,7 +303,8 @@ TEST(Link, ManyFlowsServeInRoundRobinOrder) {
   // quantum-sized packets each: DRR serves every flow's first packet in
   // arrival order, then every flow's second.
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0, /*quantum=*/1000);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0, /*quantum=*/1000);
   constexpr int kFlows = 300;
   std::vector<int> order;
   for (int round = 0; round < 2; ++round)
@@ -304,7 +320,8 @@ TEST(Link, ManyFlowsServeInRoundRobinOrder) {
 
 TEST(Link, InvalidTrainArgumentsThrow) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
+  PortStats stats;
+  Link link(e, stats, units::GBps(1.0), 0);
   EXPECT_THROW(link.transmit_train(1, 0, 500, 0, nullptr, [](std::uint32_t) {}),
                Error);
   EXPECT_THROW(link.transmit_train(1, 3, 0, 0, nullptr, [](std::uint32_t) {}),

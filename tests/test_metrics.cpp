@@ -137,13 +137,29 @@ TEST(Registry, WriteJsonNamesEveryMetric) {
   EXPECT_NE(json.find("\"latency\""), std::string::npos);
 }
 
-TEST(EnabledFlag, Toggles) {
-  const bool before = enabled();
-  set_enabled(true);
-  EXPECT_TRUE(enabled());
-  set_enabled(false);
-  EXPECT_FALSE(enabled());
-  set_enabled(before);
+TEST(LocalHistogram, MergesExactlyIntoHistogram) {
+  LocalHistogram a;
+  LocalHistogram b;
+  Histogram direct;
+  for (std::uint64_t v : {0u, 1u, 3u, 4u, 1000u}) {
+    a.add(v);
+    direct.add(v);
+  }
+  for (std::uint64_t v : {7u, 70u}) {
+    b.add(v);
+    direct.add(v);
+  }
+  EXPECT_EQ(a.max(), 1000u);
+  a.merge(b);
+  EXPECT_EQ(a.count(), 7u);
+  EXPECT_EQ(a.max(), 1000u);
+  Histogram merged;
+  merged.merge(a);
+  merged.merge(LocalHistogram{});  // empty: no-op
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.sum(), direct.sum());
+  for (int i = 0; i < Histogram::kBuckets; ++i)
+    EXPECT_EQ(merged.bucket(i), direct.bucket(i)) << "bucket " << i;
 }
 
 // Run under `ctest -L tsan` with -DACTNET_SANITIZE=thread: campaign workers

@@ -1,7 +1,8 @@
-// Observability must be non-perturbing: a campaign run with metrics and
-// tracing enabled on 8 workers must leave a byte-identical measurement
-// cache — and identical model predictions — to a serial run with
-// observability off. This is the repo's "observe, never steer" guarantee.
+// Observability must be non-perturbing: a campaign run with the profiler
+// and tracing enabled on 8 workers must leave a byte-identical measurement
+// cache — and identical model predictions — to a serial run with both off.
+// (Metrics have no switch: every run publishes them.) This is the repo's
+// "observe, never steer" guarantee.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "core/campaign.h"
 #include "core/parallel.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace actnet::core {
 namespace {
@@ -55,19 +57,19 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   std::filesystem::remove(on_path);
   std::filesystem::create_directories(trace_dir);
 
-  const bool obs_before = obs::enabled();
+  const bool prof_before = obs::profiling_enabled();
 
-  // Reference: serial, observability off.
-  obs::set_enabled(false);
+  // Reference: serial, profiler and tracing off.
+  obs::set_profiling_enabled(false);
   {
     Campaign off(reduced_config(off_path, 1));
     const PrefetchReport r = ParallelRunner(off).prefetch_all();
     EXPECT_GT(r.executed, 0u);
   }
 
-  // Candidate: 8 workers, metrics self-attaching everywhere, every
-  // experiment tracing into trace_dir, run report on.
-  obs::set_enabled(true);
+  // Candidate: 8 workers, profiler on, every experiment tracing into
+  // trace_dir, run report on.
+  obs::set_profiling_enabled(true);
   {
     CampaignConfig cfg = reduced_config(on_path, 8);
     cfg.opts.cluster.trace_path = trace_dir + "/trace.json";
@@ -81,14 +83,14 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
     EXPECT_GT(r.run.total_events(), 0u);
     EXPECT_GT(r.run.wall_ms, 0.0);
   }
-  obs::set_enabled(obs_before);
+  obs::set_profiling_enabled(prof_before);
 
   // Observability must not have perturbed a single simulated byte.
   const std::string off_bytes = file_bytes(off_path);
   ASSERT_FALSE(off_bytes.empty());
   EXPECT_EQ(off_bytes, file_bytes(on_path));
 
-  // Metrics actually flowed while enabled...
+  // Metrics actually flowed...
   EXPECT_GT(
       obs::default_registry().counter("sim.engine.events_executed").value(),
       0u);

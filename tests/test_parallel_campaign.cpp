@@ -1,7 +1,7 @@
 // Parallel campaign executor: a reduced campaign prefetched with 1 worker
-// and with 8 workers must leave byte-identical measurement caches and make
-// identical predictions — determinism is what lets ACTNET_JOBS be a pure
-// speed knob.
+// and with 8 workers must leave byte-identical measurement caches, make
+// identical predictions and publish identical counts into the metrics
+// registry — determinism is what lets ACTNET_JOBS be a pure speed knob.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,6 +13,7 @@
 #include "apps/apps.h"
 #include "core/campaign.h"
 #include "core/parallel.h"
+#include "obs/metrics.h"
 
 namespace actnet::core {
 namespace {
@@ -46,24 +47,60 @@ std::string file_bytes(const std::string& path) {
   return os.str();
 }
 
+/// Registry counts every experiment's owners publish when destroyed.
+const std::vector<std::string> kPublishedCounters = {
+    "sim.engine.events_executed", "sim.engine.events_scheduled",
+    "net.messages_sent",          "net.packets_delivered",
+    "net.link.drr_rounds",        "net.flowfwd.messages",
+    "net.flowfwd.demotions",      "net.flowfwd.fallback_packets",
+};
+
+std::vector<std::uint64_t> published_counts() {
+  std::vector<std::uint64_t> out;
+  for (const std::string& name : kPublishedCounters)
+    out.push_back(obs::default_registry().counter(name).value());
+  return out;
+}
+
+/// Per-counter growth of the registry from `before` to now.
+std::vector<std::uint64_t> published_since(
+    const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> out = published_counts();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before[i];
+  return out;
+}
+
 TEST(ParallelCampaign, WorkerCountDoesNotChangeResults) {
   const std::string serial_path = temp_cache("serial");
   const std::string parallel_path = temp_cache("parallel");
   std::filesystem::remove(serial_path);
   std::filesystem::remove(parallel_path);
 
+  std::vector<std::uint64_t> serial_counts;
+  std::vector<std::uint64_t> parallel_counts;
   {
+    const std::vector<std::uint64_t> before = published_counts();
     Campaign serial(reduced_config(serial_path, 1));
     const PrefetchReport r = ParallelRunner(serial).prefetch_all();
     EXPECT_EQ(r.jobs, 1);
     EXPECT_GT(r.executed, 0u);
+    serial_counts = published_since(before);
   }
   {
+    const std::vector<std::uint64_t> before = published_counts();
     Campaign parallel(reduced_config(parallel_path, 8));
     const PrefetchReport r = ParallelRunner(parallel).prefetch_all();
     EXPECT_EQ(r.jobs, 8);
     EXPECT_GT(r.executed, 0u);
+    parallel_counts = published_since(before);
   }
+
+  // Eight workers folding their experiments' counts into the shared
+  // registry concurrently must add up to exactly the serial totals.
+  for (std::size_t i = 0; i < kPublishedCounters.size(); ++i)
+    EXPECT_EQ(serial_counts[i], parallel_counts[i]) << kPublishedCounters[i];
+  EXPECT_GT(serial_counts[0], 0u);  // events executed
+  EXPECT_GT(serial_counts[2], 0u);  // messages sent
 
   // The flushed caches must match byte for byte.
   const std::string serial_bytes = file_bytes(serial_path);

@@ -393,19 +393,16 @@ TEST(Telemetry, SamplerOnCampaignIsByteIdentical) {
     return c;
   };
 
-  const bool obs_before = enabled();
   const bool prof_before = profiling_enabled();
 
-  // Reference: serial, everything off.
-  set_enabled(false);
+  // Reference: serial, profiler off, no sampler.
   set_profiling_enabled(false);
   {
     core::Campaign off(reduced_config(off_path, 1));
     EXPECT_GT(core::ParallelRunner(off).prefetch_all().executed, 0u);
   }
 
-  // Candidate: 8 workers, metrics + profiler on, sampler at 10 ms.
-  set_enabled(true);
+  // Candidate: 8 workers, profiler on, sampler at 10 ms.
   set_profiling_enabled(true);
   {
     TelemetryConfig cfg;
@@ -419,7 +416,6 @@ TEST(Telemetry, SamplerOnCampaignIsByteIdentical) {
     sampler.stop();
     EXPECT_GT(sampler.samples_taken(), 0u);
   }
-  set_enabled(obs_before);
   set_profiling_enabled(prof_before);
 
   // Not one simulated byte may differ.
