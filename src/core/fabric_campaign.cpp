@@ -50,7 +50,7 @@ struct FabricRun {
 };
 
 FabricRun run_fabric_experiment(const FabricCampaignConfig& cfg, bool loaded) {
-  net::Fabric fab(cfg.network, cfg.seed, cfg.workers);
+  net::Fabric fab(cfg.network, cfg.seed);
   const int pods = fab.pods();
   const int npp = fab.nodes() / pods;
   ACTNET_CHECK_MSG(npp >= 2, "fabric probes need >= 2 nodes per pod, got "
@@ -123,8 +123,8 @@ std::string FabricCampaign::fingerprint() const {
      << "|sw.jm=" << oq.jitter_mean_ns << "|sw.js=" << oq.jitter_stddev_ns
      << "|sw.tp=" << oq.tail_prob << "|sw.to=" << oq.tail_offset_ns
      << "|sw.tx=" << oq.tail_mean_excess_ns;
-  // Deliberately NOT folded in: `workers`. Partition parallelism must not
-  // change results, so caches are shared across ACTNET_PARTITIONS values.
+  // Deliberately NOT folded in: `workers`. It is ignored, so caches are
+  // shared across its values.
   return os.str();
 }
 

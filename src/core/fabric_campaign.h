@@ -20,9 +20,8 @@
 // contended resource, as in the paper's shared-switch setup.
 //
 // Results are memoized in a MeasurementDb keyed by a fabric fingerprint.
-// The fingerprint deliberately EXCLUDES the worker count: partition
-// parallelism must not change results (the determinism harness byte-checks
-// this), so a cache written under ACTNET_PARTITIONS=1 is served under =8.
+// The fingerprint EXCLUDES `workers`, which no longer changes anything, so
+// a cache written with one `workers` value is served to any other.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,9 @@ struct FabricCampaignConfig {
   /// `bg_interval` (pre-scheduled at setup; 0 interval disables).
   Bytes bg_size = units::KiB(64);
   Tick bg_interval = units::us(50);
-  /// Worker threads for the partitioned runtime (0 = ACTNET_PARTITIONS).
+  /// Ignored: the partitioned runtime runs on the calling thread. Kept
+  /// only because the campaign benchmark's driver still sets it; goes with
+  /// the next benchmark change.
   int workers = 0;
   /// Cache file; empty = in-memory only.
   std::string cache_path;

@@ -8,14 +8,14 @@
 
 namespace actnet::net {
 
-Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed, int workers)
+Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed,
+               int /*workers*/)
     : config_(config),
       seed_key_(mix64(seed)),
       pods_(config.pods),
       nodes_per_pod_(config.nodes / std::max(config.pods, 1)),
       spine_domain_(config.pods > 1 ? config.pods : -1),
-      pe_(config.pods > 1 ? config.pods + 1 : 1, config.trunk_prop(),
-          workers) {
+      pe_(config.pods > 1 ? config.pods + 1 : 1, config.trunk_prop()) {
   ACTNET_CHECK(config_.nodes >= 1);
   ACTNET_CHECK(config_.mtu > 0);
   ACTNET_CHECK(config_.pods >= 1);

@@ -2,9 +2,8 @@
 //
 // The Network class models the paper's measured system faithfully but
 // holds whole-topology mutable state (message table, per-flow send
-// ordinals, counters) behind one engine, so it cannot execute in parallel
-// without changing results. Fabric is the datacenter-scale sibling built
-// for the partitioned runtime from the start:
+// ordinals, counters) behind one engine. Fabric is the datacenter-scale
+// sibling built on the partitioned runtime's per-domain engines:
 //
 //  * Domain layout follows the topology: pod p (its leaf switch, node
 //    endpoints, NIC links, and the leaf ends of its trunks) is domain p;
@@ -18,8 +17,8 @@
 //  * Switch stage delays are keyed draws (keyed_stage_delay, shared with
 //    Network's OutputQueuedSwitch) on (seed, switch, flow, message,
 //    packet): no sequential stream exists to disagree about, so results
-//    are independent of partition count, worker interleaving, and message
-//    admission order by construction.
+//    are independent of partition count and message admission order by
+//    construction.
 //
 //  * Per-port DRR queueing, packetization, and NIC overheads reuse
 //    net::Link unchanged — each link simply binds to its domain's engine.
@@ -58,7 +57,9 @@ class Fabric {
   /// `config` must describe an output-queued fabric (the shared-queue
   /// M/G/1 switch couples packets through one server and cannot be
   /// partitioned). `seed` keys every per-packet stage-delay draw.
-  /// `workers` as in PartitionedEngine (0 = ACTNET_PARTITIONS).
+  /// The third argument is ignored: the window loop runs on the calling
+  /// thread. It stays only because the campaign benchmark's driver still
+  /// passes a worker count, and goes with the next benchmark change.
   Fabric(const NetworkConfig& config, std::uint64_t seed, int workers = 0);
   /// Publishes the port stats of every domain into obs::default_registry()
   /// ("fabric.drr_rounds", "fabric.port.depth", "fabric.port.depth_peak").
@@ -80,7 +81,7 @@ class Fabric {
   sim::Engine& domain_engine(int d) { return pe_.domain(d); }
 
   /// Allocates a contiguous block of fair-queueing flow ids. Setup-time
-  /// only (single-threaded, before run_until).
+  /// only (before run_until).
   FlowId allocate_flows(int count);
 
   /// Schedules `fn` at absolute time `t` on `n`'s domain engine. Call

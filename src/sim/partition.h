@@ -1,5 +1,5 @@
-// Partitioned discrete-event runtime: conservative-lookahead window
-// barriers over per-domain engines (DESIGN.md §5.14).
+// Partitioned discrete-event runtime: conservative-lookahead windows over
+// per-domain engines, run on the calling thread (DESIGN.md §5.14).
 //
 // The simulation is split into DOMAINS — disjoint groups of model state
 // (one fat-tree pod, the spine block) that only interact through links
@@ -10,34 +10,27 @@
 // The window loop is the classic null-message-free conservative scheme:
 //
 //   1. wstart = min over domains of next_event_time()   (adaptive start)
-//   2. every domain runs its events in [wstart, wstart + lookahead - 1]
-//      — in parallel, no locks, no shared state
-//   3. barrier; outboxes drain into destination engines in a fixed order
+//   2. each domain in turn runs its events in [wstart, wstart + lookahead - 1]
+//   3. outboxes drain into destination engines in a fixed order
 //
-// Step 2 is safe because any message a domain emits during the window
-// carries a timestamp >= wstart + lookahead (the emitting event fires at
-// t >= wstart and every cross-domain path adds >= lookahead of latency),
-// which is strictly past the window — so no domain can receive anything
-// this window that it did not already know about. The lookahead bound is
-// enforced, not assumed: post() rejects timestamps below the current
-// safe time. Null messages are unnecessary because the bound is static
-// per topology (cable propagation does not change mid-run), so every
-// domain always knows the global safe horizon without peer traffic.
+// Step 2 needs no cross-domain coordination: any message a domain emits
+// during the window carries a timestamp >= wstart + lookahead (the emitting
+// event fires at t >= wstart and every cross-domain path adds >= lookahead
+// of latency), which is strictly past the window — so no domain can
+// receive anything this window that it did not already know about. The
+// lookahead bound is enforced, not assumed: post() rejects timestamps below
+// the current safe time. Null messages are unnecessary because the bound is
+// static per topology (cable propagation does not change mid-run).
 //
-// Determinism: the partition layout is fixed by the topology, NOT by the
-// worker count — `workers` (ACTNET_PARTITIONS) only chooses how many OS
-// threads execute the domains inside a window. Each domain's event order
-// is its own engine's (time, seq) order regardless of which thread runs
-// it, and the drain step is single-threaded in (src domain, post order),
-// so results are byte-identical for every worker count by construction.
+// Determinism: the partition layout is fixed by the topology. Each
+// domain's event order is its own engine's (time, seq) order, and the
+// drain step runs in (source domain, post order), so same-tick
+// cross-domain arrivals get destination sequence numbers that depend only
+// on what was posted.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/engine.h"
@@ -56,24 +49,19 @@ class PartitionedEngine {
   };
 
   /// `domains` >= 1 logical partitions; `lookahead` >= 1 is the minimum
-  /// cross-domain latency (the window width). `workers` threads execute
-  /// the windows: 0 resolves ACTNET_PARTITIONS (default 1 = serial; the
-  /// caller's thread always participates, so N workers = N-1 spawned
-  /// threads); values are clamped to `domains`.
-  PartitionedEngine(int domains, Tick lookahead, int workers = 0);
+  /// cross-domain latency (the window width).
+  PartitionedEngine(int domains, Tick lookahead);
   PartitionedEngine(const PartitionedEngine&) = delete;
   PartitionedEngine& operator=(const PartitionedEngine&) = delete;
-  /// Joins the workers and publishes total_stats() into
-  /// obs::default_registry() ("sim.partition.*").
+  /// Publishes total_stats() into obs::default_registry()
+  /// ("sim.partition.*").
   ~PartitionedEngine();
 
   int domains() const { return static_cast<int>(domains_.size()); }
-  int workers() const { return workers_; }
   Tick lookahead() const { return lookahead_; }
 
   /// The domain's private engine. Model state belonging to domain d must
-  /// only be touched from events running on domain(d) — the runtime never
-  /// locks it.
+  /// only be touched from events running on domain(d).
   Engine& domain(int d) { return *domains_[static_cast<std::size_t>(d)]; }
   const Engine& domain(int d) const {
     return *domains_[static_cast<std::size_t>(d)];
@@ -89,9 +77,8 @@ class PartitionedEngine {
 
   /// Posts a timestamped channel message: `fn` will run on domain `dst`'s
   /// engine at time `t`. Must be called either before run_until() starts
-  /// (initial seeding) or from an event executing on domain `src` — the
-  /// outbox is single-writer per source domain. Enforces the lookahead
-  /// invariant: t >= safe_time().
+  /// (initial seeding) or from an event executing on domain `src`.
+  /// Enforces the lookahead invariant: t >= safe_time().
   void post(int src, int dst, Tick t, EventFn fn);
 
   /// Runs every domain's events with time <= t (window by window), then
@@ -106,11 +93,6 @@ class PartitionedEngine {
   /// 4-domain run counts 4 per global window).
   DomainStats total_stats() const;
 
-  /// Resolves ACTNET_PARTITIONS: unset/empty -> 1 (serial), "auto" ->
-  /// hardware_concurrency, "<n>" -> n (must parse positive). The result is
-  /// clamped to `domains`, never below 1.
-  static int workers_from_env(int domains);
-
  private:
   /// One cross-domain message; outboxes keep post order per source.
   struct Channel {
@@ -119,40 +101,17 @@ class PartitionedEngine {
     EventFn fn;
   };
 
-  static int resolve_workers(int domains, int workers);
-  template <typename Fn>
-  void record_error(Fn&& fn);
-  void start_workers();
-  void worker_loop(int w);
-  /// Runs worker w's share of domains (d % workers == w) up to `wend`.
-  void run_domains(int w, Tick wend);
-  std::uint64_t execute_window(Tick wend);
+  /// Runs every domain up to `wend`, in domain order.
+  void execute_window(Tick wend);
   void drain_channels();
 
   Tick lookahead_;
-  int workers_;
   std::vector<std::unique_ptr<Engine>> domains_;
   std::vector<DomainStats> stats_;
-  /// Per-source-domain outboxes; written only by the source domain's
-  /// events (single-threaded per domain), drained at the barrier.
+  /// Per-source-domain outboxes, drained after each window.
   std::vector<std::vector<Channel>> outboxes_;
   Tick now_ = 0;
   Tick safe_time_ = 0;
-
-  // Window barrier (workers_ > 1 only). Main publishes window_end_, then
-  // release-increments phase_; workers acquire phase_, run their domains,
-  // release-increment done_. Those two edges carry all engine and outbox
-  // state across threads — everything else is phase-local.
-  std::vector<std::thread> threads_;
-  std::atomic<std::uint64_t> phase_{0};
-  std::atomic<std::uint32_t> done_{0};
-  std::atomic<bool> shutdown_{false};
-  Tick window_end_ = 0;  ///< ordered by phase_ (write before release inc)
-  /// First exception thrown by a domain event inside a window; rethrown on
-  /// the coordinating thread after the barrier so model errors surface as
-  /// ordinary exceptions instead of terminating a worker.
-  std::mutex err_mu_;
-  std::exception_ptr err_;
 };
 
 }  // namespace actnet::sim

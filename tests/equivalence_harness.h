@@ -2,8 +2,8 @@
 // (flow-forward on/off, partitioned fabric).
 //
 // These tests all have the same shape: run the same deterministic workload
-// under two corners of a knob matrix ({flowfwd} x {partitions}) and
-// demand byte-identical results — or, where RNG draw order legitimately
+// twice (under both flow-forward settings, or simply again) and demand
+// byte-identical results — or, where RNG draw order legitimately
 // shifts, gate the drift against the checked-in envelope in
 // valid/tolerances.json. The pieces every such
 // test needs (a platform-independent generator, temp cache paths, the

@@ -1,17 +1,14 @@
 // Partitioned fabric runtime (DESIGN.md §5.14): conformance & determinism.
 //
-// The partitioned engine is only allowed to exist because the worker count
-// changes WHEN domains execute, never WHAT they compute: the partition
-// layout is fixed by the topology, per-packet randomness is keyed to
-// (flow, packet), and the channel drain is single-threaded in a fixed
-// order. These tests attack that claim at three levels: the runtime's own
-// ordering/invariant contracts, a {partitions} fabric-campaign sweep that
-// must be byte-identical on digests and cache files, and a
-// randomized-topology fuzz comparing serial vs parallel digests over 50
-// random fabrics.
+// The partition layout is fixed by the topology, per-packet randomness is
+// keyed to (flow, packet), and the channel drain runs in a fixed order, so
+// a partitioned run is a pure function of its inputs. These tests check
+// that at three levels: the runtime's own ordering/invariant contracts, a
+// fabric campaign run twice that must be byte-identical on digests and
+// cache files, and a randomized-topology fuzz over 50 random fabrics that
+// must deliver every send and repeat its digest.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -28,12 +25,11 @@ namespace actnet {
 namespace {
 
 using testing::Lcg;
-using testing::ScopedEnv;
 
 // --- runtime contracts -------------------------------------------------
 
 TEST(PartitionedEngine, SerialSingleDomainMatchesPlainEngine) {
-  sim::PartitionedEngine pe(1, /*lookahead=*/100, /*workers=*/1);
+  sim::PartitionedEngine pe(1, /*lookahead=*/100);
   std::vector<Tick> fired;
   pe.domain(0).schedule_at(5, [&] { fired.push_back(5); });
   pe.domain(0).schedule_at(250, [&] { fired.push_back(250); });
@@ -43,7 +39,7 @@ TEST(PartitionedEngine, SerialSingleDomainMatchesPlainEngine) {
 }
 
 TEST(PartitionedEngine, CrossDomainPostRunsAtItsTimestamp) {
-  sim::PartitionedEngine pe(2, /*lookahead=*/100, /*workers=*/1);
+  sim::PartitionedEngine pe(2, /*lookahead=*/100);
   Tick seen = -1;
   pe.domain(0).schedule_at(40, [&] {
     pe.post(0, 1, 140, [&seen, &pe] { seen = pe.domain(1).now(); });
@@ -58,7 +54,7 @@ TEST(PartitionedEngine, DrainOrderIsSourceDomainThenPostOrder) {
   // Two source domains post to a third at the SAME timestamp; delivery
   // must be src-ascending, post order within each source — the fixed
   // drain order that makes same-tick cross-domain ties deterministic.
-  sim::PartitionedEngine pe(3, /*lookahead=*/100, /*workers=*/1);
+  sim::PartitionedEngine pe(3, /*lookahead=*/100);
   std::vector<int> order;
   pe.domain(1).schedule_at(10, [&] {
     pe.post(1, 2, 110, [&order] { order.push_back(10); });
@@ -73,7 +69,7 @@ TEST(PartitionedEngine, DrainOrderIsSourceDomainThenPostOrder) {
 }
 
 TEST(PartitionedEngine, PostBelowSafeTimeThrows) {
-  sim::PartitionedEngine pe(2, /*lookahead=*/100, /*workers=*/1);
+  sim::PartitionedEngine pe(2, /*lookahead=*/100);
   // Setup-time posts may carry any current-or-future timestamp...
   pe.post(0, 1, 0, [] {});
   EXPECT_EQ(pe.run_until(50), 1u);
@@ -84,7 +80,7 @@ TEST(PartitionedEngine, PostBelowSafeTimeThrows) {
 }
 
 TEST(PartitionedEngine, SafeTimeTracksWindowProgress) {
-  sim::PartitionedEngine pe(2, /*lookahead=*/250, /*workers=*/1);
+  sim::PartitionedEngine pe(2, /*lookahead=*/250);
   EXPECT_EQ(pe.safe_time(), 0);
   Tick safe_at_event = -1;
   pe.domain(0).schedule_at(100, [&] { safe_at_event = pe.safe_time(); });
@@ -95,7 +91,7 @@ TEST(PartitionedEngine, SafeTimeTracksWindowProgress) {
 }
 
 TEST(PartitionedEngine, StallWindowsAreCountedPerDomain) {
-  sim::PartitionedEngine pe(2, /*lookahead=*/100, /*workers=*/1);
+  sim::PartitionedEngine pe(2, /*lookahead=*/100);
   // Domain 0 works; domain 1 has nothing: its windows are stalls.
   pe.domain(0).schedule_at(10, [] {});
   pe.domain(0).schedule_at(500, [] {});
@@ -105,54 +101,26 @@ TEST(PartitionedEngine, StallWindowsAreCountedPerDomain) {
   EXPECT_EQ(pe.stats(1).windows, 0u);
 }
 
-TEST(PartitionedEngine, WorkersFromEnvParsing) {
-  {
-    ScopedEnv unset("ACTNET_PARTITIONS", "");
-    EXPECT_EQ(sim::PartitionedEngine::workers_from_env(8), 1);
-  }
-  {
-    ScopedEnv n("ACTNET_PARTITIONS", "3");
-    EXPECT_EQ(sim::PartitionedEngine::workers_from_env(8), 3);
-    // Clamped to the domain count: extra threads would idle every window.
-    EXPECT_EQ(sim::PartitionedEngine::workers_from_env(2), 2);
-  }
-  {
-    ScopedEnv a("ACTNET_PARTITIONS", "auto");
-    const int w = sim::PartitionedEngine::workers_from_env(4);
-    EXPECT_GE(w, 1);
-    EXPECT_LE(w, 4);
-  }
-  {
-    ScopedEnv bogus("ACTNET_PARTITIONS", "zero");
-    EXPECT_THROW(sim::PartitionedEngine::workers_from_env(4), Error);
-  }
-  for (const char* bad : {"4x", "-2", "0"}) {
-    ScopedEnv env("ACTNET_PARTITIONS", bad);
-    EXPECT_THROW(sim::PartitionedEngine::workers_from_env(4), Error) << bad;
-  }
-}
-
-/// Random cross-domain ping workload whose execution log must not depend
-/// on the worker count: every event logs (domain, id, tick) into its
-/// domain's slice, and children hop domains via post() with timestamps
-/// >= safe_time by construction (now + lookahead).
+/// Random cross-domain ping workload whose execution log must repeat run
+/// to run: every event logs (domain, id, tick) into its domain's slice,
+/// and children hop domains via post() with timestamps >= safe_time by
+/// construction (now + lookahead).
 struct HopLog {
   std::vector<std::vector<std::pair<std::uint64_t, Tick>>> per_domain;
 };
 
-HopLog run_hops(int domains, int workers, std::uint64_t seed) {
+HopLog run_hops(int domains, std::uint64_t seed) {
   constexpr Tick kLookahead = 200;
-  sim::PartitionedEngine pe(domains, kLookahead, workers);
+  sim::PartitionedEngine pe(domains, kLookahead);
   HopLog log;
   log.per_domain.resize(static_cast<std::size_t>(domains));
   struct Ctx {
     sim::PartitionedEngine* pe;
     HopLog* log;
     std::uint64_t seed;
-    /// Per-domain spawn counters: child ids must derive only from the
-    /// spawning domain's own history, never from a global counter — a
-    /// cross-domain shared sequence would (correctly!) flag itself as
-    /// execution-order-dependent under parallel workers.
+    /// Per-domain spawn counters: child ids derive only from the spawning
+    /// domain's own history, never from a global counter shared across
+    /// domains.
     std::vector<std::uint64_t> spawned;
 
     void hop(int d, std::uint64_t id) {
@@ -186,21 +154,18 @@ HopLog run_hops(int domains, int workers, std::uint64_t seed) {
   return log;
 }
 
-TEST(PartitionedEngine, WorkerCountDoesNotChangeExecution) {
+TEST(PartitionedEngine, HopExecutionIsRepeatable) {
   for (const std::uint64_t seed : {1ull, 7ull, 23ull}) {
-    const HopLog serial = run_hops(/*domains=*/5, /*workers=*/1, seed);
+    const HopLog first = run_hops(/*domains=*/5, seed);
     std::size_t total = 0;
-    for (const auto& d : serial.per_domain) total += d.size();
+    for (const auto& d : first.per_domain) total += d.size();
     ASSERT_GT(total, 300u) << "seed " << seed;
-    for (const int workers : {2, 3, 5}) {
-      const HopLog par = run_hops(5, workers, seed);
-      ASSERT_EQ(par.per_domain, serial.per_domain)
-          << "seed " << seed << " workers " << workers;
-    }
+    ASSERT_EQ(run_hops(5, seed).per_domain, first.per_domain)
+        << "seed " << seed;
   }
 }
 
-// --- fabric campaign sweep: bytes must not depend on any knob ----------
+// --- fabric campaign: bytes must repeat run to run ----------------------
 
 struct FabricOutcome {
   std::string digest;
@@ -208,16 +173,14 @@ struct FabricOutcome {
   std::uint64_t events = 0;
 };
 
-FabricOutcome run_fabric_combo(int workers) {
-  const std::string path =
-      testing::temp_cache("fabric_" + std::to_string(workers));
+FabricOutcome run_fabric_campaign() {
+  const std::string path = testing::temp_cache("fabric_identity");
   std::filesystem::remove(path);
   FabricOutcome out;
   {
     core::FabricCampaignConfig cfg;
     cfg.window = units::ms(1);
     cfg.warmup = units::ms(0.25);
-    cfg.workers = workers;
     cfg.cache_path = path;
     core::FabricCampaign camp(cfg);
     camp.calibration();
@@ -234,29 +197,25 @@ FabricOutcome run_fabric_combo(int workers) {
   return out;
 }
 
-TEST(PartitionedFabric, SweepIsByteIdenticalAcrossWorkerCounts) {
-  const FabricOutcome ref = run_fabric_combo(1);
+TEST(PartitionedFabric, CampaignIsByteIdenticalAcrossRuns) {
+  const FabricOutcome ref = run_fabric_campaign();
   ASSERT_FALSE(ref.digest.empty());
   ASSERT_FALSE(ref.cache.empty());
   ASSERT_GT(ref.events, 1'000u);
 
-  // ACTNET_PARTITIONS=8 clamps to the domain count (5 for k=4): the sweep
-  // covers under-, exactly-, and over-subscribed worker pools. Per-packet
-  // RNG is keyed to (flow, packet) and the drain order is fixed, so every
-  // cell must reproduce the serial digest — including the depth
-  // histogram — and the cache byte for byte.
-  for (const int workers : {2, 4, 8}) {
-    const FabricOutcome got = run_fabric_combo(workers);
-    EXPECT_EQ(got.digest, ref.digest) << "workers=" << workers;
-    EXPECT_EQ(got.cache, ref.cache) << "workers=" << workers;
-    EXPECT_EQ(got.events, ref.events) << "workers=" << workers;
-  }
+  // Per-packet RNG is keyed to (flow, packet) and the drain order is
+  // fixed, so a second run must reproduce the digest — including the
+  // depth histogram — and the cache byte for byte.
+  const FabricOutcome got = run_fabric_campaign();
+  EXPECT_EQ(got.digest, ref.digest);
+  EXPECT_EQ(got.cache, ref.cache);
+  EXPECT_EQ(got.events, ref.events);
 }
 
-TEST(PartitionedFabric, CacheWrittenSerialIsServedParallel) {
-  // The fabric fingerprint deliberately excludes the worker count; a cache
-  // produced under ACTNET_PARTITIONS=1 must satisfy an =4 campaign with no
-  // re-measurement (and vice versa, by the byte-identity above).
+TEST(PartitionedFabric, CacheIsSharedAcrossWorkerValues) {
+  // The fabric fingerprint excludes the ignored `workers` field: a cache
+  // written with workers=1 must satisfy a workers=4 campaign with no
+  // re-measurement.
   const std::string path = testing::temp_cache("fabric_shared");
   std::filesystem::remove(path);
   core::FabricCampaignConfig cfg;
@@ -274,8 +233,8 @@ TEST(PartitionedFabric, CacheWrittenSerialIsServedParallel) {
     core::FabricCampaignConfig c4 = cfg;
     c4.workers = 4;
     core::FabricCampaign camp(c4);
-    // The serial campaign's entries are visible: the fingerprint matched,
-    // so the =4 campaign binds to (not clears) the =1 cache.
+    // The first campaign's entries are visible: the fingerprint matched,
+    // so the workers=4 campaign binds to (not clears) the workers=1 cache.
     EXPECT_TRUE(camp.db().get("fabric/calib").has_value());
     EXPECT_TRUE(camp.db().get("fabric/pod=0/impact").has_value());
     EXPECT_DOUBLE_EQ(camp.utilization_of_pod(0), serial_rho);
@@ -283,16 +242,14 @@ TEST(PartitionedFabric, CacheWrittenSerialIsServedParallel) {
   std::filesystem::remove(path);
 }
 
-// --- randomized-topology fuzz: serial vs parallel digests --------------
+// --- randomized-topology fuzz: delivery and repeatable digests ---------
 
 std::string run_random_fabric(const net::NetworkConfig& cfg,
-                              std::uint64_t seed, int workers) {
-  net::Fabric fab(cfg, seed, workers);
+                              std::uint64_t seed) {
+  net::Fabric fab(cfg, seed);
   Lcg g{seed * 0x2545f4914f6cdd1dull + 1};
   const int sends = 20 + static_cast<int>(g.next() % 21);
-  // Delivery callbacks fire in each DST's domain; domains run concurrently
-  // inside a window, so the tally must be atomic.
-  std::atomic<int> delivered{0};
+  int delivered = 0;
   for (int i = 0; i < sends; ++i) {
     const auto src = static_cast<net::NodeId>(g.next() % cfg.nodes);
     auto dst = static_cast<net::NodeId>(g.next() % cfg.nodes);
@@ -305,11 +262,11 @@ std::string run_random_fabric(const net::NetworkConfig& cfg,
     });
   }
   fab.run_until(units::ms(1));
-  EXPECT_EQ(delivered.load(), sends);
+  EXPECT_EQ(delivered, sends);
   return fab.digest();
 }
 
-TEST(PartitionedFabric, RandomTopologiesMatchSerialDigests) {
+TEST(PartitionedFabric, RandomTopologiesDeliverAndRepeat) {
   constexpr int kConfigs = 50;
   Lcg g{0xfab1'2345'6789ull};
   for (int i = 0; i < kConfigs; ++i) {
@@ -320,13 +277,11 @@ TEST(PartitionedFabric, RandomTopologiesMatchSerialDigests) {
     cfg.mtu = mtus[g.next() % 3];
     cfg.trunk_propagation = 100 + static_cast<Tick>(g.next() % 900);
     const std::uint64_t seed = g.next();
-    const int workers = 2 + static_cast<int>(g.next() % 3);  // 2..4
-    const std::string serial = run_random_fabric(cfg, seed, 1);
-    const std::string parallel = run_random_fabric(cfg, seed, workers);
-    ASSERT_EQ(parallel, serial)
+    g.next();  // unused draw, kept so the 50 configs stay the same
+    const std::string first = run_random_fabric(cfg, seed);
+    ASSERT_EQ(run_random_fabric(cfg, seed), first)
         << "config " << i << ": k=" << k << " mtu=" << cfg.mtu
-        << " tprop=" << cfg.trunk_propagation << " seed=" << seed
-        << " workers=" << workers;
+        << " tprop=" << cfg.trunk_propagation << " seed=" << seed;
   }
 }
 
