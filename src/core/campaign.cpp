@@ -18,7 +18,9 @@ namespace {
 /// written before those fields existed must not be served against them.
 /// v4: switch-stage delays became keyed per-packet draws instead of one
 /// sequential stream per switch, which moves every simulated number.
-constexpr const char* kSchemaVersion = "actnet-v4";
+/// v5: the per-packet path folds its fixed hops (three events per packet,
+/// one per message), which reorders same-tick events.
+constexpr const char* kSchemaVersion = "actnet-v5";
 
 }  // namespace
 

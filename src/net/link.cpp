@@ -256,7 +256,7 @@ void Link::credit_flowfwd(std::uint64_t packets, Bytes bytes, Tick busy) {
 
 void Link::credit_flowfwd_depth(std::size_t depth) { stats_.depth.add(depth); }
 
-void Link::restore_in_service(Bytes size, Tick end_at,
+void Link::restore_in_service(Bytes size, Tick began_at, Tick end_at,
                               sim::EventFn&& on_serialized,
                               sim::EventFn&& on_arrive) {
   ACTNET_CHECK(!busy_);
@@ -266,7 +266,7 @@ void Link::restore_in_service(Bytes size, Tick end_at,
   // busy-time for every already-started packet in one credit_flowfwd call.
   in_service_ =
       new_record(size, std::move(on_serialized), std::move(on_arrive));
-  engine_.schedule_at(end_at, [this] { finish_service(); });
+  engine_.schedule_as_of(began_at, end_at, [this] { finish_service(); });
 }
 
 void Link::restore_queued(FlowId flow, Bytes size,
@@ -318,6 +318,13 @@ void Link::start_next() {
     }
     const std::uint32_t r = st.head;
     const Bytes size = record(r).size;
+    if (st.deficit < size && ring_size_ == 1) {
+      // A lone flow would rotate onto itself and be re-credited until its
+      // deficit covers the packet: credit all those rounds at once.
+      const Bytes rounds = (size - st.deficit + quantum_ - 1) / quantum_;
+      st.deficit += rounds * quantum_;
+      stats_.drr_rounds += static_cast<std::uint64_t>(rounds);
+    }
     if (st.deficit < size) {
       // Visit over; rotate (the front slot moves to the back).
       st.visited = false;

@@ -125,8 +125,10 @@ class Link {
   // NOT credited here — the demoting caller credits already-started
   // packets via credit_flowfwd so totals match the per-packet path.
   /// Restores the packet currently serializing; `end_at` is its analytic
-  /// serialization-end tick (>= now). The port must be free.
-  void restore_in_service(Bytes size, Tick end_at,
+  /// serialization-end tick (>= now), and its serialization-end event takes
+  /// the place it would have had if created at `began_at`, when the packet
+  /// started serializing. The port must be free.
+  void restore_in_service(Bytes size, Tick began_at, Tick end_at,
                           sim::EventFn&& on_serialized,
                           sim::EventFn&& on_arrive);
   /// Appends a not-yet-started packet to `flow`'s queue without recording

@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -63,13 +62,14 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
   uplinks_.reserve(config_.nodes);
   downlinks_.reserve(config_.nodes);
   local_channels_.reserve(config_.nodes);
+  // Switch-facing ports have no propagation of their own: the next stage
+  // adds the cable when it is decided at serialization end, so a packet
+  // costs no separate cable-crossing event.
   for (int n = 0; n < config_.nodes; ++n) {
     uplinks_.push_back(std::make_unique<Link>(
-        engine_, ports_, config_.link_bandwidth, config_.link_propagation,
-        config_.drr_quantum));
+        engine_, ports_, config_.link_bandwidth, 0, config_.drr_quantum));
     downlinks_.push_back(std::make_unique<Link>(
-        engine_, ports_, config_.link_bandwidth, config_.link_propagation,
-        config_.drr_quantum));
+        engine_, ports_, config_.link_bandwidth, 0, config_.drr_quantum));
     local_channels_.push_back(std::make_unique<Link>(
         engine_, ports_, config_.local_bandwidth, config_.local_latency,
         config_.drr_quantum));
@@ -88,11 +88,9 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     for (int p = 0; p < config_.pods; ++p) {
       for (int s = 0; s < config_.spines; ++s) {
         leaf_to_spine_[p].push_back(std::make_unique<Link>(
-            engine_, ports_, trunk_bw, config_.trunk_prop(),
-            config_.drr_quantum));
+            engine_, ports_, trunk_bw, 0, config_.drr_quantum));
         spine_to_leaf_[p].push_back(std::make_unique<Link>(
-            engine_, ports_, trunk_bw, config_.trunk_prop(),
-            config_.drr_quantum));
+            engine_, ports_, trunk_bw, 0, config_.drr_quantum));
       }
     }
   }
@@ -225,28 +223,26 @@ MessageId Network::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
         p.flow = flow;
         p.size = (i < full_packets) ? config_.mtu : tail;
         p.injected_at = now;
-        deliver_packet(p);
+        uplink_done(p);
       });
   return id;
 }
 
-void Network::deliver_packet(const Packet& p) {
-  // Arrived at the source pod's leaf switch input port.
-  if (tracer_ != nullptr && tracer_->active(engine_.now())) {
-    // Tracing swaps in a callback that also records the switch-stage span;
-    // the routing itself is identical, so the event sequence is unchanged.
-    // [this, t0] is 16 bytes — inside ForwardFn's inline capacity.
-    const Tick t0 = engine_.now();
-    leaves_[pod_of(p.src)]->route(p, [this, t0](const Packet& routed) {
-      if (tracer_->active(t0))
-        tracer_->complete(trace_pid_, routed.src, t0, engine_.now() - t0,
-                          "switch");
-      route_from_leaf(routed);
-    });
-    return;
-  }
-  leaves_[pod_of(p.src)]->route(
-      p, [this](const Packet& routed) { route_from_leaf(routed); });
+// The per-packet path costs three events per packet and one per message:
+// the uplink's serialization end, the switch exit, the downlink's
+// serialization end, and the completion of the message's last packet.
+// Every fixed delay in between (cables, receive overhead) is added when
+// the next stage is decided instead of crossed by an event of its own.
+
+void Network::uplink_done(const Packet& p) {
+  // The packet's last bit has left the NIC. It reaches the source pod's
+  // leaf one cable later, and the leaf decides its exit now; the switch
+  // span comes from those two ticks, so tracing schedules nothing.
+  const Tick arrive = engine_.now() + config_.link_propagation;
+  const Tick exit = leaves_[pod_of(p.src)]->route(
+      p, arrive, [this](const Packet& routed) { route_from_leaf(routed); });
+  if (tracer_ != nullptr && tracer_->active(arrive))
+    tracer_->complete(trace_pid_, p.src, arrive, exit - arrive, "switch");
 }
 
 void Network::route_from_leaf(const Packet& p) {
@@ -258,27 +254,48 @@ void Network::route_from_leaf(const Packet& p) {
   }
   // Cross-pod: up a statically chosen spine (per-flow hashing keeps a
   // flow's packets ordered, as ECMP-style fabrics do), then down to the
-  // destination leaf, which routes onto the node's port.
-  const int spine = static_cast<int>(p.flow % spines_.size());
-  leaf_to_spine_[src_pod][spine]->transmit(
-      p.flow, p.size, nullptr, [this, p, spine, dst_pod] {
-        spines_[spine]->route(p, [this, spine, dst_pod](const Packet& at_spine) {
-          spine_to_leaf_[dst_pod][spine]->transmit(
-              at_spine.flow, at_spine.size, nullptr, [this, at_spine] {
-                leaves_[pod_of(at_spine.dst)]->route(
-                    at_spine, [this](const Packet& routed) {
-                      deliver_to_node(routed);
-                    });
-              });
-        });
+  // destination leaf, which routes onto the node's port. Each trunk's
+  // serialization end hands the packet to the next switch with the trunk
+  // cable added.
+  leaf_to_spine_[src_pod][spine_of(p)]->transmit(
+      p.flow, p.size, nullptr, [this, p] {
+        spines_[spine_of(p)]->route(
+            p, engine_.now() + config_.trunk_prop(),
+            [this](const Packet& at_spine) {
+              spine_to_leaf_[pod_of(at_spine.dst)][spine_of(at_spine)]
+                  ->transmit(at_spine.flow, at_spine.size, nullptr,
+                             [this, at_spine] {
+                               leaves_[pod_of(at_spine.dst)]->route(
+                                   at_spine,
+                                   engine_.now() + config_.trunk_prop(),
+                                   [this](const Packet& routed) {
+                                     deliver_to_node(routed);
+                                   });
+                             });
+            });
       });
 }
 
 void Network::deliver_to_node(const Packet& p) {
-  downlinks_[p.dst]->transmit(p.flow, p.size, nullptr, [this, p] {
-    engine_.schedule_in(config_.recv_overhead,
-                        [this, p] { complete_packet(p); });
-  });
+  downlinks_[p.dst]->transmit(p.flow, p.size, nullptr,
+                              [this, p] { downlink_done(p); });
+}
+
+void Network::downlink_done(const Packet& p) {
+  // The packet's last bit has left the switch port; the node has it one
+  // cable plus the receive overhead later. Unless it is its message's last
+  // outstanding packet, nothing waits on that tick, so the packet is
+  // accounted now with it. The last one completes by event, so
+  // on_delivered fires on time (and after every other packet's tick: one
+  // downlink serializes all of a message's packets).
+  const Tick complete =
+      engine_.now() + config_.link_propagation + config_.recv_overhead;
+  if (in_flight_.at(slot_of(p.msg_id)).remaining > 1) {
+    account_packet(p.dst, p.injected_at, complete);
+    packet_delivered(p.msg_id);  // not the last: fires nothing
+    return;
+  }
+  engine_.schedule_at(complete, [this, p] { complete_packet(p); });
 }
 
 // ---------------------------------------------------------------------------
@@ -290,10 +307,11 @@ void Network::deliver_to_node(const Packet& p) {
 // switch after an independently pre-drawn stage delay, and the downlink
 // serves arrivals FIFO. flow_forward() evaluates that schedule at send
 // time and posts exactly two events — injection and completion — instead
-// of ~6 per packet. Both route endpoints hold a demotion guard: the first
-// competing enqueue re-materializes the message's remaining packets into
-// the exact packet-level state the per-packet path would have reached, so
-// contended dynamics stay exact from that instant on.
+// of three per packet and one per message. Both route endpoints hold a
+// demotion guard: the first competing enqueue re-materializes the
+// message's remaining packets into the exact packet-level state the
+// per-packet path would have reached, so contended dynamics stay exact
+// from that instant on.
 // ---------------------------------------------------------------------------
 
 bool Network::flowfwd_eligible(NodeId src, NodeId dst) const {
@@ -325,33 +343,35 @@ Packet Network::flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const {
 }
 
 sim::EventFn Network::parked_arrival(const Packet& p, Tick stage_delay) {
-  // Fired by the uplink when the (re-materialized) packet's last bit
-  // arrives at the switch input: cross the switch with the delay that was
-  // pre-drawn at accept time — no second RNG draw, no double counting.
+  // Fired at the (re-materialized) packet's uplink serialization end: the
+  // leaf's decision, with the delay pre-drawn at accept time — no second
+  // draw, no double counting.
   const std::uint32_t slot = ffwd_parked_.put(FFParked{p, stage_delay});
   return [this, slot] {
     const FFParked r = ffwd_parked_.take(slot);
-    const Packet pkt = r.p;
-    if (tracer_ != nullptr && tracer_->active(engine_.now()))
-      tracer_->complete(trace_pid_, pkt.src, engine_.now(), r.delay, "switch");
-    engine_.schedule_in(r.delay, [this, pkt] { deliver_to_node(pkt); });
+    const Tick arrive = engine_.now() + config_.link_propagation;
+    if (tracer_ != nullptr && tracer_->active(arrive))
+      tracer_->complete(trace_pid_, r.p.src, arrive, r.delay, "switch");
+    engine_.schedule_at(arrive + r.delay,
+                        [this, p = r.p] { deliver_to_node(p); });
   };
 }
 
-void Network::account_delivery(const FlowFwd& ff, const FFPacket& pk) {
+void Network::account_packet(NodeId dst, Tick injected_at, Tick complete) {
   ++counters_.packets_delivered;
-  counters_.packet_latency_us.add(units::to_us(pk.complete - ff.t0));
-  latency_ns_.add(static_cast<std::uint64_t>(pk.complete - ff.t0));
-  // The same lifecycle span complete_packet() records on the slow path.
-  if (tracer_ != nullptr && tracer_->active(ff.t0))
-    tracer_->complete(trace_pid_, ff.dst, ff.t0, pk.complete - ff.t0,
+  counters_.packet_latency_us.add(units::to_us(complete - injected_at));
+  latency_ns_.add(static_cast<std::uint64_t>(complete - injected_at));
+  if (tracer_ != nullptr && tracer_->active(injected_at)) {
+    // Full lifecycle span: inject -> route -> serialize -> deliver, one
+    // lane per destination node.
+    tracer_->complete(trace_pid_, dst, injected_at, complete - injected_at,
                       "packet");
+  }
 }
 
 void Network::trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pk) {
-  // The switch-stage span deliver_packet() records on the slow path; the
-  // closed-form schedule already fixed [arrive, fwd), so the span is
-  // emitted when the packet's fate is known rather than event-by-event.
+  // The switch-stage span uplink_done() records on the packet path; the
+  // closed-form schedule already fixed [arrive, fwd).
   if (tracer_ != nullptr && tracer_->active(pk.arrive))
     tracer_->complete(trace_pid_, ff.src, pk.arrive, pk.fwd - pk.arrive,
                       "switch");
@@ -401,11 +421,12 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
     FFPacket& pk = pkt_at(m);
     if (pk.fwd > bound) break;
     // Service completions strictly before this arrival — and at the same
-    // tick when the finish event was scheduled no later than the arrival's
-    // forward event (engine sequence order).
+    // tick when the finish event (created at down_start) was created no
+    // later than the arrival's switch exit (created at the uplink's
+    // serialization end): the engine's same-tick order.
     while (cur >= 0 && (pkt_at(cur).down_end < pk.fwd ||
                         (pkt_at(cur).down_end == pk.fwd &&
-                         pkt_at(cur).down_start <= pk.arrive)))
+                         pkt_at(cur).down_start <= pk.upl_end)))
       complete_cur();
     if (cur < 0) {
       pk.depth = 1;  // free port: the direct-serve depth sample
@@ -493,10 +514,17 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   for (std::uint32_t i = 1; i <= num_packets; ++i)
     uplinks_[src]->credit_flowfwd_depth(i);
 
-  ff.inj_ev = engine_.schedule_cancellable_at(
-      ff.t_inj, [this, plan] { flowfwd_injected(plan); });
-  ff.done_ev = engine_.schedule_cancellable_at(
-      ff.t_done, [this, plan] { finish_flowfwd(plan); });
+  // Each event stands in for a per-packet one and takes its place among
+  // same-tick events: injection for the last packet's uplink serialization
+  // end (created as that packet started serializing), completion for the
+  // last packet's completion (created at its downlink serialization end).
+  const Tick last_ser =
+      std::max<Tick>(1, units::serialization(ff.pkts.back().size, bw));
+  ff.inj_ev = engine_.schedule_cancellable_as_of(
+      ff.t_inj - last_ser, ff.t_inj, [this, plan] { flowfwd_injected(plan); });
+  ff.done_ev = engine_.schedule_cancellable_as_of(
+      ff.pkts[ff.order.back()].down_end, ff.t_done,
+      [this, plan] { finish_flowfwd(plan); });
   uplinks_[src]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
   downlinks_[dst]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
 
@@ -558,7 +586,7 @@ void Network::finish_flowfwd(std::uint32_t plan) {
   for (const std::uint32_t idx : ff.order) {
     down.credit_flowfwd_depth(ff.pkts[idx].depth);
     trace_flowfwd_switch(ff, ff.pkts[idx]);
-    account_delivery(ff, ff.pkts[idx]);
+    account_packet(ff.dst, ff.t0, ff.pkts[idx].complete);
   }
 
   const MessageId id = ff.id;
@@ -617,46 +645,25 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     up.credit_flowfwd(started, bytes, busy);
   }
   // Restored engine events must reproduce the slow path's same-tick
-  // ordering, and the engine breaks time ties by sequence number —
-  // creation order. Every pending event's slow-path creation tick is known
-  // from the plan (the uplink finish was scheduled when packet k's service
-  // began, a downlink finish at down_start, a switch exit at arrive, the
-  // propagation hop at down_end, the receive hop at down_end + prop), so
-  // the restores are sorted by that tick and applied in order. Queue
-  // entries carry no engine event and ride along with their port's
-  // in-service restore.
-  const Tick prop = config_.link_propagation;
-  struct Restore {
-    Tick created;
-    std::function<void()> apply;
-  };
-  std::vector<Restore> restores;
+  // ordering, and the engine orders same-tick events by creation tick.
+  // Every pending event's slow-path creation tick is known from the plan
+  // (the uplink finish was scheduled when packet k's service began, a
+  // switch exit at the uplink serialization end, a downlink finish at
+  // down_start, the last packet's completion at its down_end), so each is
+  // scheduled as of that tick. Queue entries carry no engine event and
+  // ride along with their port's in-service restore.
 
-  // ---- switch / propagation: serialized but not yet at the downlink ----
+  // ---- switch: serialized but not yet at the downlink ----
   for (std::uint32_t i = 0; i < k; ++i) {
     const FFPacket& pk = ff.pkts[i];
     if (pk.fwd <= td) continue;  // already at the downlink
-    if (pk.arrive > td) {
-      // Still propagating toward the switch: restore the propagation-hop
-      // event; it re-creates the switch-exit event at `arrive`, exactly as
-      // the uplink's arrival callback would have.
-      restores.push_back({pk.upl_end, [this, &ff, i] {
-        engine_.schedule_at(ff.pkts[i].arrive,
-                            parked_arrival(flowfwd_packet(ff, i),
-                                           ff.pkts[i].fwd - ff.pkts[i].arrive));
-      }});
-    } else {
-      // Inside the switch stage: the exit event was created on arrival.
-      trace_flowfwd_switch(ff, pk);
-      restores.push_back({pk.arrive, [this, &ff, i] {
-        const std::uint32_t slot =
-            ffwd_parked_.put(FFParked{flowfwd_packet(ff, i), 0});
-        engine_.schedule_at(ff.pkts[i].fwd, [this, slot] {
-          const FFParked r = ffwd_parked_.take(slot);
-          deliver_to_node(r.p);
-        });
-      }});
-    }
+    // Routed at its uplink serialization end, which created the switch
+    // exit event and fixed the span.
+    trace_flowfwd_switch(ff, pk);
+    engine_.schedule_as_of(pk.upl_end, pk.fwd,
+                           [this, p = flowfwd_packet(ff, i)] {
+                             deliver_to_node(p);
+                           });
   }
 
   if (k < n) {
@@ -664,83 +671,60 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     // the deficit the per-packet path would have earned (DRR's quantum
     // credits replayed over packets 0..k). The last packet carries
     // on_injected as its serialization-end callback, as transmit_train
-    // would. The finish event was created when packet k's service began.
-    restores.push_back({ff.pkts[k].upl_end - ser_of(ff.pkts[k]), [&, this] {
-      const auto onser_for = [&](std::uint32_t i) {
-        sim::EventFn fn;
-        if (i + 1 == n && on_injected) fn = std::move(on_injected);
-        return fn;
-      };
-      const auto stage_delay = [&](std::uint32_t i) {
-        return ff.pkts[i].fwd - ff.pkts[i].arrive;
-      };
-      up.restore_in_service(ff.pkts[k].size, ff.pkts[k].upl_end, onser_for(k),
-                            parked_arrival(flowfwd_packet(ff, k),
-                                           stage_delay(k)));
-      for (std::uint32_t i = k + 1; i < n; ++i)
-        up.restore_queued(ff.flow, ff.pkts[i].size, onser_for(i),
-                          parked_arrival(flowfwd_packet(ff, i),
-                                         stage_delay(i)));
-      if (k + 1 < n) {
-        Bytes deficit = 0;
-        for (std::uint32_t i = 0; i <= k; ++i) {
-          while (deficit < ff.pkts[i].size) deficit += config_.drr_quantum;
-          deficit -= ff.pkts[i].size;
-        }
-        up.restore_flow_front(ff.flow, deficit, /*visited=*/true);
+    // would.
+    const auto onser_for = [&](std::uint32_t i) {
+      sim::EventFn fn;
+      if (i + 1 == n && on_injected) fn = std::move(on_injected);
+      return fn;
+    };
+    const auto arrival = [&](std::uint32_t i) {
+      return parked_arrival(flowfwd_packet(ff, i),
+                            ff.pkts[i].fwd - ff.pkts[i].arrive);
+    };
+    up.restore_in_service(ff.pkts[k].size,
+                          ff.pkts[k].upl_end - ser_of(ff.pkts[k]),
+                          ff.pkts[k].upl_end, onser_for(k), arrival(k));
+    for (std::uint32_t i = k + 1; i < n; ++i)
+      up.restore_queued(ff.flow, ff.pkts[i].size, onser_for(i), arrival(i));
+    if (k + 1 < n) {
+      Bytes deficit = 0;
+      for (std::uint32_t i = 0; i <= k; ++i) {
+        while (deficit < ff.pkts[i].size) deficit += config_.drr_quantum;
+        deficit -= ff.pkts[i].size;
       }
-    }});
+      up.restore_flow_front(ff.flow, deficit, /*visited=*/true);
+    }
   }
 
-  // ---- downlink: delivered / receiving / serializing / waiting ----
+  // ---- downlink: left the port / serializing / waiting ----
   const DownlinkState drr = replay_downlink(ff, td);
-  std::uint32_t completed = 0;
+  std::uint32_t accounted = 0;
   std::uint64_t dpkts = 0;
   Bytes dbytes = 0;
   Tick dbusy = 0;
   int in_service = -1;                 // ff.order index serializing at td
   std::vector<std::uint32_t> waiting;  // ff.order indices queued at td
-  for (const std::uint32_t idx : ff.order) {
-    FFPacket& pk = ff.pkts[idx];
+  for (std::uint32_t m = 0; m < n; ++m) {
+    const std::uint32_t idx = ff.order[m];
+    const FFPacket& pk = ff.pkts[idx];
     if (pk.fwd > td) break;  // handled by the switch-phase loop above
     down.credit_flowfwd_depth(pk.depth);
     trace_flowfwd_switch(ff, pk);
-    if (pk.complete <= td) {
-      account_delivery(ff, pk);
-      ++completed;
+    if (pk.down_end <= td) {
       ++dpkts;
       dbytes += pk.size;
       dbusy += ser_of(pk);
-    } else if (pk.down_end <= td) {
-      ++dpkts;
-      dbytes += pk.size;
-      dbusy += ser_of(pk);
-      if (td < pk.down_end + prop) {
-        // In flight toward the node: the propagation hop (created when the
-        // downlink finished) re-creates the receive-overhead event on
-        // arrival, exactly as Link::finish_service would have.
-        restores.push_back({pk.down_end, [this, &ff, idx] {
-          const std::uint32_t slot =
-              ffwd_parked_.put(FFParked{flowfwd_packet(ff, idx), 0});
-          engine_.schedule_at(
-              ff.pkts[idx].down_end + config_.link_propagation,
-              [this, slot] {
-                const FFParked r = ffwd_parked_.take(slot);
-                const Packet p = r.p;
-                engine_.schedule_in(config_.recv_overhead,
-                                    [this, p] { complete_packet(p); });
-              });
-        }});
+      if (m + 1 < n || pk.complete <= td) {
+        // Accounted at its downlink serialization end (or delivered).
+        account_packet(ff.dst, ff.t0, pk.complete);
+        ++accounted;
       } else {
-        // At the node, inside the receive overhead.
-        restores.push_back({pk.down_end + prop, [this, &ff, idx] {
-          const std::uint32_t slot =
-              ffwd_parked_.put(FFParked{flowfwd_packet(ff, idx), 0});
-          engine_.schedule_at(ff.pkts[idx].complete, [this, slot] {
-            const FFParked r = ffwd_parked_.take(slot);
-            complete_packet(r.p);
-          });
-        }});
+        // The message's last packet, between the port and the node: its
+        // completion event was created at down_end.
+        engine_.schedule_as_of(pk.down_end, pk.complete,
+                               [this, p = flowfwd_packet(ff, idx)] {
+                                 complete_packet(p);
+                               });
       }
     } else if (pk.down_start <= td) {
       in_service = static_cast<int>(idx);
@@ -753,53 +737,34 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   }
   ACTNET_CHECK(waiting.empty() || in_service >= 0);
   if (in_service >= 0) {
-    restores.push_back(
-        {ff.pkts[static_cast<std::uint32_t>(in_service)].down_start,
-         [&, this] {
-           const auto arrival = [this](const Packet& p) -> sim::EventFn {
-             return [this, p] {
-               engine_.schedule_in(config_.recv_overhead,
-                                   [this, p] { complete_packet(p); });
-             };
-           };
-           const auto su = static_cast<std::uint32_t>(in_service);
-           down.restore_in_service(ff.pkts[su].size, ff.pkts[su].down_end, {},
-                                   arrival(flowfwd_packet(ff, su)));
-           for (const std::uint32_t w : waiting)
-             down.restore_queued(ff.flow, ff.pkts[w].size, {},
-                                 arrival(flowfwd_packet(ff, w)));
-           if (!waiting.empty())
-             down.restore_flow_front(ff.flow, drr.deficit, drr.visited);
-         }});
+    const auto arrival = [this](const Packet& p) -> sim::EventFn {
+      return [this, p] { downlink_done(p); };
+    };
+    const FFPacket& pk = ff.pkts[static_cast<std::uint32_t>(in_service)];
+    down.restore_in_service(
+        pk.size, pk.down_start, pk.down_end, {},
+        arrival(flowfwd_packet(ff, static_cast<std::uint32_t>(in_service))));
+    for (const std::uint32_t w : waiting)
+      down.restore_queued(ff.flow, ff.pkts[w].size, {},
+                          arrival(flowfwd_packet(ff, w)));
+    if (!waiting.empty())
+      down.restore_flow_front(ff.flow, drr.deficit, drr.visited);
   }
   if (dpkts > 0) down.credit_flowfwd(dpkts, dbytes, dbusy);
 
-  std::stable_sort(
-      restores.begin(), restores.end(),
-      [](const Restore& a, const Restore& b) { return a.created < b.created; });
-  for (Restore& r : restores) r.apply();
-
   ++counters_.flowfwd_demotions;
-  counters_.flowfwd_fallback_packets += n - completed;
+  counters_.flowfwd_fallback_packets += n - accounted;
 
   // Callbacks fire only now that every link holds its exact packet-level
   // state: either may reenter send(), and eligibility must see the
   // restored (busy) route, not a half-demoted one.
   release_flowfwd(plan);
   if (inject_now && on_injected) on_injected();
-  if (completed > 0) packet_delivered(id, completed);
+  if (accounted > 0) packet_delivered(id, accounted);
 }
 
 void Network::complete_packet(const Packet& p) {
-  ++counters_.packets_delivered;
-  counters_.packet_latency_us.add(units::to_us(engine_.now() - p.injected_at));
-  latency_ns_.add(static_cast<std::uint64_t>(engine_.now() - p.injected_at));
-  if (tracer_ != nullptr && tracer_->active(p.injected_at)) {
-    // Full lifecycle span: inject -> route -> serialize -> deliver, one
-    // lane per destination node.
-    tracer_->complete(trace_pid_, p.dst, p.injected_at,
-                      engine_.now() - p.injected_at, "packet");
-  }
+  account_packet(p.dst, p.injected_at, engine_.now());
   packet_delivered(p.msg_id);
 }
 

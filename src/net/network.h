@@ -9,6 +9,11 @@
 //     -> destination output port (serialization, FIFO)
 //     -> destination NIC (fixed per-packet receive overhead)
 //
+// Each packet costs three engine events — uplink serialization end, switch
+// exit, downlink serialization end — and each message one more, the
+// completion of its last packet: cables and the receive overhead are added
+// when the next stage is decided, not crossed by events (DESIGN.md §5.9).
+//
 // Intra-node messages bypass the switch through a per-node shared-memory
 // channel. Because ImpactB/CompressionB/application processes share nodes,
 // they naturally share NIC uplinks and switch output ports — the contention
@@ -201,12 +206,19 @@ class Network {
   }
   /// Counts one delivered packet of `id`; the last one completes it.
   void packet_delivered(MessageId id, std::uint32_t packets = 1);
+  /// Counts one cross-node packet delivered at `complete`: counters,
+  /// latency histogram and "packet" trace span.
+  void account_packet(NodeId dst, Tick injected_at, Tick complete);
+  /// Spine a cross-pod packet's flow is hashed onto.
+  int spine_of(const Packet& p) const {
+    return static_cast<int>(p.flow % spines_.size());
+  }
 
   /// One packet of a flow-forwarded message: the closed-form schedule the
   /// per-packet path would have produced on the uncontended route.
   struct FFPacket {
     Bytes size = 0;
-    Tick upl_end = 0;     ///< uplink serialization end
+    Tick upl_end = 0;     ///< uplink serialization end (the leaf decides)
     Tick arrive = 0;      ///< switch input arrival (= upl_end + propagation)
     Tick fwd = 0;         ///< switch output (= arrive + pre-drawn stage delay)
     Tick down_start = 0;  ///< downlink serialization start
@@ -234,17 +246,18 @@ class Network {
     bool injected = false;
   };
 
-  /// A demoted packet parked for its remaining fixed-time hops (pre-drawn
-  /// switch delay, propagation, receive overhead); pooled so the event
-  /// closures stay inline.
+  /// A demoted packet parked until its uplink serialization end, with its
+  /// pre-drawn switch delay; pooled so the event closures stay inline.
   struct FFParked {
     Packet p;
     Tick delay = 0;
   };
 
-  void deliver_packet(const Packet& p);
+  // The per-packet path, one call per port decision.
+  void uplink_done(const Packet& p);
   void route_from_leaf(const Packet& p);
   void deliver_to_node(const Packet& p);
+  void downlink_done(const Packet& p);
   void complete_packet(const Packet& p);
 
   // --- flow-forward regime (DESIGN.md §5.12) ---
@@ -260,7 +273,6 @@ class Network {
   void demote_flowfwd(std::uint32_t plan);
   Packet flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const;
   sim::EventFn parked_arrival(const Packet& p, Tick stage_delay);
-  void account_delivery(const FlowFwd& ff, const FFPacket& pkt);
   void trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pkt);
   /// DRR visit state of a flow-forwarded message's downlink flow at a
   /// given instant, recovered by replaying the closed-form schedule.

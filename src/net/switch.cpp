@@ -14,14 +14,23 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Tick keyed_stage_delay(const OutputQueuedConfig& config,
-                       std::uint64_t switch_key, std::uint64_t msg,
-                       const Packet& p, SwitchCounters& c) {
+KeyedStage::KeyedStage(const OutputQueuedConfig& c) : config(c) {
+  if (config.jitter_mean_ns > 0.0 && config.jitter_stddev_ns != 0.0)
+    jitter = Rng::lognormal_params(config.jitter_mean_ns,
+                                   config.jitter_stddev_ns);
+}
+
+Tick keyed_stage_delay(const KeyedStage& stage, std::uint64_t switch_key,
+                       std::uint64_t msg, const Packet& p, SwitchCounters& c) {
+  const OutputQueuedConfig& config = stage.config;
   Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
   Tick d = config.routing_latency;
+  // A zero stddev is a constant jitter with no draw, as in
+  // Rng::lognormal_by_moments.
   if (config.jitter_mean_ns > 0.0)
-    d += units::ns(rng.lognormal_by_moments(config.jitter_mean_ns,
-                                            config.jitter_stddev_ns));
+    d += units::ns(config.jitter_stddev_ns == 0.0
+                       ? config.jitter_mean_ns
+                       : rng.lognormal(stage.jitter.mu, stage.jitter.sigma));
   if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
     d += units::ns(config.tail_offset_ns +
                    rng.exponential(config.tail_mean_excess_ns));
@@ -29,28 +38,37 @@ Tick keyed_stage_delay(const OutputQueuedConfig& config,
   return d;
 }
 
+Tick keyed_stage_delay(const OutputQueuedConfig& config,
+                       std::uint64_t switch_key, std::uint64_t msg,
+                       const Packet& p, SwitchCounters& c) {
+  return keyed_stage_delay(KeyedStage(config), switch_key, msg, p, c);
+}
+
 OutputQueuedSwitch::OutputQueuedSwitch(sim::Engine& engine,
                                        OutputQueuedConfig config,
                                        std::uint64_t key)
-    : engine_(engine), config_(config), key_(key) {
-  ACTNET_CHECK(config_.routing_latency >= 0);
-  ACTNET_CHECK(config_.jitter_mean_ns >= 0.0);
-  ACTNET_CHECK(config_.tail_prob >= 0.0 && config_.tail_prob < 1.0);
+    : engine_(engine), stage_(config), key_(key) {
+  ACTNET_CHECK(config.routing_latency >= 0);
+  ACTNET_CHECK(config.jitter_mean_ns >= 0.0);
+  ACTNET_CHECK(config.tail_prob >= 0.0 && config.tail_prob < 1.0);
 }
 
 Tick OutputQueuedSwitch::flowfwd_delay(const Packet& p) {
-  return keyed_stage_delay(config_, key_, msg_ordinal(p.msg_id), p, counters_);
+  return keyed_stage_delay(stage_, key_, msg_ordinal(p.msg_id), p, counters_);
 }
 
-void OutputQueuedSwitch::route(const Packet& p, ForwardFn forward) {
+Tick OutputQueuedSwitch::route(const Packet& p, Tick arrive_at,
+                               ForwardFn forward) {
   ACTNET_CHECK(forward);
-  const Tick d = flowfwd_delay(p);
+  ACTNET_CHECK(arrive_at >= engine_.now());
+  const Tick exit = arrive_at + flowfwd_delay(p);
   // Park the record in the pool so the event closure stays inline.
   const std::uint32_t slot = pending_.put(PendingRoute{p, std::move(forward)});
-  engine_.schedule_in(d, [this, slot] {
+  engine_.schedule_at(exit, [this, slot] {
     PendingRoute r = pending_.take(slot);
     r.fwd(r.p);
   });
+  return exit;
 }
 
 Tick SharedQueueSwitch::flowfwd_delay(const Packet&) {
@@ -67,19 +85,21 @@ SharedQueueSwitch::SharedQueueSwitch(
   ACTNET_CHECK(service_ != nullptr);
 }
 
-void SharedQueueSwitch::route(const Packet& p, ForwardFn forward) {
+Tick SharedQueueSwitch::route(const Packet& p, Tick arrive_at,
+                              ForwardFn forward) {
   ACTNET_CHECK(forward);
-  const Tick now = engine_.now();
-  const Tick start = std::max(now, busy_until_);
+  ACTNET_CHECK(arrive_at >= engine_.now());
+  const Tick start = std::max(arrive_at, busy_until_);
   const Tick service =
       std::max<Tick>(1, static_cast<Tick>(service_->sample(rng_)));
   busy_until_ = start + service;
-  counters_.credit(p.size, busy_until_ - now);
+  counters_.credit(p.size, busy_until_ - arrive_at);
   const std::uint32_t slot = pending_.put(PendingRoute{p, std::move(forward)});
   engine_.schedule_at(busy_until_, [this, slot] {
     PendingRoute r = pending_.take(slot);
     r.fwd(r.p);
   });
+  return busy_until_;
 }
 
 }  // namespace actnet::net

@@ -57,10 +57,13 @@ class Switch {
  public:
   virtual ~Switch() = default;
 
-  /// Accepts a packet that has fully arrived on an input port. Must invoke
-  /// `forward` exactly once (possibly later in simulated time) when the
-  /// switch stage is done and the packet should enter its output port.
-  virtual void route(const Packet& p, ForwardFn forward) = 0;
+  /// Accepts a packet at its upstream port's serialization end, one call
+  /// for both switch models: the packet's last bit reaches the switch input
+  /// at `arrive_at` (>= now, the cable's propagation later). Schedules
+  /// `forward` exactly once, at the tick the stage releases the packet into
+  /// its output port, and returns that tick. Deciding at serialization end
+  /// rather than on arrival saves the cable-crossing event (DESIGN.md §5.9).
+  virtual Tick route(const Packet& p, Tick arrive_at, ForwardFn forward) = 0;
 
   /// True when the switch stage holds no shared timing state: a packet's
   /// stage delay is independent of every other packet, so routing can be
@@ -92,6 +95,16 @@ struct OutputQueuedConfig {
 /// tuple into one 64-bit key, one component at a time.
 std::uint64_t mix64(std::uint64_t x);
 
+/// An OutputQueuedConfig with its jitter's log-normal parameters converted
+/// once (Rng::lognormal_params), so a draw costs no log1p/log/sqrt. Draws
+/// are bit-identical to converting on every call.
+struct KeyedStage {
+  explicit KeyedStage(const OutputQueuedConfig& config);
+
+  OutputQueuedConfig config;
+  Rng::LognormalParams jitter;  ///< unused when jitter_stddev_ns == 0
+};
+
 /// Draws one output-queued routing-stage delay — fixed pipeline latency +
 /// log-normal arbitration jitter + a rare exponential-excess tail — from a
 /// fresh stream keyed on (switch_key, p.flow, msg, p.seq), and credits it
@@ -101,6 +114,9 @@ std::uint64_t mix64(std::uint64_t x);
 /// on arrival, and partitioned domains need no shared stream. `msg` names
 /// the packet's message within its flow: Network passes the per-flow send
 /// ordinal (msg_ordinal), Fabric its domain-local message id.
+Tick keyed_stage_delay(const KeyedStage& stage, std::uint64_t switch_key,
+                       std::uint64_t msg, const Packet& p, SwitchCounters& c);
+/// The same draw, converting `config`'s jitter parameters on every call.
 Tick keyed_stage_delay(const OutputQueuedConfig& config,
                        std::uint64_t switch_key, std::uint64_t msg,
                        const Packet& p, SwitchCounters& c);
@@ -111,7 +127,8 @@ class OutputQueuedSwitch final : public Switch {
   OutputQueuedSwitch(sim::Engine& engine, OutputQueuedConfig config,
                      std::uint64_t key);
 
-  void route(const Packet& p, ForwardFn forward) override;
+  /// Forwards at arrive_at + the packet's keyed stage delay.
+  Tick route(const Packet& p, Tick arrive_at, ForwardFn forward) override;
   bool contention_free() const override { return true; }
   Tick flowfwd_delay(const Packet& p) override;
   const SwitchCounters& counters() const override { return counters_; }
@@ -123,7 +140,7 @@ class OutputQueuedSwitch final : public Switch {
   };
 
   sim::Engine& engine_;
-  OutputQueuedConfig config_;
+  KeyedStage stage_;
   std::uint64_t key_;
   SwitchCounters counters_;
   SlotPool<PendingRoute> pending_;
@@ -138,7 +155,10 @@ class SharedQueueSwitch final : public Switch {
                     std::shared_ptr<const queueing::ServiceDistribution> service,
                     Rng rng);
 
-  void route(const Packet& p, ForwardFn forward) override;
+  /// Serves packets in route() call order: service starts at
+  /// max(arrive_at, busy_until()). Where every input cable has the same
+  /// propagation (a single switch), that is arrival order.
+  Tick route(const Packet& p, Tick arrive_at, ForwardFn forward) override;
   bool contention_free() const override { return false; }
   Tick flowfwd_delay(const Packet& p) override;
   const SwitchCounters& counters() const override { return counters_; }

@@ -42,18 +42,29 @@ std::uint32_t Engine::alloc_slot(EventFn&& fn) {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-EventKey Engine::push_event(Tick t, EventFn&& fn) {
+EventKey Engine::push_event(Tick t, Tick created, EventFn&& fn) {
   ACTNET_CHECK_MSG(t >= now_, "event scheduled in the past: t=" << t
                                                                 << " now=" << now_);
+  ACTNET_CHECK_MSG(created <= t,
+                   "event created at " << created << " after its tick " << t);
   ACTNET_CHECK(fn);
-  const EventKey k{t, next_seq_++, alloc_slot(std::move(fn))};
+  const auto lag = static_cast<std::uint64_t>(t - created);
+  const EventKey k{t, next_seq_++, alloc_slot(std::move(fn)),
+                   lag < EventKey::kMaxLag ? static_cast<std::uint32_t>(lag)
+                                           : EventKey::kMaxLag};
   slot_seq_[k.slot] = k.seq;
   detail::heap_push(heap_, k);
   return k;
 }
 
 Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn&& fn) {
-  const EventKey k = push_event(t, std::move(fn));
+  const EventKey k = push_event(t, now_, std::move(fn));
+  return CancelToken{k.slot, k.seq};
+}
+
+Engine::CancelToken Engine::schedule_cancellable_as_of(Tick created, Tick t,
+                                                       EventFn&& fn) {
+  const EventKey k = push_event(t, created, std::move(fn));
   return CancelToken{k.slot, k.seq};
 }
 

@@ -1,12 +1,14 @@
 // Discrete-event simulation engine.
 //
-// A single-threaded engine with an event queue ordered by (time, insertion
-// sequence). The sequence number makes simultaneous events fire in
-// deterministic FIFO order, which in turn makes every experiment in this
-// repository bit-reproducible for a given seed.
+// A single-threaded engine with an event queue ordered by (time, creation
+// tick, insertion sequence). An event's creation tick is now() unless it
+// is scheduled as of another tick (schedule_as_of), so simultaneous events
+// fire in a deterministic order — FIFO for ordinary scheduling — which in
+// turn makes every experiment in this repository bit-reproducible for a
+// given seed.
 //
 // Hot-path layout: the priority queue orders small POD keys (time,
-// sequence, slot index) while the callables live out-of-line in a
+// sequence, slot index, creation lag) while the callables live out-of-line in a
 // free-listed slot vector, so queue maintenance moves 24-byte keys instead
 // of 64-byte callables, and slot reuse keeps the steady state
 // allocation-free. Callables are sim::InlineFn — closures up to 48 bytes
@@ -44,7 +46,18 @@ class Engine {
   Tick now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (>= now()).
-  void schedule_at(Tick t, EventFn&& fn) { push_event(t, std::move(fn)); }
+  void schedule_at(Tick t, EventFn&& fn) {
+    push_event(t, now_, std::move(fn));
+  }
+
+  /// Schedules `fn` at `t` (>= now()) as if it had been scheduled at tick
+  /// `created` (<= t), which may lie before or after now(): among events
+  /// at tick `t` it runs after those created earlier and before those
+  /// created later. A flow-forward plan and its demotion use this to give
+  /// an event the place the per-packet path would have created it in.
+  void schedule_as_of(Tick created, Tick t, EventFn&& fn) {
+    push_event(t, created, std::move(fn));
+  }
 
   /// Handle to a cancellable event. Tokens are validated against the
   /// event's slot+sequence pair, so a stale token (the event already fired,
@@ -58,6 +71,8 @@ class Engine {
   /// Like schedule_at, but returns a token that cancel() accepts. Same
   /// ordering semantics; the only cost over schedule_at is the token.
   CancelToken schedule_cancellable_at(Tick t, EventFn&& fn);
+  /// schedule_as_of with a token.
+  CancelToken schedule_cancellable_as_of(Tick created, Tick t, EventFn&& fn);
 
   /// Cancels a pending event. Returns true when the event had not yet
   /// fired (it now never will); false for stale tokens. Cancelled events
@@ -69,12 +84,12 @@ class Engine {
 
   /// Schedules `fn` `delay` after the current time (delay >= 0).
   void schedule_in(Tick delay, EventFn&& fn) {
-    push_event(now_ + delay, std::move(fn));
+    push_event(now_ + delay, now_, std::move(fn));
   }
 
   /// Schedules `fn` at the current time, after already-queued events for
   /// this instant.
-  void schedule_now(EventFn&& fn) { push_event(now_, std::move(fn)); }
+  void schedule_now(EventFn&& fn) { push_event(now_, now_, std::move(fn)); }
 
   /// Runs events until the queue drains. Returns the number of events run.
   std::uint64_t run();
@@ -103,7 +118,7 @@ class Engine {
   static constexpr std::uint64_t kDeadSeq = ~std::uint64_t{0};
 
   std::uint32_t alloc_slot(EventFn&& fn);
-  EventKey push_event(Tick t, EventFn&& fn);
+  EventKey push_event(Tick t, Tick created, EventFn&& fn);
   /// The shared drain loop behind run()/run_until(): one dispatch, budget
   /// check, and events_processed() accounting for both.
   std::uint64_t drain(Tick limit, bool bounded);

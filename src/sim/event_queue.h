@@ -1,7 +1,8 @@
 // The event queue behind sim::Engine: a 4-ary implicit min-heap over
-// 24-byte POD keys, ordered by (time, insertion sequence) — the engine's
-// total order. Shallower than binary for the same size, so a sift touches
-// fewer cache lines; children of node i are 4i+1 .. 4i+4. O(log n)
+// 24-byte POD keys, ordered by (time, creation tick, insertion sequence) —
+// the engine's total order. Shallower than binary for the same size, so a
+// sift touches fewer cache lines; children of node i are 4i+1 .. 4i+4.
+// O(log n)
 // schedule/pop.
 #pragma once
 
@@ -15,19 +16,34 @@ namespace actnet::sim {
 
 /// Queue key; the event callable lives out-of-line in the engine's slot
 /// vector so queue maintenance moves 24-byte PODs, not 64-byte callables.
+///
+/// Events at one tick run in creation-tick order, then in insertion order.
+/// `lag` is the event's delay from its creation tick, saturated at
+/// kMaxLag, so a larger lag means an earlier creation. An event scheduled
+/// the ordinary way is created at now(), and creation ticks never decrease
+/// along the insertion sequence, so for such events the key is plain
+/// (time, sequence) FIFO order; saturation keeps that, because it maps
+/// larger delays to larger-or-equal lags. Only an event scheduled as of
+/// another creation tick (Engine::schedule_as_of) takes a different place.
 struct EventKey {
+  static constexpr std::uint32_t kMaxLag = 0xffffffffu;
+
   Tick t;
   std::uint64_t seq;
   std::uint32_t slot;
+  std::uint32_t lag;
 
   bool before(const EventKey& o) const {
-    return t != o.t ? t < o.t : seq < o.seq;
+    if (t != o.t) return t < o.t;
+    if (lag != o.lag) return lag > o.lag;
+    return seq < o.seq;
   }
 
   bool operator==(const EventKey& o) const {
-    return t == o.t && seq == o.seq && slot == o.slot;
+    return t == o.t && seq == o.seq && slot == o.slot && lag == o.lag;
   }
 };
+static_assert(sizeof(EventKey) == 24);
 
 namespace detail {
 

@@ -86,10 +86,20 @@ double Rng::lognormal_by_moments(double mean, double stddev) {
   ACTNET_CHECK(mean > 0.0);
   ACTNET_CHECK(stddev >= 0.0);
   if (stddev == 0.0) return mean;
+  const LognormalParams p = lognormal_params(mean, stddev);
+  return lognormal(p.mu, p.sigma);
+}
+
+Rng::LognormalParams Rng::lognormal_params(double mean, double stddev) {
+  ACTNET_CHECK(mean > 0.0);
+  ACTNET_CHECK(stddev > 0.0);
   const double cv2 = (stddev / mean) * (stddev / mean);
   const double sigma2 = std::log1p(cv2);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(normal(mu, std::sqrt(sigma2)));
+  return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double Rng::lognormal(double mu, double sigma) {
+  return std::exp(normal(mu, sigma));
 }
 
 bool Rng::chance(double p) { return uniform() < p; }

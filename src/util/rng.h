@@ -52,6 +52,19 @@ class Rng {
   /// (Parameters are converted to the underlying normal's mu/sigma.)
   double lognormal_by_moments(double mean, double stddev);
 
+  /// The underlying normal's parameters of a log-normal with linear-space
+  /// `mean` (> 0) and `stddev` (> 0).
+  struct LognormalParams {
+    double mu = 0.0;
+    double sigma = 0.0;
+  };
+  static LognormalParams lognormal_params(double mean, double stddev);
+
+  /// Log-normal from the underlying normal's mu/sigma. With parameters
+  /// from lognormal_params() it returns bit for bit what
+  /// lognormal_by_moments() returns, minus the per-call conversion.
+  double lognormal(double mu, double sigma);
+
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 

@@ -95,21 +95,22 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
     EXPECT_EQ(c.db().get("probe"), std::nullopt);
     EXPECT_EQ(c.db().size(), 1u);
   }
-  {
-    // A cache written under the previous schema (sequential switch-stage
-    // draws) carries the same config under the old version tag; it must
-    // miss rather than mix with keyed-draw measurements.
+  // Caches written under earlier schemas carry the same config under an
+  // old version tag; each must miss rather than mix with current
+  // measurements: v4 (hop-per-event packet chain, a different same-tick
+  // order) and v3 (sequential switch-stage draws).
+  for (const char* old_version : {"actnet-v4", "actnet-v3"}) {
     std::string old_fingerprint = Campaign(tiny_config()).fingerprint();
-    ASSERT_EQ(old_fingerprint.rfind("actnet-v4|", 0), 0u);
-    old_fingerprint.replace(0, 9, "actnet-v3");
+    ASSERT_EQ(old_fingerprint.rfind("actnet-v5|", 0), 0u);
+    old_fingerprint.replace(0, 9, old_version);
     {
       MeasurementDb db(path);
       db.bind_fingerprint(old_fingerprint);
       db.put("probe", "1");
     }
     Campaign c(tiny_config(path));
-    EXPECT_EQ(c.db().get("probe"), std::nullopt);
-    EXPECT_EQ(c.db().size(), 1u);
+    EXPECT_EQ(c.db().get("probe"), std::nullopt) << old_version;
+    EXPECT_EQ(c.db().size(), 1u) << old_version;
   }
   std::filesystem::remove(path);
 }

@@ -53,6 +53,61 @@ TEST(Engine, ScheduleNowRunsAfterQueuedSameTimeEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Engine, SameTickEventsRunInCreationTickOrder) {
+  // Events at one tick run in the order of the ticks they were created at;
+  // an event scheduled as of an earlier tick overtakes same-tick events
+  // created after that tick, and one as of a later tick falls behind them.
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] {
+    e.schedule_at(100, [&] { order.push_back(2); });  // created at 10
+    e.schedule_as_of(60, 100, [&] { order.push_back(4); });
+  });
+  e.schedule_at(50, [&] {
+    e.schedule_at(100, [&] { order.push_back(3); });  // created at 50
+    e.schedule_as_of(5, 100, [&] { order.push_back(1); });
+    e.schedule_as_of(50, 100, [&] { order.push_back(5); });  // tie: FIFO
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
+}
+
+TEST(Engine, CreationOrderMatchesFifoForOrdinaryScheduling) {
+  // Scheduled the ordinary way, creation ticks follow the insertion
+  // sequence, so the (time, creation tick, sequence) order is plain
+  // (time, sequence) FIFO — long delays included, where the stored lag
+  // saturates.
+  Engine e;
+  std::vector<int> order;
+  const Tick far = Tick{1} << 40;  // beyond a 32-bit lag
+  e.schedule_at(far, [&] { order.push_back(0); });
+  e.schedule_at(7, [&] {
+    e.schedule_at(far, [&] { order.push_back(1); });
+    e.schedule_in(far - 7, [&] { order.push_back(2); });
+  });
+  e.schedule_at(9, [&] { e.schedule_at(far, [&] { order.push_back(3); }); });
+  e.schedule_at(far - 3,
+                [&] { e.schedule_in(3, [&] { order.push_back(4); }); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Engine, CancellableAsOfKeepsItsPlace) {
+  Engine e;
+  std::vector<int> order;
+  e.run_until(10);
+  e.schedule_at(20, [&] { order.push_back(1); });  // created at 10
+  const Engine::CancelToken late =
+      e.schedule_cancellable_as_of(15, 20, [&] { order.push_back(9); });
+  const Engine::CancelToken early =
+      e.schedule_cancellable_as_of(2, 20, [&] { order.push_back(0); });
+  EXPECT_TRUE(e.cancel(late));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(e.cancel(early));
+  EXPECT_THROW(e.schedule_as_of(e.now() + 10, e.now() + 5, [] {}), Error);
+}
+
 TEST(Engine, NestedSchedulingFromCallbacks) {
   Engine e;
   int depth = 0;

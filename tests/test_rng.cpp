@@ -1,6 +1,8 @@
 // RNG determinism, stream independence, and distribution moments.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -98,6 +100,20 @@ TEST(Rng, LogNormalByMomentsMatchesRequestedMoments) {
 TEST(Rng, LogNormalZeroStddevIsConstant) {
   Rng rng(8);
   EXPECT_DOUBLE_EQ(rng.lognormal_by_moments(2.0, 0.0), 2.0);
+}
+
+TEST(Rng, LognormalFromParamsMatchesMomentsBitForBit) {
+  for (const auto& [mean, stddev] :
+       {std::pair{200.0, 120.0}, std::pair{1.5, 0.6}, std::pair{0.2, 3.0}}) {
+    const Rng::LognormalParams lp = Rng::lognormal_params(mean, stddev);
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+      Rng a(seed), b(seed);
+      const double x = a.lognormal_by_moments(mean, stddev);
+      const double y = b.lognormal(lp.mu, lp.sigma);
+      ASSERT_EQ(std::memcmp(&x, &y, sizeof x), 0) << "seed " << seed;
+      ASSERT_EQ(a(), b());  // the same number of draws consumed
+    }
+  }
 }
 
 TEST(Rng, LogNormalIsPositive) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/switch.h"
 #include "queueing/mg1.h"
@@ -83,6 +84,56 @@ TEST(OutputQueuedSwitch, DelayIsPureFunctionOfKeyAndPacket) {
   EXPECT_EQ(fwd.counters().time_in_switch, rev.counters().time_in_switch);
 }
 
+/// The stage delay as drawn before its log-normal parameters were cached:
+/// the moments are converted on every draw.
+Tick moments_form_delay(const OutputQueuedConfig& config,
+                        std::uint64_t switch_key, std::uint64_t msg,
+                        const Packet& p) {
+  Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
+  Tick d = config.routing_latency;
+  if (config.jitter_mean_ns > 0.0)
+    d += units::ns(rng.lognormal_by_moments(config.jitter_mean_ns,
+                                            config.jitter_stddev_ns));
+  if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
+    d += units::ns(config.tail_offset_ns +
+                   rng.exponential(config.tail_mean_excess_ns));
+  return d;
+}
+
+TEST(OutputQueuedSwitch, CachedJitterParametersDrawBitIdentically) {
+  // The switch converts its jitter moments once; every draw must equal
+  // the per-draw conversion bit for bit, on the default stage, a
+  // high-variance one, a constant-jitter one and a jitter-free one.
+  std::vector<OutputQueuedConfig> configs(4);
+  configs[1].jitter_mean_ns = 37.5;
+  configs[1].jitter_stddev_ns = 400.0;
+  configs[1].tail_prob = 0.3;
+  configs[2].jitter_stddev_ns = 0.0;
+  configs[3].jitter_mean_ns = 0.0;
+  for (const OutputQueuedConfig& cfg : configs) {
+    const KeyedStage stage(cfg);
+    SwitchCounters cached, converted;
+    int tails = 0;
+    for (std::uint64_t key = 0; key < 40; ++key)
+      for (int i = 0; i < 500; ++i) {
+        Packet p = keyed_packet(i);
+        p.flow = static_cast<std::uint32_t>(key * 7 + 1);
+        const std::uint64_t sw_key = mix64(key);
+        const std::uint64_t msg = 1 + static_cast<std::uint64_t>(i % 13);
+        const Tick want = moments_form_delay(cfg, sw_key, msg, p);
+        ASSERT_EQ(keyed_stage_delay(stage, sw_key, msg, p, cached), want);
+        ASSERT_EQ(keyed_stage_delay(cfg, sw_key, msg, p, converted), want);
+        if (want > cfg.routing_latency + units::ns(cfg.tail_offset_ns))
+          ++tails;
+      }
+    EXPECT_EQ(cached.time_in_switch, converted.time_in_switch);
+    EXPECT_EQ(cached.packets, 40u * 500u);
+    if (cfg.tail_prob > 0.1) {
+      EXPECT_GT(tails, 0);
+    }
+  }
+}
+
 TEST(OutputQueuedSwitch, RouteForwardsOnceWithDelay) {
   sim::Engine e;
   OutputQueuedConfig cfg;
@@ -93,14 +144,17 @@ TEST(OutputQueuedSwitch, RouteForwardsOnceWithDelay) {
   OutputQueuedSwitch sw(e, cfg, 3);
   int forwarded = 0;
   Tick when = -1;
-  sw.route(make_packet(1), [&](const Packet& p) {
+  // Routed at the upstream serialization end (t=0), arriving 40 ticks
+  // later: the exit is arrival + stage delay, returned and scheduled.
+  const Tick exit = sw.route(make_packet(1), 40, [&](const Packet& p) {
     ++forwarded;
     when = e.now();
     EXPECT_EQ(p.msg_id, 1u);
   });
   e.run();
   EXPECT_EQ(forwarded, 1);
-  EXPECT_EQ(when, 150);
+  EXPECT_EQ(exit, 190);
+  EXPECT_EQ(when, 190);
   EXPECT_EQ(sw.counters().packets, 1u);
   EXPECT_EQ(sw.counters().bytes, 1024);
 }
@@ -116,8 +170,8 @@ TEST(OutputQueuedSwitch, StageIsParallelNotSerial) {
   cfg.routing_latency = 200;
   OutputQueuedSwitch sw(e, cfg, 4);
   std::vector<Tick> out;
-  sw.route(make_packet(1), [&](const Packet&) { out.push_back(e.now()); });
-  sw.route(make_packet(2), [&](const Packet&) { out.push_back(e.now()); });
+  sw.route(make_packet(1), 0, [&](const Packet&) { out.push_back(e.now()); });
+  sw.route(make_packet(2), 0, [&](const Packet&) { out.push_back(e.now()); });
   e.run();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 200);
@@ -130,11 +184,33 @@ TEST(SharedQueueSwitch, FifoSingleServer) {
   SharedQueueSwitch sw(e, service, Rng(5));
   std::vector<Tick> out;
   for (int i = 0; i < 3; ++i)
-    sw.route(make_packet(i), [&](const Packet&) { out.push_back(e.now()); });
+    sw.route(make_packet(i), 0, [&](const Packet&) { out.push_back(e.now()); });
   e.run();
   // Serial service: 100, 200, 300.
   EXPECT_EQ(out, (std::vector<Tick>{100, 200, 300}));
   EXPECT_EQ(sw.counters().packets, 3u);
+}
+
+TEST(SharedQueueSwitch, ServiceStartsAtArrivalInCallOrder) {
+  // Routed at serialization end, before the packets arrive: the server
+  // starts each at max(arrival, busy until), in call order.
+  sim::Engine e;
+  auto service = std::make_shared<queueing::Deterministic>(100.0);
+  SharedQueueSwitch sw(e, service, Rng(5));
+  std::vector<Tick> out;
+  EXPECT_EQ(sw.route(make_packet(0), 50,
+                     [&](const Packet&) { out.push_back(e.now()); }),
+            150);
+  EXPECT_EQ(sw.route(make_packet(1), 70,
+                     [&](const Packet&) { out.push_back(e.now()); }),
+            250);
+  EXPECT_EQ(sw.route(make_packet(2), 400,
+                     [&](const Packet&) { out.push_back(e.now()); }),
+            500);
+  e.run();
+  EXPECT_EQ(out, (std::vector<Tick>{150, 250, 500}));
+  // Time in switch runs from arrival: 100 + 180 + 100.
+  EXPECT_EQ(sw.counters().time_in_switch, 380);
 }
 
 TEST(SharedQueueSwitch, MatchesMg1Analytics) {
@@ -157,7 +233,7 @@ TEST(SharedQueueSwitch, MatchesMg1Analytics) {
     const Tick arrive = t;
     const bool counted = i >= kWarmup;
     e.schedule_at(arrive, [&, arrive, counted] {
-      sw.route(make_packet(0), [&, arrive, counted](const Packet&) {
+      sw.route(make_packet(0), arrive, [&, arrive, counted](const Packet&) {
         if (counted)
           sojourn.add(static_cast<double>(e.now() - arrive));
       });
