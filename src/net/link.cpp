@@ -318,13 +318,6 @@ void Link::start_next() {
     }
     const std::uint32_t r = st.head;
     const Bytes size = record(r).size;
-    if (st.deficit < size && ring_size_ == 1) {
-      // A lone flow would rotate onto itself and be re-credited until its
-      // deficit covers the packet: credit all those rounds at once.
-      const Bytes rounds = (size - st.deficit + quantum_ - 1) / quantum_;
-      st.deficit += rounds * quantum_;
-      stats_.drr_rounds += static_cast<std::uint64_t>(rounds);
-    }
     if (st.deficit < size) {
       // Visit over; rotate (the front slot moves to the back).
       st.visited = false;

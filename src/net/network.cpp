@@ -55,6 +55,12 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
   ACTNET_CHECK(config_.pods >= 1);
   ACTNET_CHECK_MSG(config_.nodes % config_.pods == 0,
                    "nodes must split evenly across pods");
+  // The shared-queue server starts packets in route() call order, which is
+  // arrival order only when every input has the same cable delay; a leaf
+  // of a multi-pod network also takes longer trunk cables.
+  ACTNET_CHECK_MSG(
+      config_.switch_kind != SwitchKind::kSharedQueue || config_.pods == 1,
+      "the shared-queue switch model is single-pod only");
   nodes_per_pod_ = config_.nodes / config_.pods;
 
   for (int p = 0; p < config_.pods; ++p)

@@ -45,8 +45,6 @@ std::uint32_t Engine::alloc_slot(EventFn&& fn) {
 EventKey Engine::push_event(Tick t, Tick created, EventFn&& fn) {
   ACTNET_CHECK_MSG(t >= now_, "event scheduled in the past: t=" << t
                                                                 << " now=" << now_);
-  ACTNET_CHECK_MSG(created <= t,
-                   "event created at " << created << " after its tick " << t);
   ACTNET_CHECK(fn);
   const auto lag = static_cast<std::uint64_t>(t - created);
   const EventKey k{t, next_seq_++, alloc_slot(std::move(fn)),
@@ -64,6 +62,7 @@ Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn&& fn) {
 
 Engine::CancelToken Engine::schedule_cancellable_as_of(Tick created, Tick t,
                                                        EventFn&& fn) {
+  check_created(created, t);
   const EventKey k = push_event(t, created, std::move(fn));
   return CancelToken{k.slot, k.seq};
 }

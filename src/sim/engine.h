@@ -56,6 +56,7 @@ class Engine {
   /// created later. A flow-forward plan and its demotion use this to give
   /// an event the place the per-packet path would have created it in.
   void schedule_as_of(Tick created, Tick t, EventFn&& fn) {
+    check_created(created, t);
     push_event(t, created, std::move(fn));
   }
 
@@ -118,6 +119,12 @@ class Engine {
   static constexpr std::uint64_t kDeadSeq = ~std::uint64_t{0};
 
   std::uint32_t alloc_slot(EventFn&& fn);
+  /// The as-of entry points' extra precondition; ordinary scheduling
+  /// creates at now() <= t, which push_event's own check already covers.
+  static void check_created(Tick created, Tick t) {
+    ACTNET_CHECK_MSG(created <= t,
+                     "event created at " << created << " after its tick " << t);
+  }
   EventKey push_event(Tick t, Tick created, EventFn&& fn);
   /// The shared drain loop behind run()/run_until(): one dispatch, budget
   /// check, and events_processed() accounting for both.

@@ -106,6 +106,8 @@ TEST(Engine, CancellableAsOfKeepsItsPlace) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_FALSE(e.cancel(early));
   EXPECT_THROW(e.schedule_as_of(e.now() + 10, e.now() + 5, [] {}), Error);
+  EXPECT_THROW(
+      e.schedule_cancellable_as_of(e.now() + 10, e.now() + 5, [] {}), Error);
 }
 
 TEST(Engine, NestedSchedulingFromCallbacks) {

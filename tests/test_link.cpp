@@ -2,17 +2,12 @@
 // flows, counters.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <deque>
 #include <functional>
-#include <limits>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "net/link.h"
 #include "sim/engine.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace actnet::net {
@@ -321,172 +316,6 @@ TEST(Link, ManyFlowsServeInRoundRobinOrder) {
   ASSERT_EQ(order.size(), 2u * kFlows);
   for (int i = 0; i < 2 * kFlows; ++i) EXPECT_EQ(order[i], i % kFlows) << i;
   EXPECT_EQ(link.active_flows(), 0u);
-}
-
-/// Classic DRR with the rotation loop: a flow whose deficit does not cover
-/// its head packet ends its visit and rotates to the back of the ring,
-/// onto itself when it is alone, and is credited again on its next visit.
-/// The reference the link's lone-flow shortcut must reproduce.
-struct RotationDrr {
-  struct Flow {
-    std::deque<std::pair<int, Bytes>> queue;  // (packet id, size)
-    Bytes deficit = 0;
-    bool visited = false;
-    bool in_ring = false;
-  };
-
-  Bytes quantum = 0;
-  std::map<FlowId, Flow> flows;
-  std::deque<FlowId> ring;
-  std::uint64_t rounds = 0;
-
-  void enqueue(FlowId f, int id, Bytes size) {
-    Flow& st = flows[f];
-    st.queue.emplace_back(id, size);
-    if (!st.in_ring) {
-      st.in_ring = true;
-      st.deficit = 0;
-      ring.push_back(f);
-    }
-  }
-
-  /// Picks the next packet to serve.
-  std::pair<int, Bytes> serve() {
-    while (true) {
-      const FlowId f = ring.front();
-      Flow& st = flows[f];
-      if (!st.visited) {
-        st.visited = true;
-        st.deficit += quantum;
-        ++rounds;
-      }
-      const auto [id, size] = st.queue.front();
-      if (st.deficit < size) {
-        st.visited = false;
-        ring.pop_front();
-        ring.push_back(f);
-        continue;
-      }
-      st.queue.pop_front();
-      st.deficit -= size;
-      if (st.queue.empty()) {
-        st.deficit = 0;
-        st.in_ring = false;
-        st.visited = false;
-        ring.pop_front();
-      }
-      return {id, size};
-    }
-  }
-};
-
-TEST(Link, LoneFlowCreditMatchesRotationLoopProperty) {
-  // Random quanta, packet sizes, flow counts (one flow included, where
-  // the link credits all missing rounds in one step), arrival times and a
-  // restored front flow with a random deficit: the link must serve the
-  // same packets in the same order and count the same DRR rounds as the
-  // rotation loop.
-  constexpr double kBw = 1e9;
-  const auto ser = [](Bytes size) {
-    return std::max<Tick>(1, units::serialization(size, kBw));
-  };
-  Rng rng(2024);
-  int lone_trials = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    const auto quantum = static_cast<Bytes>(rng.uniform_int(1, 3000));
-    const auto nflows = static_cast<int>(rng.uniform_int(1, 5));
-    lone_trials += nflows == 1 ? 1 : 0;
-    const bool restored = rng.chance(0.5);
-
-    sim::Engine e;
-    PortStats stats;
-    Link link(e, stats, kBw, 0, quantum);
-    RotationDrr model;
-    model.quantum = quantum;
-    std::vector<int> served;
-    const auto record = [&served](int id) {
-      return [&served, id] { served.push_back(id); };
-    };
-
-    // Optionally start mid-visit: a packet in service until `busy_until`
-    // and flow 0 at the ring front with a random deficit.
-    Tick busy_until = 0;
-    bool busy = false;
-    int next_id = 0;
-    if (restored) {
-      const auto first = static_cast<Bytes>(rng.uniform_int(1, 9000));
-      busy_until = ser(first);
-      busy = true;
-      link.restore_in_service(first, 0, busy_until, {}, record(next_id++));
-      const auto queued = static_cast<int>(rng.uniform_int(1, 6));
-      for (int i = 0; i < queued; ++i) {
-        const auto size = static_cast<Bytes>(rng.uniform_int(1, 9000));
-        link.restore_queued(0, size, {}, record(next_id));
-        model.enqueue(0, next_id++, size);
-      }
-      const auto deficit = static_cast<Bytes>(rng.uniform_int(0, 3 * quantum));
-      const bool visited = rng.chance(0.5);
-      link.restore_flow_front(0, deficit, visited);
-      model.flows[0].deficit = deficit;
-      model.flows[0].visited = visited;
-    }
-
-    struct Arrival {
-      Tick t;
-      FlowId flow;
-      int id;
-      Bytes size;
-    };
-    std::vector<Arrival> arrivals;
-    const auto count = static_cast<int>(rng.uniform_int(1, 40));
-    for (int i = 0; i < count; ++i) {
-      const Tick t = rng.chance(0.3) ? 0 : rng.uniform_int(0, 60'000);
-      const auto flow = static_cast<FlowId>(rng.uniform_int(0, nflows - 1));
-      arrivals.push_back(
-          {t, flow, next_id++, static_cast<Bytes>(rng.uniform_int(1, 9000))});
-    }
-    std::stable_sort(
-        arrivals.begin(), arrivals.end(),
-        [](const Arrival& a, const Arrival& b) { return a.t < b.t; });
-    for (const Arrival& a : arrivals)
-      e.schedule_at(a.t, [&link, &record, a] {
-        link.transmit(a.flow, a.size, nullptr, record(a.id));
-      });
-    e.run();
-
-    // The model on the same timeline: arrivals at a tick are queued
-    // before a serialization ending at that tick (they were scheduled
-    // first), and a free port serves on every enqueue.
-    std::vector<int> expected;
-    if (restored) expected.push_back(0);
-    std::size_t next = 0;
-    Tick now = 0;
-    while (next < arrivals.size() || busy || !model.ring.empty()) {
-      if (!busy && !model.ring.empty()) {
-        const auto [id, size] = model.serve();
-        expected.push_back(id);
-        busy = true;
-        busy_until = now + ser(size);
-        continue;
-      }
-      const Tick next_arrival = next < arrivals.size()
-                                    ? arrivals[next].t
-                                    : std::numeric_limits<Tick>::max();
-      if (busy && busy_until < next_arrival) {
-        now = busy_until;
-        busy = false;
-        continue;
-      }
-      now = next_arrival;
-      const Arrival& a = arrivals[next++];
-      model.enqueue(a.flow, a.id, a.size);
-    }
-
-    ASSERT_EQ(served, expected) << "trial " << trial << " quantum "
-                                << quantum << " flows " << nflows;
-    ASSERT_EQ(stats.drr_rounds, model.rounds) << "trial " << trial;
-  }
-  EXPECT_GT(lone_trials, 40);
 }
 
 TEST(Link, InvalidTrainArgumentsThrow) {

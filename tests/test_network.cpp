@@ -135,6 +135,14 @@ TEST(Network, SharedQueueSwitchKindWorks) {
   EXPECT_EQ(net.switch_counters().packets, 1u);
 }
 
+TEST(Network, SharedQueueSwitchKindIsSinglePodOnly) {
+  sim::Engine engine;
+  NetworkConfig cfg = NetworkConfig::cab_like();
+  cfg.switch_kind = SwitchKind::kSharedQueue;
+  cfg.pods = 2;
+  EXPECT_THROW(Network(engine, cfg, Rng(3)), Error);
+}
+
 TEST(Network, FlowAllocationIsDisjoint) {
   Fixture f;
   const FlowId a = f.net.allocate_flows(144);
