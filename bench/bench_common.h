@@ -8,10 +8,10 @@
 // parallel campaign executor. Command-line flags override the environment:
 //   --jobs=N            worker threads (1 = serial)
 //   --trace=FILE        Chrome trace_event JSON per experiment (obs/trace.h)
-//   --report=FILE       campaign run report JSON (obs/report.h)
-//   --telemetry=MS      live sampler cadence in ms (obs/telemetry.h)
-//   --telemetry-out=F   telemetry JSONL path (default telemetry.jsonl)
-// Tables are printed to stdout and mirrored as CSV under results/.
+//   --report=FILE       campaign run report JSON plus its per-job stream
+//                       (obs/report.h)
+// Any other argument is an error. Tables are printed to stdout and
+// mirrored as CSV under results/.
 #pragma once
 
 #include <cstdlib>
@@ -20,7 +20,6 @@
 
 #include "core/campaign.h"
 #include "core/parallel.h"
-#include "obs/telemetry.h"
 #include "util/cli.h"
 #include "util/env.h"
 #include "util/log.h"
@@ -31,43 +30,33 @@ namespace actnet::bench {
 using util::take_flag;
 
 /// Flags shared by every bench binary; zero/empty = defer to environment.
-/// Numeric flags are strict: `--jobs=abc` or `--jobs=4x` throws
-/// actnet::Error naming the flag and the value.
+/// Parsing is strict: `--jobs=abc`, `--jobs=4x`, a flag missing its value
+/// and any unrecognised argument throw actnet::Error naming it.
 struct CliOptions {
   int jobs = 0;        ///< --jobs: workers (else ACTNET_JOBS / hw default)
   std::string trace;   ///< --trace: Chrome trace path (else ACTNET_TRACE)
   std::string report;  ///< --report: run-report path (else ACTNET_REPORT)
-  int telemetry_ms = 0;       ///< --telemetry: sampler cadence (else env)
-  std::string telemetry_out;  ///< --telemetry-out: JSONL path (else env)
 };
 
 inline CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
-  std::string jobs, telemetry;
+  std::string jobs;
   for (int i = 1; i < argc; ++i) {
     if (take_flag(argc, argv, i, "--jobs", jobs))
       cli.jobs = util::parse_count("--jobs", jobs);
-    else if (take_flag(argc, argv, i, "--telemetry", telemetry))
-      cli.telemetry_ms = util::parse_count("--telemetry", telemetry);
-    else if (take_flag(argc, argv, i, "--trace", cli.trace) ||
-             take_flag(argc, argv, i, "--report", cli.report) ||
-             take_flag(argc, argv, i, "--telemetry-out", cli.telemetry_out)) {
-    }
+    else if (!take_flag(argc, argv, i, "--trace", cli.trace) &&
+             !take_flag(argc, argv, i, "--report", cli.report))
+      throw Error(std::string("unrecognised argument '") + argv[i] +
+                  "' (benches take --jobs=N, --trace=FILE and "
+                  "--report=FILE, each with a value)");
   }
   return cli;
 }
 
-/// Builds the campaign; recognizes `--jobs` / `--trace` / `--report` /
-/// `--telemetry` / `--telemetry-out`. A telemetry cadence (flag or
-/// ACTNET_TELEMETRY) starts the process-lifetime sampler before any
-/// instrumented component is constructed.
+/// Builds the campaign; recognizes `--jobs` / `--trace` / `--report`.
 inline core::Campaign make_campaign(int argc = 0, char** argv = nullptr) {
   log::init_from_env();
   const CliOptions cli = parse_cli(argc, argv);
-  obs::TelemetryConfig telemetry = obs::TelemetryConfig::from_env();
-  if (cli.telemetry_ms > 0) telemetry.interval_ms = cli.telemetry_ms;
-  if (!cli.telemetry_out.empty()) telemetry.out_path = cli.telemetry_out;
-  obs::start_global_sampler(telemetry);
   core::CampaignConfig config = core::CampaignConfig::from_env();
   if (cli.jobs > 0) config.jobs = cli.jobs;
   if (!cli.trace.empty()) config.opts.cluster.trace_path = cli.trace;

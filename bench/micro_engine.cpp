@@ -27,8 +27,6 @@
 #include "core/probes.h"
 #include "mpi/job.h"
 #include "net/link.h"
-#include "obs/profile.h"
-#include "obs/telemetry.h"
 #include "queueing/mg1_sim.h"
 #include "sim/awaitable.h"
 #include "sim/task_group.h"
@@ -85,51 +83,6 @@ void BM_EngineScheduleRun(benchmark::State& state) {
   report_event_counters(state, state.iterations() * state.range(0), heap0);
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(65536);
-
-/// The telemetry overhead pair ("On" within 2% of "Off"). Off is the
-/// plain loop: every engine publishes its counts when destroyed, with or
-/// without a sampler.
-void BM_EngineTelemetryOff(benchmark::State& state) {
-  const auto heap0 = sim::inline_fn_heap_allocations();
-  for (auto _ : state) {
-    sim::Engine e;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
-    benchmark::DoNotOptimize(e.run());
-  }
-  report_event_counters(state, state.iterations() * state.range(0), heap0);
-}
-BENCHMARK(BM_EngineTelemetryOff)->Arg(65536);
-
-/// Same loop with the full live pipeline on it: the profiler active (one
-/// ProfScope per drain call — two clock reads per run(), amortized over
-/// 65536 events) and a background Sampler snapshotting the default
-/// registry every 10 ms. The sampler only reads relaxed atomics, so the
-/// cost it can impose on the simulation is cache-line sharing, which this
-/// measures.
-void BM_EngineTelemetryOn(benchmark::State& state) {
-  const auto heap0 = sim::inline_fn_heap_allocations();
-  const bool prof_before = obs::profiling_enabled();
-  obs::set_profiling_enabled(true);
-  obs::TelemetryConfig cfg;
-  cfg.interval_ms = 10;
-  cfg.out_path.clear();  // measure sampling, not the bench box's disk
-  cfg.stall_ms = 0;
-  obs::Sampler sampler(cfg);
-  sampler.start();
-  for (auto _ : state) {
-    sim::Engine e;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) e.schedule_at(i, [] {});
-    benchmark::DoNotOptimize(e.run());
-  }
-  sampler.stop();
-  obs::set_profiling_enabled(prof_before);
-  state.counters["samples"] =
-      static_cast<double>(sampler.samples_taken());
-  report_event_counters(state, state.iterations() * state.range(0), heap0);
-}
-BENCHMARK(BM_EngineTelemetryOn)->Arg(65536);
 
 /// Steady-state dispatch: a small population of self-rescheduling events,
 /// the shape of a running simulation (queue stays warm, slots recycle).

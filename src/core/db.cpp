@@ -5,8 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/fsio.h"
@@ -29,61 +26,28 @@ constexpr const char* kFingerprintKey = "_fingerprint";
 /// File-format version header; first line of every v2 cache file.
 constexpr std::string_view kHeader = "#actnet-cache v2";
 
-/// Formats one v2 record line "key\tvalue\tcrc32hex\n" onto `buf`. The CRC
-/// covers "key\tvalue", computed incrementally to avoid a joined copy.
+/// Formats one v2 record line "key\tvalue\tcrc32hex\n" onto `buf`; the CRC
+/// covers "key\tvalue".
 void append_record(std::string& buf, const std::string& key,
                    const std::string& value) {
-  std::uint32_t crc = util::crc32(key);
-  crc = util::crc32("\t", crc);
-  crc = util::crc32(value, crc);
-  char hex[9];
-  std::snprintf(hex, sizeof hex, "%08x", crc);
+  const std::size_t start = buf.size();
   buf += key;
   buf += '\t';
   buf += value;
-  buf += '\t';
-  buf += hex;
-  buf += '\n';
+  util::seal_crc_line(buf, start);
 }
 
 /// Validates one v2 line: trailing 8-hex CRC over the rest, exactly one
 /// interior tab, non-empty key. Any deviation means corruption.
 bool parse_v2_record(std::string_view line, std::string_view& key,
                      std::string_view& value) {
-  const auto crc_sep = line.rfind('\t');
-  if (crc_sep == std::string_view::npos) return false;
-  const std::string_view crc_field = line.substr(crc_sep + 1);
-  if (crc_field.size() != 8) return false;
-  std::uint32_t want = 0;
-  for (const char c : crc_field) {
-    want <<= 4;
-    if (c >= '0' && c <= '9') want |= static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      want |= static_cast<std::uint32_t>(c - 'a' + 10);
-    else
-      return false;
-  }
-  const std::string_view data = line.substr(0, crc_sep);
-  if (util::crc32(data) != want) return false;
+  std::string_view data;
+  if (!util::open_crc_line(line, data)) return false;
   const auto sep = data.find('\t');
   if (sep == std::string_view::npos || sep == 0) return false;
   if (data.find('\t', sep + 1) != std::string_view::npos) return false;
   key = data.substr(0, sep);
   value = data.substr(sep + 1);
-  return true;
-}
-
-/// write(2) until done; false on any error other than EINTR.
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ::ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
   return true;
 }
 
@@ -350,7 +314,7 @@ void MeasurementDb::append_to_file(const std::string& key,
     if (st.st_size == 0) {
       std::string header(kHeader);
       header += '\n';
-      write_all(append_fd_, header.data(), header.size());
+      util::write_all(append_fd_, header.data(), header.size());
     } else {
       // If another writer crashed mid-append since we opened the file, the
       // tail has no newline; appending straight after it would merge two
@@ -358,14 +322,14 @@ void MeasurementDb::append_to_file(const std::string& key,
       // fails its CRC on the next load and only that line is lost.
       char last = '\n';
       if (::pread(append_fd_, &last, 1, st.st_size - 1) == 1 && last != '\n')
-        write_all(append_fd_, "\n", 1);
+        util::write_all(append_fd_, "\n", 1);
     }
   }
   // Failpoint: a torn write, as a crash mid-write(2) would leave it.
   const std::size_t n = ACTNET_FAILPOINT_FIRES("db.append.short_write")
                             ? line.size() / 2
                             : line.size();
-  const bool ok = write_all(append_fd_, line.data(), n);
+  const bool ok = util::write_all(append_fd_, line.data(), n);
   ::flock(append_fd_, LOCK_UN);
   ACTNET_CHECK_MSG(ok, "cannot write cache file " << path_);
 }
@@ -389,11 +353,11 @@ void MeasurementDb::rewrite_file() {
   // Failpoint: die after half the bytes — the torn tmp file must never be
   // visible under the real path.
   if (ACTNET_FAILPOINT_FIRES("db.rewrite.mid_write")) {
-    write_all(fd, buf.data(), buf.size() / 2);
+    util::write_all(fd, buf.data(), buf.size() / 2);
     ::close(fd);
     throw util::FaultInjected("db.rewrite.mid_write");
   }
-  const bool ok = write_all(fd, buf.data(), buf.size());
+  const bool ok = util::write_all(fd, buf.data(), buf.size());
   if (!ok) {
     ::close(fd);
     ACTNET_CHECK_MSG(false, "cannot write cache tmp file " << tmp);

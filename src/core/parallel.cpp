@@ -5,11 +5,13 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <utility>
 
 #include "core/keys.h"
 #include "core/probes.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/fsio.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -138,6 +140,18 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
   reg.counter("core.jobs.cached").inc(cached_keys.size());
   reg.counter(std::string("core.scope.") + scope_name(scope)).inc();
 
+  // The per-job stream rides the run report's switch.
+  const std::string& report_path = campaign_.config().report_path;
+  std::optional<obs::JobStreamWriter> stream;
+  if (!report_path.empty()) {
+    stream.emplace(obs::job_stream_path(report_path));
+    std::vector<std::string> pending_keys;
+    pending_keys.reserve(pending.size());
+    for (const Pending& p : pending) pending_keys.push_back(p.key);
+    stream->begin(scope_name(scope), jobs_, cached_keys, pending_keys);
+  }
+  obs::JobStreamWriter* const sink = stream ? &*stream : nullptr;
+
   // Pre-size the stats table (cached entries first) so worker threads can
   // write their own rows by index without reallocation or locking.
   report.run.jobs.resize(cached_keys.size() + pending.size());
@@ -163,13 +177,14 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
         Pending& p = pending[i];
         obs::JobStats& stats = report.run.jobs[base + i];
         stats.key = p.key;
-        futures.push_back(pool.submit([&p, &stats] {
+        futures.push_back(pool.submit([&p, &stats, sink] {
           const auto t0 = std::chrono::steady_clock::now();
           // Binds Cluster::run_for's add_job_stats() calls on this worker
           // thread to this job's row for the duration of the experiment.
-          obs::JobStatsScope scope(&stats);
+          obs::JobStatsScope bind(&stats);
           p.fn();
           stats.wall_ms = elapsed_ms(t0);
+          if (sink != nullptr) sink->job(stats);
         }));
       }
       std::exception_ptr first_error;
@@ -200,8 +215,10 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
     }
   }
 
-  const std::string& report_path = campaign_.config().report_path;
-  if (!report_path.empty()) {
+  if (stream) {
+    stream->end(report.run.wall_ms, report.run.worker_utilization(),
+                obs::profiling_enabled() ? obs::profile_snapshot()
+                                         : std::vector<obs::ProfEntry>{});
     {
       // Scoped so the JSON lands on disk before the (interruptible)
       // terminal output below.

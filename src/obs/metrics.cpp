@@ -1,27 +1,12 @@
 #include "obs/metrics.h"
 
 #include <bit>
-#include <iomanip>
 #include <ostream>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace actnet::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-}
-
-}  // namespace
 
 void Histogram::add(std::uint64_t v) {
   const int b = std::bit_width(v);  // 0 for v==0, else floor(log2(v))+1
@@ -120,20 +105,9 @@ std::vector<Registry::Sample> Registry::snapshot() const {
         const Histogram& h = histograms_[slot.index];
         s.value = h.mean();
         s.count = h.count();
-        s.sum = h.sum();
         s.p50_bound = h.quantile_upper_bound(0.50);
         s.p90_bound = h.quantile_upper_bound(0.90);
         s.p99_bound = h.quantile_upper_bound(0.99);
-        std::uint64_t cumulative = 0;
-        for (int i = 0; i < Histogram::kBuckets; ++i) {
-          const std::uint64_t b = h.bucket(i);
-          if (b == 0) continue;
-          cumulative += b;
-          // Inclusive top of bucket i (0 for the {0} bucket).
-          const std::uint64_t le =
-              i == 0 ? 0 : (Histogram::bucket_floor(i) << 1) - 1;
-          s.buckets.emplace_back(le, cumulative);
-        }
         break;
       }
       default: break;
@@ -150,9 +124,9 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& s : samples) {
     if (!first) os << ",\n";
     first = false;
-    os << "  \"";
-    json_escape(os, s.name);
-    os << "\": ";
+    os << "  ";
+    util::write_json_string(os, s.name);
+    os << ": ";
     if (s.kind == 'h') {
       os << "{\"count\": " << s.count << ", \"mean\": " << s.value
          << ", \"p50_le\": " << s.p50_bound << ", \"p90_le\": " << s.p90_bound
@@ -162,20 +136,6 @@ void Registry::write_json(std::ostream& os) const {
     }
   }
   os << "\n}\n";
-}
-
-void Registry::print(std::ostream& os) const {
-  for (const auto& s : snapshot()) {
-    os << "  " << std::left << std::setw(44) << s.name << " ";
-    if (s.kind == 'h') {
-      os << "count=" << s.count << " mean=" << s.value
-         << " p50<=" << s.p50_bound << " p90<=" << s.p90_bound
-         << " p99<=" << s.p99_bound;
-    } else {
-      os << s.value;
-    }
-    os << "\n";
-  }
 }
 
 Registry& default_registry() {

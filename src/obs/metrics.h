@@ -164,22 +164,14 @@ class Registry {
     char kind = 'c';            // 'c'ounter, 'g'auge, 'h'istogram
     double value = 0.0;         // count / level / mean
     std::uint64_t count = 0;    // histogram sample count
-    std::uint64_t sum = 0;      // histogram sample sum
     std::uint64_t p50_bound = 0;  // histogram median bucket upper bound
     std::uint64_t p90_bound = 0;  // histogram p90 bucket upper bound
     std::uint64_t p99_bound = 0;  // histogram p99 bucket upper bound
-    /// Non-empty (inclusive upper bound, cumulative count) pairs, one per
-    /// occupied log2 bucket in ascending order — exactly the shape the
-    /// Prometheus `_bucket{le=...}` exposition needs. Empty buckets are
-    /// omitted; the implicit le="+Inf" cumulative count is `count`.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   };
   /// Point-in-time view, sorted by name.
   std::vector<Sample> snapshot() const;
 
   void write_json(std::ostream& os) const;
-  /// Human-readable name/value dump, one metric per line.
-  void print(std::ostream& os) const;
   std::size_t size() const;
 
  private:

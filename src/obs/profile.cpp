@@ -5,9 +5,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
-#include <ostream>
 
-#include "obs/metrics.h"
 #include "util/env.h"
 
 namespace actnet::obs {
@@ -65,13 +63,6 @@ struct ThreadProf {
 
   ThreadProf();
   ~ThreadProf();
-
-  PathKey key_of_stack() const {
-    PathKey k = 0;
-    for (int i = 0; i < depth; ++i)
-      k = (k << 4) | (static_cast<PathKey>(stack[i].subsystem) + 1);
-    return k;
-  }
 };
 
 thread_local ThreadProf t_prof;
@@ -79,8 +70,8 @@ thread_local ThreadProf t_prof;
 /// Trivially-destructible, so unlike t_prof it is never torn down and stays
 /// readable through thread/process exit. Set while t_prof is alive: the
 /// main thread's thread-locals are destroyed *before* statics, and an
-/// exit-time static destructor (e.g. the global sampler taking its final
-/// sample) may still open a ProfScope — it must not touch the dead t_prof.
+/// exit-time static destructor (e.g. a measurement cache's final flush)
+/// may still open a ProfScope — it must not touch the dead t_prof.
 thread_local bool t_prof_alive = false;
 
 ThreadProf::ThreadProf() {
@@ -101,6 +92,18 @@ ThreadProf::~ThreadProf() {
     r.self_ns += v.self_ns;
     r.count += v.count;
   }
+}
+
+/// Short stable name ("engine", "net", ...) used in collapsed-stack paths.
+const char* subsystem_name(Subsystem s) {
+  switch (s) {
+    case Subsystem::kEngine: return "engine";
+    case Subsystem::kNet: return "net";
+    case Subsystem::kMpi: return "mpi";
+    case Subsystem::kCacheIo: return "cache_io";
+    case Subsystem::kValid: return "valid";
+  }
+  return "?";
 }
 
 std::string decode_path(PathKey key) {
@@ -137,18 +140,6 @@ std::map<PathKey, PathStat> merged_paths() {
 }
 
 }  // namespace
-
-const char* subsystem_name(Subsystem s) {
-  switch (s) {
-    case Subsystem::kEngine: return "engine";
-    case Subsystem::kNet: return "net";
-    case Subsystem::kMpi: return "mpi";
-    case Subsystem::kCacheIo: return "cache_io";
-    case Subsystem::kValid: return "valid";
-    case Subsystem::kSampler: return "sampler";
-  }
-  return "?";
-}
 
 bool profiling_enabled() { return g_profiling.load(std::memory_order_relaxed); }
 void set_profiling_enabled(bool on) {
@@ -215,11 +206,6 @@ std::uint64_t profile_busy_ns(Subsystem s) {
   return total;
 }
 
-void write_profile_collapsed(std::ostream& os) {
-  for (const ProfEntry& e : profile_snapshot())
-    os << e.stack << " " << e.self_ns << "\n";
-}
-
 void reset_profile() {
   Global& g = global();
   std::lock_guard<std::mutex> lock(g.mu);
@@ -227,15 +213,6 @@ void reset_profile() {
   for (ThreadProf* tp : g.threads) {
     std::lock_guard<std::mutex> tlock(tp->mu);
     tp->paths.clear();
-  }
-}
-
-void attach_profile_gauges(Registry& r) {
-  for (int i = 0; i < kSubsystemCount; ++i) {
-    const Subsystem s = static_cast<Subsystem>(i);
-    r.callback_gauge(
-        std::string("prof.") + subsystem_name(s) + ".busy_seconds",
-        [s] { return static_cast<double>(profile_busy_ns(s)) / 1e9; });
   }
 }
 

@@ -16,21 +16,17 @@
 //    aggregation happens only in profile_snapshot()/busy_ns readers, which
 //    take each thread's (normally uncontended) accumulator lock.
 //
-// The profiler feeds the telemetry sampler two ways: per-subsystem busy
-// seconds surface as callback gauges ("prof.engine.busy_seconds", ...) in
-// whatever registry attach_profile_gauges() is pointed at, and the full
-// path map is dumped in collapsed-stack format at sampler shutdown (and in
-// the stall watchdog's diagnostic record).
+// Readers: profile_busy_ns() per subsystem (the campaign benchmark's
+// prof.*.self_s rows), and the full path map in collapsed-stack format,
+// which core::ParallelRunner writes into the per-job stream's end record
+// (obs/report.h) for `actnet_stat --prof`.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace actnet::obs {
-
-class Registry;
 
 /// The instrumented subsystems. Fixed and small on purpose: a scope's path
 /// is encoded as one nibble per frame.
@@ -40,17 +36,11 @@ enum class Subsystem : std::uint8_t {
   kMpi = 2,      ///< mpi::Comm post/progress — matching and protocol work
   kCacheIo = 3,  ///< core::MeasurementDb file load/append/rewrite
   kValid = 4,    ///< valid:: conformance sweeps
-  kSampler = 5,  ///< the telemetry sampler's own snapshot work
 };
-inline constexpr int kSubsystemCount = 6;
-
-/// Short stable name ("engine", "net", ...) used in gauge names and
-/// collapsed-stack paths.
-const char* subsystem_name(Subsystem s);
 
 /// Process-wide profiler switch, read per scope construction; initialized
-/// from ACTNET_PROFILE=1 and flipped on by the telemetry sampler. Scopes
-/// constructed while disabled stay inert for their whole lifetime.
+/// from ACTNET_PROFILE=1. Scopes constructed while disabled stay inert for
+/// their whole lifetime.
 bool profiling_enabled();
 void set_profiling_enabled(bool on);
 
@@ -85,17 +75,7 @@ std::vector<ProfEntry> profile_snapshot();
 /// every path whose innermost frame is `s`.
 std::uint64_t profile_busy_ns(Subsystem s);
 
-/// Writes profile_snapshot() in collapsed-stack format, one
-/// "path self_ns" line per entry — ready for flamegraph.pl.
-void write_profile_collapsed(std::ostream& os);
-
 /// Drops all accumulated time (tests).
 void reset_profile();
-
-/// Registers "prof.<subsystem>.busy_seconds" callback gauges in `r`, so
-/// profiler totals ride the same sampler/exporter path as every other
-/// metric. Idempotent per registry (callback_gauge keeps the first
-/// callback).
-void attach_profile_gauges(Registry& r);
 
 }  // namespace actnet::obs

@@ -7,12 +7,20 @@
 // job `core::Cluster::run_for` calls `add_job_stats()` with the engine's
 // event and virtual-time deltas. The scope is thread-local, so concurrent
 // workers accumulate into their own jobs without synchronization.
+//
+// With a report path set, the runner also appends each job's stats to a
+// per-job stream beside the report the moment the job finishes, so
+// `actnet_stat` can read a live or crashed campaign (JobStreamWriter).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/profile.h"
 
 #include "util/units.h"
 
@@ -107,5 +115,73 @@ struct RunReport {
   /// Human summary: totals plus the slowest jobs.
   void print(std::ostream& os, std::size_t max_rows = 10) const;
 };
+
+/// Table of the `max_rows` slowest `jobs`: key, wall and simulated ms,
+/// events, Mev/s. Nothing when `jobs` is empty.
+void print_slowest_jobs(std::ostream& os, std::vector<const JobStats*> jobs,
+                        std::size_t max_rows = 10);
+
+/// The per-job stream's path for a run-report path: the extension is
+/// replaced ("out/run_report.json" -> "out/run_report.jobs.jsonl"); a path
+/// without one gains the suffix.
+std::string job_stream_path(const std::string& report_path);
+
+/// Appends to the per-job stream: per prefetch, one `begin` record (scope,
+/// workers, cached and pending keys), one record per finished job, and an
+/// `end` record (wall time, worker utilization, collapsed-stack profile).
+/// Each record is one whole-line O_APPEND write of "<json>\t<crc32hex>"
+/// (util/fsio.h), so a crash tears at most the last line. Thread-safe:
+/// workers call job() concurrently. A path that cannot be opened or
+/// written degrades to a warning — observation never fails a campaign.
+class JobStreamWriter {
+ public:
+  explicit JobStreamWriter(std::string path);
+  ~JobStreamWriter();
+  JobStreamWriter(const JobStreamWriter&) = delete;
+  JobStreamWriter& operator=(const JobStreamWriter&) = delete;
+
+  void begin(const std::string& scope, int workers,
+             const std::vector<std::string>& cached,
+             const std::vector<std::string>& pending);
+  void job(const JobStats& stats);
+  /// `profile` is omitted from the record when empty.
+  void end(double wall_ms, double worker_utilization,
+           const std::vector<ProfEntry>& profile);
+
+ private:
+  void append(std::string line);
+
+  std::mutex mu_;
+  std::string path_;
+  int fd_ = -1;
+};
+
+/// One prefetch read back from the stream.
+struct PrefetchLog {
+  std::string scope;  ///< empty when the begin record was lost
+  int workers = 0;
+  std::vector<std::string> cached;
+  std::vector<std::string> pending;
+  std::vector<JobStats> jobs;  ///< finished jobs, in completion order
+  bool ended = false;          ///< the end record was read
+  double wall_ms = 0.0;
+  double worker_utilization = 0.0;
+
+  /// Pending keys without a job record: what a crashed, failed or stuck
+  /// prefetch never finished.
+  std::vector<std::string> unfinished() const;
+};
+
+struct JobStreamLog {
+  std::vector<PrefetchLog> prefetches;
+  /// ("engine;net", self_ns) pairs from the last end record carrying one.
+  std::vector<std::pair<std::string, std::uint64_t>> profile;
+  std::size_t corrupt_lines = 0;  ///< CRC/parse failures and torn tails
+};
+
+/// Corruption-tolerant load: damaged or torn lines are skipped and
+/// counted, never admitted, and never abort the load. A missing file
+/// throws (a caller error, not corruption).
+JobStreamLog load_job_stream(const std::string& path);
 
 }  // namespace actnet::obs

@@ -3,8 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
+
+#include "util/crc32.h"
 
 namespace actnet::util {
 
@@ -33,6 +38,46 @@ std::string ensure_parent_dir(const std::string& path) {
   fsync_parent_dir((dir / ".").string());
   fsync_parent_dir(dir.string());
   return {};
+}
+
+bool write_all(int fd, const char* data, std::size_t n) {
+  while (n > 0) {
+    const ::ssize_t w = ::write(fd, data, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+void seal_crc_line(std::string& buf, std::size_t start) {
+  const std::string_view payload(buf.data() + start, buf.size() - start);
+  char hex[9];
+  std::snprintf(hex, sizeof hex, "%08x", crc32(payload));
+  buf += '\t';
+  buf += hex;
+  buf += '\n';
+}
+
+bool open_crc_line(std::string_view line, std::string_view& payload) {
+  const auto sep = line.rfind('\t');
+  if (sep == std::string_view::npos || line.size() - sep - 1 != 8)
+    return false;
+  std::uint32_t want = 0;
+  for (const char c : line.substr(sep + 1)) {
+    want <<= 4;
+    if (c >= '0' && c <= '9') want |= static_cast<std::uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      want |= static_cast<std::uint32_t>(c - 'a' + 10);
+    else
+      return false;
+  }
+  if (crc32(line.substr(0, sep)) != want) return false;
+  payload = line.substr(0, sep);
+  return true;
 }
 
 }  // namespace actnet::util

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <ostream>
 
 #include "util/error.h"
 
@@ -283,6 +284,19 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 double JsonValue::number_or(const std::string& key, double fallback) const {
   const JsonValue* v = find(key);
   return v == nullptr ? fallback : v->as_number();
+}
+
+void write_json_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      default: os << c;
+    }
+  }
+  os << '"';
 }
 
 }  // namespace actnet::util

@@ -8,10 +8,12 @@
 // (std::map). Parse errors carry line/column context.
 #pragma once
 
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -68,5 +70,9 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
 };
+
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// newlines — the writers' half of the pass-through string rule above.
+void write_json_string(std::ostream& os, std::string_view s);
 
 }  // namespace actnet::util

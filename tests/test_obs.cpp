@@ -1,12 +1,15 @@
-// Observability must be non-perturbing: a campaign run with the profiler
-// and tracing enabled on 8 workers must leave a byte-identical measurement
-// cache — and identical model predictions — to a serial run with both off.
-// (Metrics have no switch: every run publishes them.) This is the repo's
-// "observe, never steer" guarantee.
+// Observability must be non-perturbing: a campaign run with the profiler,
+// tracing, the run report and its per-job stream enabled on 8 workers must
+// leave a byte-identical measurement cache — and identical model
+// predictions — to a serial run with all of them off. (Metrics have no
+// switch: every run publishes them.) This is the repo's "observe, never
+// steer" guarantee. The stream's line format and the self-profiler are
+// checked in test_telemetry_pipeline.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -15,6 +18,7 @@
 #include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/report.h"
 
 namespace actnet::core {
 namespace {
@@ -53,8 +57,10 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   const std::string on_path = temp_path("on") + ".tsv";
   const std::string trace_dir = temp_path("traces");
   const std::string report_path = temp_path("report") + ".json";
+  const std::string stream_path = obs::job_stream_path(report_path);
   std::filesystem::remove(off_path);
   std::filesystem::remove(on_path);
+  std::filesystem::remove(stream_path);
   std::filesystem::create_directories(trace_dir);
 
   const bool prof_before = obs::profiling_enabled();
@@ -68,8 +74,9 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   }
 
   // Candidate: 8 workers, profiler on, every experiment tracing into
-  // trace_dir, run report on.
+  // trace_dir, run report and per-job stream on.
   obs::set_profiling_enabled(true);
+  std::size_t executed = 0;
   {
     CampaignConfig cfg = reduced_config(on_path, 8);
     cfg.opts.cluster.trace_path = trace_dir + "/trace.json";
@@ -82,6 +89,7 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
     EXPECT_EQ(r.run.jobs.size(), r.executed + r.cached);
     EXPECT_GT(r.run.total_events(), 0u);
     EXPECT_GT(r.run.wall_ms, 0.0);
+    executed = r.executed;
   }
   obs::set_profiling_enabled(prof_before);
 
@@ -99,8 +107,27 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   for (const auto& entry : std::filesystem::directory_iterator(trace_dir))
     traces += entry.is_regular_file() ? 1 : 0;
   EXPECT_GT(traces, 0u);
-  // ...and the run report landed on disk.
+  // ...the run report landed on disk...
   EXPECT_NE(file_bytes(report_path).find("\"jobs\""), std::string::npos);
+  // ...and so did the per-job stream: undamaged, one record per executed
+  // job (each a pending key, none twice), closed by an end record that
+  // carries the profile.
+  const obs::JobStreamLog stream = obs::load_job_stream(stream_path);
+  EXPECT_EQ(stream.corrupt_lines, 0u);
+  ASSERT_EQ(stream.prefetches.size(), 1u);
+  const obs::PrefetchLog& p = stream.prefetches[0];
+  EXPECT_EQ(p.scope, "all");
+  EXPECT_EQ(p.workers, 8);
+  EXPECT_EQ(p.pending.size(), executed);
+  EXPECT_EQ(p.jobs.size(), executed);
+  EXPECT_TRUE(p.ended);
+  EXPECT_TRUE(p.unfinished().empty());
+  std::set<std::string> keys;
+  for (const obs::JobStats& j : p.jobs) {
+    EXPECT_TRUE(keys.insert(j.key).second) << j.key;
+    EXPECT_GT(j.events, 0u) << j.key;
+  }
+  EXPECT_FALSE(stream.profile.empty());
 
   // Every model prediction (the Fig 8 pipeline) must be identical too.
   Campaign a(reduced_config(off_path, 1));
@@ -121,6 +148,7 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   std::filesystem::remove(off_path);
   std::filesystem::remove(on_path);
   std::filesystem::remove(report_path);
+  std::filesystem::remove(stream_path);
   std::filesystem::remove_all(trace_dir);
 }
 

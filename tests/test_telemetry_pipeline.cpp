@@ -1,26 +1,28 @@
-// The live-telemetry pipeline: sampler lifecycle, per-interval delta
-// correctness, crash-safe JSONL round-trips (including torn tails), the
-// Prometheus exposition format, the subsystem self-profiler, the stall
-// watchdog — and the invariant that matters most: a campaign run with the
-// sampler ticking is byte-identical to one without.
+// The observability pipeline's own parts: the per-job stream's line format
+// (the report-path-derived file name, JSONL round trip, torn tail, flipped
+// byte, parent-directory creation, an unwritable path degrading to a
+// warning) and the subsystem self-profiler. The end-to-end claim, that a
+// campaign with the stream on is byte-identical to one with it off, lives
+// in test_obs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "apps/apps.h"
-#include "core/campaign.h"
-#include "core/parallel.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/telemetry.h"
+#include "obs/report.h"
 #include "util/fsio.h"
 
-namespace actnet::obs {
+namespace actnet {
 namespace {
 
 std::string temp_path(const std::string& tag) {
@@ -36,254 +38,147 @@ std::string file_bytes(const std::string& path) {
   return os.str();
 }
 
-TelemetryConfig test_config(const std::string& out_path) {
-  TelemetryConfig cfg;
-  cfg.interval_ms = 0;  // tests drive sample_once() deterministically
-  cfg.out_path = out_path;
-  cfg.stall_ms = 0;
-  return cfg;
+obs::JobStats job(const std::string& key, double wall_ms, double sim_ms,
+                 std::uint64_t events) {
+  obs::JobStats j;
+  j.key = key;
+  j.wall_ms = wall_ms;
+  j.sim_ms = sim_ms;
+  j.events = events;
+  return j;
 }
 
-TEST(Sampler, StartStopIdempotentAndStopWithoutStartIsSafe) {
-  Registry reg;
-  reg.counter("sim.engine.events_executed");
-  const std::string log = temp_path("lifecycle") + ".jsonl";
-  std::filesystem::remove(log);
+TEST(JobStream, PathSitsBesideTheReport) {
+  EXPECT_EQ(obs::job_stream_path("out/run_report.json"),
+            "out/run_report.jobs.jsonl");
+  EXPECT_EQ(obs::job_stream_path("report"), "report.jobs.jsonl");
+}
+
+TEST(JobStream, RoundTripPreservesEveryRecord) {
+  const std::string path = temp_path("stream_roundtrip") + ".jsonl";
+  std::filesystem::remove(path);
   {
-    TelemetryConfig cfg = test_config(log);
-    cfg.interval_ms = 5;
-    Sampler s(cfg, &reg);
-    EXPECT_FALSE(s.running());
-    s.start();
-    s.start();  // second start is a no-op
-    EXPECT_TRUE(s.running());
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    s.stop();
-    EXPECT_FALSE(s.running());
-    EXPECT_GT(s.samples_taken(), 0u);
-    const std::uint64_t taken = s.samples_taken();
-    s.stop();  // second stop is a no-op...
-    EXPECT_EQ(s.samples_taken(), taken);
-  }  // ...and so is the destructor's stop()
-  const TelemetryLog loaded = load_telemetry(log);
-  EXPECT_GT(loaded.samples.size(), 0u);
-  EXPECT_EQ(loaded.corrupt_lines, 0u);
-  std::filesystem::remove(log);
-}
-
-TEST(Sampler, DisabledCadenceNeverStarts) {
-  Registry reg;
-  Sampler s(test_config(""), &reg);
-  s.start();
-  EXPECT_FALSE(s.running());
-  s.stop();
-}
-
-TEST(Sampler, DeltasMatchHandBumpedCounters) {
-  Registry reg;
-  Counter& events = reg.counter("sim.engine.events_executed");
-  Counter& msgs = reg.counter("net.messages");
-  Sampler s(test_config(""), &reg);
-
-  events.inc(100);
-  s.sample_once();
-  events.inc(250);
-  msgs.inc(7);
-  s.sample_once();
-
-  const std::vector<TelemetrySample> recent = s.recent();
-  ASSERT_EQ(recent.size(), 2u);
-  const std::vector<MetricRate> rates =
-      compute_rates(recent[0], recent[1]);
-  double events_delta = -1.0, msgs_delta = -1.0;
-  for (const MetricRate& r : rates) {
-    if (r.name == "sim.engine.events_executed") events_delta = r.delta;
-    if (r.name == "net.messages") msgs_delta = r.delta;
+    obs::JobStreamWriter w(path);
+    w.begin("pairs", 4, {"calibration"}, {"pair/A/B", "odd \"key\\"});
+    w.job(job("pair/A/B", 12.345678901234567, 0.1, 123456789));
+    w.job(job("odd \"key\\", 1e-3, 2.5, 0));
+    w.end(20.0, 0.625,
+          {obs::ProfEntry{"engine", 1500, 3},
+           obs::ProfEntry{"engine;net", 700, 2}});
   }
-  EXPECT_EQ(events_delta, 250.0);
-  EXPECT_EQ(msgs_delta, 7.0);
-  // Rates scale the delta by the (positive) measured interval.
-  EXPECT_GT(recent[1].t_ms, recent[0].t_ms);
+  const obs::JobStreamLog log = obs::load_job_stream(path);
+  EXPECT_EQ(log.corrupt_lines, 0u);
+  ASSERT_EQ(log.prefetches.size(), 1u);
+  const obs::PrefetchLog& p = log.prefetches[0];
+  EXPECT_EQ(p.scope, "pairs");
+  EXPECT_EQ(p.workers, 4);
+  EXPECT_EQ(p.cached, std::vector<std::string>{"calibration"});
+  EXPECT_EQ(p.pending,
+            (std::vector<std::string>{"pair/A/B", "odd \"key\\"}));
+  ASSERT_EQ(p.jobs.size(), 2u);
+  // Doubles come back bit-exact.
+  EXPECT_EQ(p.jobs[0].key, "pair/A/B");
+  EXPECT_EQ(p.jobs[0].wall_ms, 12.345678901234567);
+  EXPECT_EQ(p.jobs[0].sim_ms, 0.1);
+  EXPECT_EQ(p.jobs[0].events, 123456789u);
+  EXPECT_EQ(p.jobs[1].key, "odd \"key\\");
+  EXPECT_EQ(p.jobs[1].wall_ms, 1e-3);
+  EXPECT_TRUE(p.ended);
+  EXPECT_EQ(p.wall_ms, 20.0);
+  EXPECT_EQ(p.worker_utilization, 0.625);
+  EXPECT_TRUE(p.unfinished().empty());
+  using Frame = std::pair<std::string, std::uint64_t>;
+  EXPECT_EQ(log.profile, (std::vector<Frame>{{"engine", 1500},
+                                             {"engine;net", 700}}));
+  std::filesystem::remove(path);
 }
 
-TEST(Sampler, FlightRecorderIsBounded) {
-  Registry reg;
-  Counter& c = reg.counter("ticks");
-  TelemetryConfig cfg = test_config("");
-  cfg.keep = 4;
-  Sampler s(cfg, &reg);
-  for (int i = 0; i < 10; ++i) {
-    c.inc();
-    s.sample_once();
-  }
-  const std::vector<TelemetrySample> recent = s.recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent.front().seq, 6u);  // oldest kept
-  EXPECT_EQ(recent.back().seq, 9u);
-  EXPECT_EQ(s.samples_taken(), 10u);
-}
-
-TEST(Telemetry, JsonlRoundTripPreservesEveryKind) {
-  Registry reg;
-  reg.counter("a.count").inc(42);
-  reg.gauge("b.level").set(2.5);
-  Histogram& h = reg.histogram("c.lat");
-  h.add(0);
-  h.add(1);
-  h.add(5);
-  const std::string log = temp_path("roundtrip") + ".jsonl";
-  std::filesystem::remove(log);
+TEST(JobStream, TornTailAndFlippedByteAreSkippedAndCounted) {
+  const std::string path = temp_path("stream_torn") + ".jsonl";
+  std::filesystem::remove(path);
   {
-    Sampler s(test_config(log), &reg);
-    s.sample_once();
+    obs::JobStreamWriter w(path);
+    w.begin("impacts", 2, {}, {"impact/a", "impact/b", "impact/c"});
+    w.job(job("impact/a", 10, 1, 100));
+    w.job(job("impact/b", 20, 1, 200));
+    w.job(job("impact/c", 30, 1, 300));
   }
-  const TelemetryLog loaded = load_telemetry(log);
-  ASSERT_EQ(loaded.samples.size(), 1u);
-  EXPECT_EQ(loaded.corrupt_lines, 0u);
-  const TelemetrySample& s = loaded.samples[0];
-  ASSERT_EQ(s.metrics.size(), 3u);  // sorted by name
-  EXPECT_EQ(s.metrics[0].name, "a.count");
-  EXPECT_EQ(s.metrics[0].kind, 'c');
-  EXPECT_EQ(s.metrics[0].value, 42.0);
-  EXPECT_EQ(s.metrics[1].name, "b.level");
-  EXPECT_EQ(s.metrics[1].kind, 'g');
-  EXPECT_EQ(s.metrics[1].value, 2.5);
-  const Registry::Sample& hist = s.metrics[2];
-  EXPECT_EQ(hist.kind, 'h');
-  EXPECT_EQ(hist.count, 3u);
-  EXPECT_EQ(hist.sum, 6u);
-  EXPECT_EQ(hist.p50_bound, 1u);
-  EXPECT_EQ(hist.p99_bound, 7u);
-  // Occupied buckets: {0}, {1}, [4,8) — cumulative 1, 2, 3.
-  ASSERT_EQ(hist.buckets.size(), 3u);
-  EXPECT_EQ(hist.buckets[0], (std::pair<std::uint64_t, std::uint64_t>{0, 1}));
-  EXPECT_EQ(hist.buckets[1], (std::pair<std::uint64_t, std::uint64_t>{1, 2}));
-  EXPECT_EQ(hist.buckets[2], (std::pair<std::uint64_t, std::uint64_t>{7, 3}));
-  std::filesystem::remove(log);
-}
+  // Crash mid-append: keep everything but the second half of the last line.
+  const std::string bytes = file_bytes(path);
+  const std::size_t last = bytes.rfind('\n', bytes.size() - 2) + 1;
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << bytes.substr(0, last) << bytes.substr(last, 20);  // no newline
+  }
+  const obs::JobStreamLog torn = obs::load_job_stream(path);
+  EXPECT_EQ(torn.corrupt_lines, 1u);
+  ASSERT_EQ(torn.prefetches.size(), 1u);
+  EXPECT_EQ(torn.prefetches[0].jobs.size(), 2u);
+  EXPECT_FALSE(torn.prefetches[0].ended);
+  EXPECT_EQ(torn.prefetches[0].unfinished(),
+            std::vector<std::string>{"impact/c"});
 
-TEST(Telemetry, TornTailIsSkippedAndCounted) {
-  Registry reg;
-  Counter& c = reg.counter("events");
-  const std::string log = temp_path("torn") + ".jsonl";
-  std::filesystem::remove(log);
+  // A byte corrupted in place in a middle record is skipped too.
   {
-    Sampler s(test_config(log), &reg);
-    c.inc(10);
-    s.sample_once();
-    c.inc(10);
-    s.sample_once();
-    c.inc(10);
-    s.sample_once();
-  }
-  // Crash mid-append: keep the first two records plus half of the third.
-  const std::string bytes = file_bytes(log);
-  std::size_t second_nl = bytes.find('\n', bytes.find('\n') + 1);
-  ASSERT_NE(second_nl, std::string::npos);
-  {
-    std::ofstream out(log, std::ios::trunc | std::ios::binary);
-    out << bytes.substr(0, second_nl + 1)
-        << bytes.substr(second_nl + 1, 20);  // torn tail, no newline
-  }
-  const TelemetryLog loaded = load_telemetry(log);
-  EXPECT_EQ(loaded.samples.size(), 2u);
-  EXPECT_EQ(loaded.corrupt_lines, 1u);
-  EXPECT_EQ(loaded.samples[1].metrics[0].value, 20.0);
-
-  // A corrupted-in-place middle record is also just skipped.
-  {
-    std::string flipped = file_bytes(log);
-    flipped[flipped.find("10")] = '9';
-    std::ofstream out(log, std::ios::trunc | std::ios::binary);
+    std::string flipped = file_bytes(path);
+    flipped[flipped.find("\"wall_ms\": 20")] = 'W';
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
     out << flipped;
   }
-  const TelemetryLog reloaded = load_telemetry(log);
-  EXPECT_EQ(reloaded.samples.size(), 1u);
-  EXPECT_EQ(reloaded.corrupt_lines, 2u);
-  std::filesystem::remove(log);
+  const obs::JobStreamLog damaged = obs::load_job_stream(path);
+  EXPECT_EQ(damaged.corrupt_lines, 2u);
+  ASSERT_EQ(damaged.prefetches.size(), 1u);
+  EXPECT_EQ(damaged.prefetches[0].unfinished(),
+            (std::vector<std::string>{"impact/b", "impact/c"}));
+  std::filesystem::remove(path);
 }
 
-TEST(Telemetry, PrometheusGoldenFormat) {
-  Registry reg;
-  reg.counter("a.count").inc(42);
-  reg.gauge("b.level").set(2.5);
-  Histogram& h = reg.histogram("c.lat");
-  h.add(0);
-  h.add(1);
-  h.add(5);
-  std::ostringstream os;
-  write_prometheus(os, reg.snapshot());
-  EXPECT_EQ(os.str(),
-            "# TYPE actnet_a_count counter\n"
-            "actnet_a_count 42\n"
-            "# TYPE actnet_b_level gauge\n"
-            "actnet_b_level 2.5\n"
-            "# TYPE actnet_c_lat histogram\n"
-            "actnet_c_lat_bucket{le=\"0\"} 1\n"
-            "actnet_c_lat_bucket{le=\"1\"} 2\n"
-            "actnet_c_lat_bucket{le=\"7\"} 3\n"
-            "actnet_c_lat_bucket{le=\"+Inf\"} 3\n"
-            "actnet_c_lat_sum 6\n"
-            "actnet_c_lat_count 3\n");
-}
-
-TEST(Telemetry, PromFileIsPublishedAtomically) {
-  Registry reg;
-  reg.counter("events").inc(5);
-  const std::string prom = temp_path("prom_dir") + "/metrics.prom";
-  TelemetryConfig cfg = test_config("");
-  cfg.prom_path = prom;  // parent dir does not exist yet
-  Sampler s(cfg, &reg);
-  s.sample_once();
-  const std::string text = file_bytes(prom);
-  EXPECT_NE(text.find("actnet_events 5"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(prom + ".tmp"));
-  std::filesystem::remove_all(temp_path("prom_dir"));
-}
-
-TEST(Telemetry, SamplerCreatesParentDirsForOutPath) {
-  Registry reg;
-  reg.counter("events").inc(1);
-  const std::string root = temp_path("nested");
-  const std::string log = root + "/a/b/telemetry.jsonl";
+TEST(JobStream, WriterCreatesParentDirs) {
+  const std::string root = temp_path("stream_nested");
+  const std::string path = root + "/a/b/run.jobs.jsonl";
   std::filesystem::remove_all(root);
-  Sampler s(test_config(log), &reg);
-  s.sample_once();
-  EXPECT_TRUE(std::filesystem::exists(log));
-  EXPECT_EQ(load_telemetry(log).samples.size(), 1u);
-  std::filesystem::remove_all(root);
-}
-
-TEST(Telemetry, UnwritableOutPathDegradesToMemoryOnly) {
-  const std::string file = temp_path("blocker");
-  std::ofstream(file) << "not a directory";
-  const std::string err = util::ensure_parent_dir(file + "/x/telemetry.jsonl");
-  EXPECT_NE(err.find(file), std::string::npos);  // error names the path
-
-  Registry reg;
-  reg.counter("events").inc(1);
-  Sampler s(test_config(file + "/x/telemetry.jsonl"), &reg);
-  s.sample_once();  // must not throw
-  EXPECT_EQ(s.recent().size(), 1u);
-  std::filesystem::remove(file);
-}
-
-TEST(Profiler, SelfTimeNestsAndFeedsGauges) {
-  const bool prof_before = profiling_enabled();
-  reset_profile();
-  set_profiling_enabled(true);
   {
-    ProfScope outer(Subsystem::kEngine);
+    obs::JobStreamWriter w(path);
+    w.job(job("calibration", 1, 1, 1));
+  }
+  const obs::JobStreamLog log = obs::load_job_stream(path);
+  ASSERT_EQ(log.prefetches.size(), 1u);  // a job without a begin record
+  EXPECT_EQ(log.prefetches[0].scope, "");
+  EXPECT_EQ(log.prefetches[0].jobs.size(), 1u);
+  std::filesystem::remove_all(root);
+}
+
+TEST(JobStream, UnwritablePathDegradesToAWarning) {
+  const std::string blocker = temp_path("stream_blocker");
+  std::ofstream(blocker) << "not a directory";
+  const std::string path = blocker + "/x/run.jobs.jsonl";
+  const std::string err = util::ensure_parent_dir(path);
+  EXPECT_NE(err.find(blocker), std::string::npos);  // error names the path
+
+  obs::JobStreamWriter w(path);  // must not throw...
+  w.begin("all", 1, {}, {"calibration"});
+  w.job(job("calibration", 1, 1, 1));
+  w.end(1, 1, {});
+  EXPECT_FALSE(std::filesystem::exists(path));  // ...and records nothing
+  std::filesystem::remove(blocker);
+}
+
+TEST(Profiler, SelfTimeNests) {
+  const bool prof_before = obs::profiling_enabled();
+  obs::reset_profile();
+  obs::set_profiling_enabled(true);
+  {
+    obs::ProfScope outer(obs::Subsystem::kEngine);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     {
-      ProfScope inner(Subsystem::kNet);
+      obs::ProfScope inner(obs::Subsystem::kNet);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
-  set_profiling_enabled(prof_before);
+  obs::set_profiling_enabled(prof_before);
 
   bool saw_engine = false, saw_engine_net = false;
-  for (const ProfEntry& e : profile_snapshot()) {
+  for (const obs::ProfEntry& e : obs::profile_snapshot()) {
     if (e.stack == "engine") {
       saw_engine = true;
       EXPECT_EQ(e.count, 1u);
@@ -297,158 +192,23 @@ TEST(Profiler, SelfTimeNestsAndFeedsGauges) {
   }
   EXPECT_TRUE(saw_engine);
   EXPECT_TRUE(saw_engine_net);
-  EXPECT_GT(profile_busy_ns(Subsystem::kEngine), 0u);
-  EXPECT_GT(profile_busy_ns(Subsystem::kNet), 0u);
-
-  // The collapsed dump is flamegraph.pl input: "path self_ns" lines.
-  std::ostringstream os;
-  write_profile_collapsed(os);
-  EXPECT_NE(os.str().find("engine;net "), std::string::npos);
-
-  // Busy totals ride the registry as callback gauges.
-  Registry reg;
-  attach_profile_gauges(reg);
-  bool saw_gauge = false;
-  for (const Registry::Sample& m : reg.snapshot()) {
-    if (m.name == "prof.net.busy_seconds") {
-      saw_gauge = true;
-      EXPECT_GT(m.value, 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_gauge);
-  reset_profile();
+  EXPECT_GT(obs::profile_busy_ns(obs::Subsystem::kEngine), 0u);
+  EXPECT_GT(obs::profile_busy_ns(obs::Subsystem::kNet), 0u);
+  obs::reset_profile();
 }
 
 TEST(Profiler, DisabledScopesAreInert) {
-  const bool prof_before = profiling_enabled();
-  set_profiling_enabled(false);
-  reset_profile();
+  const bool prof_before = obs::profiling_enabled();
+  obs::set_profiling_enabled(false);
+  obs::reset_profile();
   {
-    ProfScope scope(Subsystem::kValid);
+    obs::ProfScope scope(obs::Subsystem::kValid);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(profile_busy_ns(Subsystem::kValid), 0u);
-  EXPECT_TRUE(profile_snapshot().empty());
-  set_profiling_enabled(prof_before);
-}
-
-TEST(StallWatchdog, FlagsOncePerEpisodeAndRecovers) {
-  Registry reg;
-  Counter& events = reg.counter("sim.engine.events_executed");
-  const std::string log = temp_path("stall") + ".jsonl";
-  std::filesystem::remove(log);
-  {
-    TelemetryConfig cfg = test_config(log);
-    cfg.stall_ms = 1;
-    Sampler s(cfg, &reg);
-
-    events.inc(100);
-    s.sample_once();  // progress observed
-    EXPECT_FALSE(s.stalled());
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    s.sample_once();  // counter frozen past the window -> stall
-    EXPECT_TRUE(s.stalled());
-    EXPECT_EQ(s.stall_episodes(), 1u);
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    s.sample_once();  // still frozen: one-shot, no second episode
-    EXPECT_EQ(s.stall_episodes(), 1u);
-
-    events.inc(1);
-    s.sample_once();  // progress clears the flag
-    EXPECT_FALSE(s.stalled());
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    s.sample_once();  // a fresh freeze is a fresh episode
-    EXPECT_EQ(s.stall_episodes(), 2u);
-  }
-  const TelemetryLog loaded = load_telemetry(log);
-  EXPECT_EQ(loaded.stall_records, 2u);
-  EXPECT_EQ(loaded.corrupt_lines, 0u);
-  std::filesystem::remove(log);
-}
-
-/// The acceptance gate: an 8-worker quick campaign with the sampler
-/// ticking at 10 ms (and the profiler on) leaves a byte-identical
-/// measurement cache — and identical predictions — to a sampler-off run.
-TEST(Telemetry, SamplerOnCampaignIsByteIdentical) {
-  const std::string off_path = temp_path("cache_off") + ".tsv";
-  const std::string on_path = temp_path("cache_on") + ".tsv";
-  const std::string log = temp_path("campaign") + ".jsonl";
-  std::filesystem::remove(off_path);
-  std::filesystem::remove(on_path);
-  std::filesystem::remove(log);
-
-  auto reduced_config = [](const std::string& cache_path, int jobs) {
-    core::CampaignConfig c;
-    c.opts.window = units::ms(8);
-    c.opts.warmup = units::ms(2);
-    c.cache_path = cache_path;
-    c.jobs = jobs;
-    c.compression_grid = {
-        core::CompressionConfig{1, 2.5e6, 1, units::KiB(40)},
-        core::CompressionConfig{4, 2.5e5, 10, units::KiB(40)},
-    };
-    return c;
-  };
-
-  const bool prof_before = profiling_enabled();
-
-  // Reference: serial, profiler off, no sampler.
-  set_profiling_enabled(false);
-  {
-    core::Campaign off(reduced_config(off_path, 1));
-    EXPECT_GT(core::ParallelRunner(off).prefetch_all().executed, 0u);
-  }
-
-  // Candidate: 8 workers, profiler on, sampler at 10 ms.
-  set_profiling_enabled(true);
-  {
-    TelemetryConfig cfg;
-    cfg.interval_ms = 10;
-    cfg.out_path = log;
-    attach_profile_gauges(default_registry());
-    Sampler sampler(cfg);
-    sampler.start();
-    core::Campaign on(reduced_config(on_path, 8));
-    EXPECT_GT(core::ParallelRunner(on).prefetch_all().executed, 0u);
-    sampler.stop();
-    EXPECT_GT(sampler.samples_taken(), 0u);
-  }
-  set_profiling_enabled(prof_before);
-
-  // Not one simulated byte may differ.
-  const std::string off_bytes = file_bytes(off_path);
-  ASSERT_FALSE(off_bytes.empty());
-  EXPECT_EQ(off_bytes, file_bytes(on_path));
-
-  // The telemetry log is loadable, undamaged, and ends with the
-  // collapsed-stack profile record.
-  const TelemetryLog loaded = load_telemetry(log);
-  EXPECT_GT(loaded.samples.size(), 0u);
-  EXPECT_EQ(loaded.corrupt_lines, 0u);
-  EXPECT_FALSE(loaded.profile.empty());
-
-  // Predictions (the Fig 8 pipeline) are identical too.
-  core::Campaign a(reduced_config(off_path, 1));
-  core::Campaign b(reduced_config(on_path, 1));
-  const auto& apps = apps::all_apps();
-  for (const auto& victim : apps)
-    for (const auto& aggressor : apps) {
-      const auto pa = a.predict_pair(victim.id, aggressor.id);
-      const auto pb = b.predict_pair(victim.id, aggressor.id);
-      ASSERT_EQ(pa.size(), pb.size());
-      for (std::size_t m = 0; m < pa.size(); ++m) {
-        EXPECT_EQ(pa[m].predicted_pct, pb[m].predicted_pct);
-        EXPECT_EQ(pa[m].measured_pct, pb[m].measured_pct);
-      }
-    }
-
-  std::filesystem::remove(off_path);
-  std::filesystem::remove(on_path);
-  std::filesystem::remove(log);
+  EXPECT_EQ(obs::profile_busy_ns(obs::Subsystem::kValid), 0u);
+  EXPECT_TRUE(obs::profile_snapshot().empty());
+  obs::set_profiling_enabled(prof_before);
 }
 
 }  // namespace
-}  // namespace actnet::obs
+}  // namespace actnet

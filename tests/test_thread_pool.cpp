@@ -1,6 +1,6 @@
 // ThreadPool: result/exception propagation through futures, clean shutdown
 // with queued work, wait_idle, and the ACTNET_JOBS default (strictly
-// parsed, like every numeric ACTNET_* knob).
+// parsed, like every numeric ACTNET_* knob and every bench flag).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/telemetry.h"
+#include "bench/bench_common.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -132,17 +132,35 @@ TEST(ThreadPool, NumericKnobsAreStrict) {
   EXPECT_EQ(parse_count("--jobs", "0"), 0);
   EXPECT_THROW(parse_count("--jobs", "4x"), Error);
   EXPECT_THROW(parse_count("--jobs", ""), Error);
-  // campaign_bench exports ACTNET_TELEMETRY= (empty): sampler off, no error;
-  // ACTNET_TELEMETRY=0 is documented as off too.
-  with_env("ACTNET_TELEMETRY", "", [] {
-    EXPECT_EQ(obs::TelemetryConfig::from_env().interval_ms, 0);
-  });
-  with_env("ACTNET_TELEMETRY", "0", [] {
-    EXPECT_EQ(obs::TelemetryConfig::from_env().interval_ms, 0);
-  });
-  with_env("ACTNET_TELEMETRY", "10ms", [] {
-    EXPECT_THROW(obs::TelemetryConfig::from_env(), Error);
-  });
+  // The bench command line: known flags parse, anything else throws an
+  // error naming the argument — a retired flag, a flag missing its value,
+  // a misspelling.
+  const auto parse = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return bench::parse_cli(static_cast<int>(argv.size()), argv.data());
+  };
+  const bench::CliOptions cli =
+      parse({"--jobs=4", "--trace", "t.json", "--report=r.json"});
+  EXPECT_EQ(cli.jobs, 4);
+  EXPECT_EQ(cli.trace, "t.json");
+  EXPECT_EQ(cli.report, "r.json");
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--telemetry=100"},
+        std::vector<std::string>{"--telemetry-out=t.jsonl"},
+        std::vector<std::string>{"--jobs=2", "--jobs"},
+        std::vector<std::string>{"--report"},
+        std::vector<std::string>{"--jobz=4"},
+        std::vector<std::string>{"results.csv"}}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << "accepted " << bad.back();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.back()), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
