@@ -53,6 +53,20 @@ inline CliOptions parse_cli(int argc, char** argv) {
   return cli;
 }
 
+/// Runs a bench's body and returns its exit code. A usage or configuration
+/// error (actnet::Error: a malformed flag, an invalid ACTNET_* value) is
+/// printed to stderr and exits 2, instead of aborting through
+/// std::terminate.
+template <class Body>
+int run(Body&& body) {
+  try {
+    return body();
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+}
+
 /// Builds the campaign; recognizes `--jobs` / `--trace` / `--report`.
 inline core::Campaign make_campaign(int argc = 0, char** argv = nullptr) {
   log::init_from_env();

@@ -8,7 +8,7 @@
 // CompressionB configuration read ~26% in Fig. 6.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kCalibration);
@@ -32,4 +32,8 @@ int main(int argc, char** argv) {
       .add("~26% (Fig. 6 lower bound)");
   bench::emit(t, "calibration.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

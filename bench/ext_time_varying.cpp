@@ -14,7 +14,7 @@
 #include "bench_common.h"
 #include "core/measure.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kAll);
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
                "during bursts) while matching Queue on steady aggressors,\n"
                "at the cost of a little sampling noise.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

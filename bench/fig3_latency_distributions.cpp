@@ -38,7 +38,7 @@ std::array<double, 7> paper_buckets(const actnet::core::LatencySummary& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kImpacts);
@@ -62,4 +62,8 @@ int main(int argc, char** argv) {
 
   bench::emit(t, "fig3_latency_distributions.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kCompressionTable);
@@ -37,4 +37,8 @@ int main(int argc, char** argv) {
             << "% .. " << format_double(100.0 * hi, 1)
             << "%   (paper: 26% .. 92%)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

@@ -8,7 +8,7 @@
 // Lulesh ~8-15%, MCB and AMG at most a few percent throughout.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kAppProfiles);
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(fits, "fig7_linear_fits.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

@@ -12,7 +12,7 @@
 #include "bench_common.h"
 #include "valid/conformance.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kAll);
@@ -45,4 +45,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(u, "fig8_app_utilizations.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

@@ -11,7 +11,7 @@
 #include "bench_common.h"
 #include "valid/conformance.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kAll);
@@ -49,4 +49,8 @@ int main(int argc, char** argv) {
                "10% error, all but one under 20%;\n"
                "AverageStDevLT ~ PDFLT, both better than AverageLT.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

@@ -7,7 +7,7 @@
 // (<= ~7%).
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace actnet;
   auto campaign = bench::make_campaign(argc, argv);
   bench::prefetch(campaign, core::PrefetchScope::kPairs);
@@ -25,4 +25,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, "table1_pair_slowdowns.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return actnet::bench::run([&] { return bench_main(argc, argv); });
 }

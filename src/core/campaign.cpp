@@ -20,7 +20,7 @@ namespace {
 /// sequential stream per switch, which moves every simulated number.
 /// v5: the per-packet path folds its fixed hops (three events per packet,
 /// one per message), which reorders same-tick events.
-constexpr const char* kSchemaVersion = "actnet-v5";
+constexpr const char* kSchemaVersion = "actnet-v6";
 
 }  // namespace
 

@@ -12,6 +12,7 @@ Fabric::Fabric(const NetworkConfig& config, std::uint64_t seed,
                int /*workers*/)
     : config_(config),
       seed_key_(mix64(seed)),
+      stage_(config.output_queued),
       pods_(config.pods),
       nodes_per_pod_(config.nodes / std::max(config.pods, 1)),
       spine_domain_(config.pods > 1 ? config.pods : -1),
@@ -144,8 +145,7 @@ void Fabric::send(NodeId src, NodeId dst, FlowId flow, Bytes size,
 
 Tick Fabric::stage_delay(std::uint32_t sw, const Packet& p,
                          SwitchCounters& c) {
-  return keyed_stage_delay(config_.output_queued, mix64(seed_key_ ^ sw),
-                           p.msg_id, p, c);
+  return keyed_stage_delay(stage_, mix64(seed_key_ ^ sw), p.msg_id, p, c);
 }
 
 void Fabric::uplink_arrival(int src_domain, std::uint32_t slot,
@@ -276,9 +276,7 @@ std::string Fabric::digest() const {
   const auto dump_switch = [&os](const char* kind, int idx,
                                  const SwitchCounters& c) {
     os << kind << ' ' << idx << ' ' << c.packets << ' ' << c.bytes << ' '
-       << c.time_in_switch << ' ' << c.stage_latency_us.count() << ' '
-       << c.stage_latency_us.mean() << ' ' << c.stage_latency_us.variance()
-       << "\n";
+       << c.time_in_switch << "\n";
   };
   for (int p = 0; p < pods_; ++p)
     dump_switch("leaf", p, dom_[static_cast<std::size_t>(p)].leaf);

@@ -179,6 +179,7 @@ class Fabric {
 
   NetworkConfig config_;
   std::uint64_t seed_key_;  ///< mix64(seed)
+  KeyedStage stage_;        ///< every switch's stage (one shared config)
   int pods_;
   int nodes_per_pod_;
   int spine_domain_;  ///< == pods_ when pods_ > 1, else unused

@@ -365,7 +365,6 @@ sim::EventFn Network::parked_arrival(const Packet& p, Tick stage_delay) {
 
 void Network::account_packet(NodeId dst, Tick injected_at, Tick complete) {
   ++counters_.packets_delivered;
-  counters_.packet_latency_us.add(units::to_us(complete - injected_at));
   latency_ns_.add(static_cast<std::uint64_t>(complete - injected_at));
   if (tracer_ != nullptr && tracer_->active(injected_at)) {
     // Full lifecycle span: inject -> route -> serialize -> deliver, one
@@ -460,6 +459,10 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   const double bw = config_.link_bandwidth;
   Switch& leaf = *leaves_[pod_of(src)];
   const std::uint32_t full_count = num_packets - (tail > 0 ? 1 : 0);
+  // Two sizes, two serialization times: computed once per message.
+  const Tick full_ser = std::max<Tick>(1, units::serialization(full_size, bw));
+  const Tick tail_ser =
+      tail > 0 ? std::max<Tick>(1, units::serialization(tail, bw)) : full_ser;
 
   const std::uint32_t plan = acquire_flowfwd();
   FlowFwd& ff = ffwd_[plan];
@@ -479,8 +482,10 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   Tick t = t0;
   for (std::uint32_t i = 0; i < num_packets; ++i) {
     FFPacket& pk = ff.pkts[i];
-    pk.size = (i < full_count) ? full_size : tail;
-    t += std::max<Tick>(1, units::serialization(pk.size, bw));
+    const bool full = i < full_count;
+    pk.size = full ? full_size : tail;
+    pk.ser = full ? full_ser : tail_ser;
+    t += pk.ser;
     pk.upl_end = t;
     pk.arrive = t + prop;
     proto.seq = i;
@@ -504,8 +509,7 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   for (const std::uint32_t idx : ff.order) {
     FFPacket& pk = ff.pkts[idx];
     pk.down_start = std::max(pk.fwd, free);
-    pk.down_end =
-        pk.down_start + std::max<Tick>(1, units::serialization(pk.size, bw));
+    pk.down_end = pk.down_start + pk.ser;
     free = pk.down_end;
     pk.complete = pk.down_end + prop + config_.recv_overhead;
   }
@@ -524,10 +528,9 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   // same-tick events: injection for the last packet's uplink serialization
   // end (created as that packet started serializing), completion for the
   // last packet's completion (created at its downlink serialization end).
-  const Tick last_ser =
-      std::max<Tick>(1, units::serialization(ff.pkts.back().size, bw));
   ff.inj_ev = engine_.schedule_cancellable_as_of(
-      ff.t_inj - last_ser, ff.t_inj, [this, plan] { flowfwd_injected(plan); });
+      ff.t_inj - ff.pkts.back().ser, ff.t_inj,
+      [this, plan] { flowfwd_injected(plan); });
   ff.done_ev = engine_.schedule_cancellable_as_of(
       ff.pkts[ff.order.back()].down_end, ff.t_done,
       [this, plan] { finish_flowfwd(plan); });
@@ -586,7 +589,7 @@ void Network::finish_flowfwd(std::uint32_t plan) {
   Tick busy = 0;
   for (const FFPacket& pk : ff.pkts) {
     bytes += pk.size;
-    busy += pk.down_end - pk.down_start;
+    busy += pk.ser;
   }
   down.credit_flowfwd(ff.pkts.size(), bytes, busy);
   for (const std::uint32_t idx : ff.order) {
@@ -608,12 +611,8 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   ACTNET_CHECK(ff.id != 0);
   const MessageId id = ff.id;
   const auto n = static_cast<std::uint32_t>(ff.pkts.size());
-  const double bw = config_.link_bandwidth;
   Link& up = *uplinks_[ff.src];
   Link& down = *downlinks_[ff.dst];
-  const auto ser_of = [&](const FFPacket& pk) {
-    return std::max<Tick>(1, units::serialization(pk.size, bw));
-  };
 
   // Release this message's guards (the one firing right now is already
   // empty; disarm is a no-op for it), cancel the analytic events, and
@@ -646,7 +645,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     Tick busy = 0;
     for (std::uint32_t i = 0; i < started; ++i) {
       bytes += ff.pkts[i].size;
-      busy += ser_of(ff.pkts[i]);
+      busy += ff.pkts[i].ser;
     }
     up.credit_flowfwd(started, bytes, busy);
   }
@@ -688,7 +687,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
                             ff.pkts[i].fwd - ff.pkts[i].arrive);
     };
     up.restore_in_service(ff.pkts[k].size,
-                          ff.pkts[k].upl_end - ser_of(ff.pkts[k]),
+                          ff.pkts[k].upl_end - ff.pkts[k].ser,
                           ff.pkts[k].upl_end, onser_for(k), arrival(k));
     for (std::uint32_t i = k + 1; i < n; ++i)
       up.restore_queued(ff.flow, ff.pkts[i].size, onser_for(i), arrival(i));
@@ -719,7 +718,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     if (pk.down_end <= td) {
       ++dpkts;
       dbytes += pk.size;
-      dbusy += ser_of(pk);
+      dbusy += pk.ser;
       if (m + 1 < n || pk.complete <= td) {
         // Accounted at its downlink serialization end (or delivered).
         account_packet(ff.dst, ff.t0, pk.complete);
@@ -736,7 +735,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
       in_service = static_cast<int>(idx);
       ++dpkts;
       dbytes += pk.size;
-      dbusy += ser_of(pk);
+      dbusy += pk.ser;
     } else {
       waiting.push_back(idx);
     }

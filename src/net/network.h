@@ -126,8 +126,6 @@ struct NetworkCounters {
   /// Packets re-materialized into the packet-level machinery by demotions
   /// (the not-yet-delivered remainder of each demoted message).
   std::uint64_t flowfwd_fallback_packets = 0;
-  /// End-to-end packet latency statistics in microseconds (cross-node only).
-  OnlineStats packet_latency_us;
 };
 
 class Network {
@@ -179,6 +177,8 @@ class Network {
   std::size_t in_flight_messages() const { return in_flight_.live(); }
   /// DRR rounds and queue-depth samples of every port.
   const PortStats& port_stats() const { return ports_; }
+  /// End-to-end latency of every cross-node packet, in ns.
+  const obs::LocalHistogram& packet_latency() const { return latency_ns_; }
 
   // --- observability ---
   /// Starts recording into `tracer`: per-packet lifecycle spans
@@ -218,6 +218,7 @@ class Network {
   /// per-packet path would have produced on the uncontended route.
   struct FFPacket {
     Bytes size = 0;
+    Tick ser = 0;         ///< serialization time of `size` (>= 1)
     Tick upl_end = 0;     ///< uplink serialization end (the leaf decides)
     Tick arrive = 0;      ///< switch input arrival (= upl_end + propagation)
     Tick fwd = 0;         ///< switch output (= arrive + pre-drawn stage delay)
@@ -300,8 +301,7 @@ class Network {
   std::vector<std::uint32_t> flow_sends_;
   FlowId next_flow_ = 1;
   NetworkCounters counters_;
-  /// Cross-node packet latency in ns (counters_ keeps the same samples
-  /// in microseconds as running moments).
+  /// Cross-node packet latency in ns.
   obs::LocalHistogram latency_ns_;
 
   // Flow-forward state. Cooldowns are per-port demotion backoff stamps

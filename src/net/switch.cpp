@@ -1,6 +1,9 @@
 #include "net/switch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "util/error.h"
@@ -14,34 +17,70 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-KeyedStage::KeyedStage(const OutputQueuedConfig& c) : config(c) {
-  if (config.jitter_mean_ns > 0.0 && config.jitter_stddev_ns != 0.0)
-    jitter = Rng::lognormal_params(config.jitter_mean_ns,
-                                   config.jitter_stddev_ns);
+JitterTable::JitterTable(double mean_ns, double stddev_ns) {
+  // The underlying normal's (mu, sigma) of a log-normal with this linear
+  // mean and standard deviation.
+  const double cv = stddev_ns / mean_ns;
+  const double sigma2 = std::log1p(cv * cv);
+  const double mu = std::log(mean_ns) - 0.5 * sigma2;
+  const double sigma = std::sqrt(sigma2);
+  const double scale = 1.0 / (sigma * std::sqrt(2.0));
+  constexpr double kOne = 4294967296.0;  // 2^32
+  // P(⌊X⌋ <= k) = P(X < k + 1) = Phi((ln(k + 1) - mu) / sigma). The running
+  // max keeps the rounded CDF monotone whatever erfc's last bit does.
+  std::uint64_t prev = 0;
+  while (prev < std::uint64_t{1} << 32) {
+    ACTNET_CHECK_MSG(cdf_.size() < kMaxEntries,
+                     "switch jitter (mean " << mean_ns << " ns, stddev "
+                         << stddev_ns << " ns) has a tail beyond "
+                         << kMaxEntries << " ns");
+    const double k1 = static_cast<double>(cdf_.size() + 1);
+    const double p = 0.5 * std::erfc(-(std::log(k1) - mu) * scale);
+    prev = std::max(prev, static_cast<std::uint64_t>(std::llround(p * kOne)));
+    cdf_.push_back(prev);
+  }
+  std::uint32_t k = 0;
+  for (std::uint32_t b = 0; b < (1u << kGuideBits); ++b) {
+    const std::uint64_t u = std::uint64_t{b} << (32 - kGuideBits);
+    while (cdf_[k] <= u) ++k;
+    guide_[b] = k;
+  }
+  guide_.back() = static_cast<std::uint32_t>(cdf_.size() - 1);
+}
+
+const JitterTable& JitterTable::get(double mean_ns, double stddev_ns) {
+  ACTNET_CHECK(mean_ns > 0.0);
+  ACTNET_CHECK(stddev_ns > 0.0);
+  static std::mutex mu;
+  static std::map<std::pair<double, double>, std::unique_ptr<JitterTable>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<JitterTable>& t = tables[{mean_ns, stddev_ns}];
+  if (t == nullptr) t.reset(new JitterTable(mean_ns, stddev_ns));
+  return *t;
+}
+
+KeyedStage::KeyedStage(const OutputQueuedConfig& c)
+    : config(c), fixed(c.routing_latency) {
+  if (config.jitter_mean_ns <= 0.0) return;
+  if (config.jitter_stddev_ns == 0.0)
+    fixed += units::ns(config.jitter_mean_ns);
+  else
+    table = &JitterTable::get(config.jitter_mean_ns, config.jitter_stddev_ns);
 }
 
 Tick keyed_stage_delay(const KeyedStage& stage, std::uint64_t switch_key,
                        std::uint64_t msg, const Packet& p, SwitchCounters& c) {
   const OutputQueuedConfig& config = stage.config;
   Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
-  Tick d = config.routing_latency;
-  // A zero stddev is a constant jitter with no draw, as in
-  // Rng::lognormal_by_moments.
-  if (config.jitter_mean_ns > 0.0)
-    d += units::ns(config.jitter_stddev_ns == 0.0
-                       ? config.jitter_mean_ns
-                       : rng.lognormal(stage.jitter.mu, stage.jitter.sigma));
+  Tick d = stage.fixed;
+  if (stage.table != nullptr)
+    d += stage.table->sample(static_cast<std::uint32_t>(rng() >> 32));
   if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
     d += units::ns(config.tail_offset_ns +
                    rng.exponential(config.tail_mean_excess_ns));
   c.credit(p.size, d);
   return d;
-}
-
-Tick keyed_stage_delay(const OutputQueuedConfig& config,
-                       std::uint64_t switch_key, std::uint64_t msg,
-                       const Packet& p, SwitchCounters& c) {
-  return keyed_stage_delay(KeyedStage(config), switch_key, msg, p, c);
 }
 
 OutputQueuedSwitch::OutputQueuedSwitch(sim::Engine& engine,

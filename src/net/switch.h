@@ -3,8 +3,9 @@
 // Two implementations behind one interface:
 //
 //  * OutputQueuedSwitch — the realistic model used for all experiments: a
-//    fixed routing-pipeline latency plus log-normal arbitration jitter and
-//    a rare heavy tail (internal conflicts), after which the packet is
+//    fixed routing-pipeline latency plus log-normal arbitration jitter
+//    (drawn from a precomputed integer table, JitterTable) and a rare
+//    heavy tail (internal conflicts), after which the packet is
 //    handed to the destination's output port for serialization (the
 //    Network owns the per-port downlinks). Contention therefore appears at
 //    output ports, exactly where it appears in a real crossbar switch.
@@ -18,15 +19,17 @@
 //    end-to-end and for the switch-model ablation bench.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/pool.h"
 #include "net/types.h"
 #include "queueing/distributions.h"
 #include "sim/engine.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace actnet::net {
 
@@ -41,16 +44,14 @@ struct SwitchCounters {
     ++packets;
     bytes += size;
     time_in_switch += d;
-    stage_latency_us.add(units::to_us(d));
   }
 
   std::uint64_t packets = 0;
   Bytes bytes = 0;
   /// Time packets spent inside the switch stage (routing/service only,
-  /// excluding output-port serialization), summed in ticks.
+  /// excluding output-port serialization), summed in ticks. The mean stage
+  /// delay is time_in_switch / packets.
   Tick time_in_switch = 0;
-  /// Service/routing-stage statistics in microseconds, for diagnostics.
-  OnlineStats stage_latency_us;
 };
 
 class Switch {
@@ -95,14 +96,65 @@ struct OutputQueuedConfig {
 /// tuple into one 64-bit key, one component at a time.
 std::uint64_t mix64(std::uint64_t x);
 
-/// An OutputQueuedConfig with its jitter's log-normal parameters converted
-/// once (Rng::lognormal_params), so a draw costs no log1p/log/sqrt. Draws
-/// are bit-identical to converting on every call.
+/// The arbitration jitter as the model sees it: ⌊X⌋ ns, where X is
+/// log-normal with linear-space `mean_ns` and `stddev_ns` (the stage adds
+/// whole ticks, so ⌊X⌋ is exactly the distribution that reaches the
+/// simulation). Held as the integer CDF scaled to 2^32,
+///   cdf[k] = round(2^32 · P(⌊X⌋ <= k)),
+/// which ends at the first k where it reaches 2^32, plus a 4,096-entry
+/// guide table over the top 12 bits of the draw. A draw is one table
+/// lookup and a search of one guide bucket (usually a single step), so a
+/// packet pays no log, cos or exp. P(sample = k) matches P(⌊X⌋ = k) to
+/// within 2^-32.
+///
+/// Tables are immutable and shared: get() builds one per distinct
+/// (mean, stddev) per process, on first use, and every later caller (any
+/// thread, any experiment) reads the same one.
+class JitterTable {
+ public:
+  static constexpr int kGuideBits = 12;
+  /// Upper bound on the table's length (entries of 8 bytes). The default
+  /// 200/120 ns jitter needs 5,763; a configuration whose 2^-33 tail
+  /// quantile lies beyond this many nanoseconds is rejected.
+  static constexpr std::size_t kMaxEntries = std::size_t{1} << 22;
+
+  /// The process-wide table for a jitter of `mean_ns` (> 0) and
+  /// `stddev_ns` (> 0), built on first use. Thread-safe; the reference
+  /// stays valid for the life of the process.
+  static const JitterTable& get(double mean_ns, double stddev_ns);
+
+  /// The jitter in whole ticks for 32 uniform random bits `u`: the
+  /// smallest k with u < cdf()[k].
+  Tick sample(std::uint32_t u) const {
+    const std::uint32_t b = u >> (32 - kGuideBits);
+    std::uint32_t k = guide_[b];
+    const std::uint32_t last = guide_[b + 1];
+    while (k < last && cdf_[k] <= u) ++k;
+    return static_cast<Tick>(k);
+  }
+
+  /// The scaled CDF: non-decreasing, last entry 2^32.
+  const std::vector<std::uint64_t>& cdf() const { return cdf_; }
+
+ private:
+  JitterTable(double mean_ns, double stddev_ns);
+
+  std::vector<std::uint64_t> cdf_;
+  /// guide_[b] = sample(b << 20), the answer for bucket b's smallest draw;
+  /// guide_[4096] = the last index.
+  std::array<std::uint32_t, (1u << kGuideBits) + 1> guide_{};
+};
+
+/// An OutputQueuedConfig resolved once for drawing: the fixed part of the
+/// delay and the jitter table (looked up, never built, per switch).
 struct KeyedStage {
   explicit KeyedStage(const OutputQueuedConfig& config);
 
   OutputQueuedConfig config;
-  Rng::LognormalParams jitter;  ///< unused when jitter_stddev_ns == 0
+  /// Routing latency plus a constant jitter (a zero stddev draws nothing).
+  Tick fixed = 0;
+  /// The jitter's table; null when the jitter is constant or zero.
+  const JitterTable* table = nullptr;
 };
 
 /// Draws one output-queued routing-stage delay — fixed pipeline latency +
@@ -116,10 +168,6 @@ struct KeyedStage {
 /// ordinal (msg_ordinal), Fabric its domain-local message id.
 Tick keyed_stage_delay(const KeyedStage& stage, std::uint64_t switch_key,
                        std::uint64_t msg, const Packet& p, SwitchCounters& c);
-/// The same draw, converting `config`'s jitter parameters on every call.
-Tick keyed_stage_delay(const OutputQueuedConfig& config,
-                       std::uint64_t switch_key, std::uint64_t msg,
-                       const Packet& p, SwitchCounters& c);
 
 class OutputQueuedSwitch final : public Switch {
  public:

@@ -119,6 +119,7 @@ class LocalHistogram {
     ++count_;
     sum_ += v;
     if (v > max_) max_ = v;
+    if (v < min_) min_ = v;
   }
   void merge(const LocalHistogram& o) {
     for (std::size_t i = 0; i < buckets_.size(); ++i)
@@ -126,11 +127,14 @@ class LocalHistogram {
     count_ += o.count_;
     sum_ += o.sum_;
     if (o.max_ > max_) max_ = o.max_;
+    if (o.min_ < min_) min_ = o.min_;
   }
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
   /// Largest sample so far (0 when empty).
   std::uint64_t max() const { return max_; }
+  /// Smallest sample so far (0 when empty).
+  std::uint64_t min() const { return count_ > 0 ? min_ : 0; }
   std::uint64_t bucket(int i) const {
     return buckets_[static_cast<std::size_t>(i)];
   }
@@ -139,6 +143,7 @@ class LocalHistogram {
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t max_ = 0;
+  std::uint64_t min_ = ~std::uint64_t{0};
   std::array<std::uint64_t, Histogram::kBuckets> buckets_{};
 };
 

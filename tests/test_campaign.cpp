@@ -97,11 +97,12 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
   }
   // Caches written under earlier schemas carry the same config under an
   // old version tag; each must miss rather than mix with current
-  // measurements: v4 (hop-per-event packet chain, a different same-tick
-  // order) and v3 (sequential switch-stage draws).
-  for (const char* old_version : {"actnet-v4", "actnet-v3"}) {
+  // measurements: v5 (jitter drawn per packet through log and exp, other
+  // draws of the same distribution), v4 (hop-per-event packet chain, a
+  // different same-tick order) and v3 (sequential switch-stage draws).
+  for (const char* old_version : {"actnet-v5", "actnet-v4", "actnet-v3"}) {
     std::string old_fingerprint = Campaign(tiny_config()).fingerprint();
-    ASSERT_EQ(old_fingerprint.rfind("actnet-v5|", 0), 0u);
+    ASSERT_EQ(old_fingerprint.rfind("actnet-v6|", 0), 0u);
     old_fingerprint.replace(0, 9, old_version);
     {
       MeasurementDb db(path);

@@ -150,9 +150,16 @@ TEST(LocalHistogram, MergesExactlyIntoHistogram) {
     direct.add(v);
   }
   EXPECT_EQ(a.max(), 1000u);
+  EXPECT_EQ(a.min(), 0u);
+  EXPECT_EQ(b.min(), 7u);
+  EXPECT_EQ(LocalHistogram{}.min(), 0u);  // empty
+  LocalHistogram c;
+  c.merge(b);
+  EXPECT_EQ(c.min(), 7u);
   a.merge(b);
   EXPECT_EQ(a.count(), 7u);
   EXPECT_EQ(a.max(), 1000u);
+  EXPECT_EQ(a.min(), 0u);
   Histogram merged;
   merged.merge(a);
   merged.merge(LocalHistogram{});  // empty: no-op

@@ -171,8 +171,9 @@ TEST(Network, PacketLatencyStatsPopulated) {
   Fixture f;
   f.net.send(0, 1, 1, 1088, nullptr, nullptr);
   f.engine.run();
-  EXPECT_EQ(f.net.counters().packet_latency_us.count(), 1u);
-  EXPECT_GT(f.net.counters().packet_latency_us.mean(), 0.5);
+  const obs::LocalHistogram& lat = f.net.packet_latency();
+  EXPECT_EQ(lat.count(), 1u);
+  EXPECT_GT(lat.sum(), 500u * lat.count());  // mean above 0.5 us
 }
 
 // --- the folded per-packet chain ---
@@ -266,7 +267,7 @@ TEST(Network, ReorderedPacketsDeliverAtTheLatestCompletion) {
     engine.run();
     EXPECT_EQ(engine.events_processed(), 3 * k + 1);
     EXPECT_EQ(net.counters().packets_delivered, k);
-    EXPECT_EQ(net.counters().packet_latency_us.count(), k);
+    EXPECT_EQ(net.packet_latency().count(), k);
 
     const std::vector<Span> sw = spans_named(tracer, "switch");
     const std::vector<Span> pkt = spans_named(tracer, "packet");

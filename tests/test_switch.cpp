@@ -2,7 +2,11 @@
 // behaviour, and agreement of the shared-queue switch with M/G/1 analytics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/switch.h"
@@ -84,35 +88,136 @@ TEST(OutputQueuedSwitch, DelayIsPureFunctionOfKeyAndPacket) {
   EXPECT_EQ(fwd.counters().time_in_switch, rev.counters().time_in_switch);
 }
 
-/// The stage delay as drawn before its log-normal parameters were cached:
-/// the moments are converted on every draw.
-Tick moments_form_delay(const OutputQueuedConfig& config,
-                        std::uint64_t switch_key, std::uint64_t msg,
-                        const Packet& p) {
+/// The reference CDF of the stage jitter ⌊X⌋, X log-normal with linear
+/// mean and stddev: round(2^32 · P(X < k + 1)) for k = 0.., kept monotone,
+/// up to the first entry that reaches 2^32.
+std::vector<std::uint64_t> reference_cdf(double mean, double stddev) {
+  const Rng::LognormalParams lp = Rng::lognormal_params(mean, stddev);
+  const double scale = 1.0 / (lp.sigma * std::sqrt(2.0));
+  std::vector<std::uint64_t> cdf;
+  std::uint64_t c = 0;
+  for (std::uint64_t k = 0; c < (std::uint64_t{1} << 32); ++k) {
+    const double p = 0.5 * std::erfc(
+                               -(std::log(static_cast<double>(k + 1)) - lp.mu) *
+                               scale);
+    c = std::max(c, static_cast<std::uint64_t>(std::llround(p * 0x1p32)));
+    cdf.push_back(c);
+  }
+  return cdf;
+}
+
+/// The jitter the reference CDF gives 32 random bits `u`, by binary search.
+Tick reference_sample(const std::vector<std::uint64_t>& cdf, std::uint32_t u) {
+  return std::upper_bound(cdf.begin(), cdf.end(), std::uint64_t{u}) -
+         cdf.begin();
+}
+
+TEST(JitterTable, CdfIsMonotoneAndEndsAtTwoToThe32) {
+  for (const auto& [mean, stddev] :
+       std::vector<std::pair<double, double>>{{200.0, 120.0}, {37.5, 60.0}}) {
+    const std::vector<std::uint64_t>& cdf =
+        JitterTable::get(mean, stddev).cdf();
+    ASSERT_FALSE(cdf.empty());
+    EXPECT_TRUE(std::is_sorted(cdf.begin(), cdf.end()));
+    EXPECT_EQ(cdf.back(), std::uint64_t{1} << 32);
+    EXPECT_LT(cdf[cdf.size() - 2], std::uint64_t{1} << 32);  // ends at once
+    EXPECT_EQ(cdf, reference_cdf(mean, stddev));
+  }
+  // The default 200/120 ns jitter: about 5,800 entries.
+  const std::size_t n = JitterTable::get(200.0, 120.0).cdf().size();
+  EXPECT_GT(n, 4000u);
+  EXPECT_LT(n, 8000u);
+}
+
+TEST(JitterTable, SampleMatchesReferenceSearch) {
+  // The guide-table lookup returns what a plain binary search over an
+  // independently computed CDF returns: at every guide-bucket boundary and
+  // its neighbours, at every CDF step, and at 10^6 random draws.
+  for (const auto& [mean, stddev] :
+       std::vector<std::pair<double, double>>{{200.0, 120.0}, {37.5, 60.0}}) {
+    const JitterTable& table = JitterTable::get(mean, stddev);
+    const std::vector<std::uint64_t> cdf = reference_cdf(mean, stddev);
+    const auto check = [&](std::uint64_t u64) {
+      const auto u = static_cast<std::uint32_t>(u64);
+      ASSERT_EQ(table.sample(u), reference_sample(cdf, u)) << "u=" << u;
+    };
+    constexpr int kShift = 32 - JitterTable::kGuideBits;
+    for (std::uint64_t b = 0; b <= (1u << JitterTable::kGuideBits); ++b) {
+      const std::uint64_t edge = b << kShift;
+      if (edge > 0) check(edge - 1);
+      if (edge <= 0xffffffffu) check(edge);
+      if (edge + 1 <= 0xffffffffu) check(edge + 1);
+    }
+    for (const std::uint64_t c : cdf) {
+      if (c > 0) check(c - 1);
+      if (c <= 0xffffffffu) check(c);
+    }
+    Rng rng(static_cast<std::uint64_t>(mean));
+    for (int i = 0; i < 1'000'000; ++i) check(rng() >> 32);
+  }
+}
+
+TEST(JitterTable, KeyedDrawsHaveTheTableMean) {
+  // 10^6 keyed draws (no tail, no routing latency) average within three
+  // standard errors of E[⌊X⌋], computed from the CDF; and E[⌊X⌋] and its
+  // spread are those of the configured log-normal, less the flooring.
+  OutputQueuedConfig cfg;
+  cfg.routing_latency = 0;
+  cfg.tail_prob = 0.0;
+  const KeyedStage stage(cfg);
+  ASSERT_NE(stage.table, nullptr);
+  const std::vector<std::uint64_t>& cdf = stage.table->cdf();
+  double mean = 0.0, second = 0.0;
+  std::uint64_t below = 0;
+  for (std::size_t k = 0; k < cdf.size(); ++k) {
+    const double pk = static_cast<double>(cdf[k] - below) * 0x1p-32;
+    mean += pk * static_cast<double>(k);
+    second += pk * static_cast<double>(k) * static_cast<double>(k);
+    below = cdf[k];
+  }
+  const double var = second - mean * mean;
+  EXPECT_GT(mean, cfg.jitter_mean_ns - 1.0);
+  EXPECT_LE(mean, cfg.jitter_mean_ns);
+  EXPECT_NEAR(std::sqrt(var), cfg.jitter_stddev_ns, 0.5);
+
+  SwitchCounters c;
+  constexpr int kDraws = 1'000'000;
+  for (int i = 0; i < kDraws; ++i) {
+    Packet p = keyed_packet(i % 1000);
+    p.flow = static_cast<std::uint32_t>(1 + i / 1000);
+    keyed_stage_delay(stage, 99, 1 + static_cast<std::uint64_t>(i % 7), p, c);
+  }
+  ASSERT_EQ(c.packets, static_cast<std::uint64_t>(kDraws));
+  const double drawn = static_cast<double>(c.time_in_switch) / kDraws;
+  EXPECT_NEAR(drawn, mean, 3.0 * std::sqrt(var / kDraws));
+}
+
+/// The stage delay of a configuration with no jitter draw (zero mean or
+/// zero stddev), as it has always been drawn.
+Tick undrawn_jitter_delay(const OutputQueuedConfig& config,
+                          std::uint64_t switch_key, std::uint64_t msg,
+                          const Packet& p) {
   Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
   Tick d = config.routing_latency;
-  if (config.jitter_mean_ns > 0.0)
-    d += units::ns(rng.lognormal_by_moments(config.jitter_mean_ns,
-                                            config.jitter_stddev_ns));
+  if (config.jitter_mean_ns > 0.0) d += units::ns(config.jitter_mean_ns);
   if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
     d += units::ns(config.tail_offset_ns +
                    rng.exponential(config.tail_mean_excess_ns));
   return d;
 }
 
-TEST(OutputQueuedSwitch, CachedJitterParametersDrawBitIdentically) {
-  // The switch converts its jitter moments once; every draw must equal
-  // the per-draw conversion bit for bit, on the default stage, a
-  // high-variance one, a constant-jitter one and a jitter-free one.
-  std::vector<OutputQueuedConfig> configs(4);
-  configs[1].jitter_mean_ns = 37.5;
-  configs[1].jitter_stddev_ns = 400.0;
-  configs[1].tail_prob = 0.3;
-  configs[2].jitter_stddev_ns = 0.0;
-  configs[3].jitter_mean_ns = 0.0;
-  for (const OutputQueuedConfig& cfg : configs) {
+TEST(OutputQueuedSwitch, ConstantAndZeroJitterKeepTheirExactDelays) {
+  // A zero stddev is a constant jitter and a zero mean no jitter: neither
+  // has a table, and both draw their tails from the same keyed stream bits
+  // as before, so every delay is unchanged.
+  std::vector<OutputQueuedConfig> configs(2);
+  configs[0].jitter_stddev_ns = 0.0;
+  configs[1].jitter_mean_ns = 0.0;
+  for (OutputQueuedConfig& cfg : configs) {
+    cfg.tail_prob = 0.3;
     const KeyedStage stage(cfg);
-    SwitchCounters cached, converted;
+    EXPECT_EQ(stage.table, nullptr);
+    SwitchCounters counters;
     int tails = 0;
     for (std::uint64_t key = 0; key < 40; ++key)
       for (int i = 0; i < 500; ++i) {
@@ -120,17 +225,48 @@ TEST(OutputQueuedSwitch, CachedJitterParametersDrawBitIdentically) {
         p.flow = static_cast<std::uint32_t>(key * 7 + 1);
         const std::uint64_t sw_key = mix64(key);
         const std::uint64_t msg = 1 + static_cast<std::uint64_t>(i % 13);
-        const Tick want = moments_form_delay(cfg, sw_key, msg, p);
-        ASSERT_EQ(keyed_stage_delay(stage, sw_key, msg, p, cached), want);
-        ASSERT_EQ(keyed_stage_delay(cfg, sw_key, msg, p, converted), want);
-        if (want > cfg.routing_latency + units::ns(cfg.tail_offset_ns))
-          ++tails;
+        const Tick want = undrawn_jitter_delay(cfg, sw_key, msg, p);
+        ASSERT_EQ(keyed_stage_delay(stage, sw_key, msg, p, counters), want);
+        if (want > stage.fixed) ++tails;
       }
-    EXPECT_EQ(cached.time_in_switch, converted.time_in_switch);
-    EXPECT_EQ(cached.packets, 40u * 500u);
-    if (cfg.tail_prob > 0.1) {
-      EXPECT_GT(tails, 0);
-    }
+    EXPECT_EQ(counters.packets, 40u * 500u);
+    EXPECT_GT(tails, 0);
+  }
+}
+
+TEST(JitterTable, ConcurrentSwitchesShareOneTablePerConfig) {
+  // Eight threads build switches over the same and over different jitter
+  // configurations at once; each configuration gets exactly one table.
+  // Means not used elsewhere, so the first builds race here.
+  const std::vector<std::pair<double, double>> jitters = {
+      {211.25, 97.5}, {211.25, 98.5}, {305.5, 97.5}};
+  constexpr int kThreads = 8;
+  std::vector<std::vector<const JitterTable*>> seen(
+      kThreads, std::vector<const JitterTable*>(jitters.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      sim::Engine e;
+      for (std::size_t j = 0; j < jitters.size(); ++j) {
+        const std::size_t pick = (j + static_cast<std::size_t>(t)) %
+                                 jitters.size();
+        OutputQueuedConfig cfg;
+        cfg.jitter_mean_ns = jitters[pick].first;
+        cfg.jitter_stddev_ns = jitters[pick].second;
+        OutputQueuedSwitch sw(e, cfg, static_cast<std::uint64_t>(t));
+        sw.flowfwd_delay(keyed_packet(t));
+        seen[static_cast<std::size_t>(t)][pick] = KeyedStage(cfg).table;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t j = 0; j < jitters.size(); ++j) {
+    const JitterTable* table = seen[0][j];
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table, &JitterTable::get(jitters[j].first, jitters[j].second));
+    for (int t = 1; t < kThreads; ++t)
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)][j], table);
+    for (std::size_t other = 0; other < j; ++other)
+      EXPECT_NE(seen[0][other], table);
   }
 }
 

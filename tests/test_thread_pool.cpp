@@ -163,5 +163,26 @@ TEST(ThreadPool, NumericKnobsAreStrict) {
   }
 }
 
+TEST(BenchCli, UsageErrorsExitTwoWithTheMessage) {
+  // A bench body that throws actnet::Error (here the real parser on a
+  // retired flag) returns exit code 2 with the message on stderr, instead
+  // of aborting through std::terminate; a body that returns passes its
+  // code through.
+  std::string flag = "--telemetry=100";
+  std::string name = "bench";
+  char* argv[] = {name.data(), flag.data()};
+  testing::internal::CaptureStderr();
+  const int code = bench::run([&] {
+    bench::parse_cli(2, argv);
+    return 0;
+  });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(err.find("error: "), std::string::npos) << err;
+  EXPECT_NE(err.find(flag), std::string::npos) << err;
+  EXPECT_EQ(bench::run([] { return 0; }), 0);
+  EXPECT_EQ(bench::run([] { return 3; }), 3);
+}
+
 }  // namespace
 }  // namespace actnet::util
