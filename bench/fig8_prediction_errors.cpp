@@ -20,9 +20,8 @@ static int bench_main(int argc, char** argv) {
       "Fig. 8: |measured - predicted| slowdown (%) for all 36 pairings",
       campaign);
 
-  std::vector<apps::AppId> ids;
-  for (const auto& app : apps::all_apps()) ids.push_back(app.id);
-  const auto records = valid::collect_pair_errors(campaign, ids);
+  const auto records =
+      valid::collect_pair_errors(campaign, apps::all_app_ids());
 
   Table t({"victim", "with", "measured_%", "AverageLT", "AverageStDevLT",
            "PDFLT", "Queue"});

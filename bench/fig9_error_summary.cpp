@@ -18,10 +18,8 @@ static int bench_main(int argc, char** argv) {
   bench::print_title(
       "Fig. 9: prediction-error summary over the 36 workloads", campaign);
 
-  std::vector<apps::AppId> ids;
-  for (const auto& app : apps::all_apps()) ids.push_back(app.id);
-  const auto by_model =
-      valid::errors_by_model(valid::collect_pair_errors(campaign, ids));
+  const auto by_model = valid::errors_by_model(
+      valid::collect_pair_errors(campaign, apps::all_app_ids()));
 
   Table t({"model", "min", "q1", "median", "q3", "max", "mean",
            "under_10%_of_36", "under_20%_of_36"});

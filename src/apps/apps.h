@@ -56,6 +56,8 @@ struct AppInfo {
 /// All six apps in the paper's table order: FFT, Lulesh, MCB, MILC,
 /// VPFFT, AMG.
 const std::vector<AppInfo>& all_apps();
+/// The ids of all_apps(), in the same order.
+std::vector<AppId> all_app_ids();
 const AppInfo& app_info(AppId id);
 const AppInfo& app_info_by_name(const std::string& name);
 

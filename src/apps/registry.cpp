@@ -13,6 +13,12 @@ const std::vector<AppInfo>& all_apps() {
   return apps;
 }
 
+std::vector<AppId> all_app_ids() {
+  std::vector<AppId> ids;
+  for (const auto& a : all_apps()) ids.push_back(a.id);
+  return ids;
+}
+
 const AppInfo& app_info(AppId id) {
   for (const auto& a : all_apps())
     if (a.id == id) return a;

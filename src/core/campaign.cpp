@@ -1,13 +1,17 @@
 #include "core/campaign.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/keys.h"
+#include "core/parallel.h"
 #include "core/probes.h"
 #include "util/env.h"
-#include "util/log.h"
+#include "util/error.h"
+#include "util/parse.h"
 
 namespace actnet::core {
 namespace {
@@ -21,6 +25,25 @@ namespace {
 /// v5: the per-packet path folds its fixed hops (three events per packet,
 /// one per message), which reorders same-tick events.
 constexpr const char* kSchemaVersion = "actnet-v6";
+
+template <class T>
+std::optional<T> decode(const std::string& value) {
+  if constexpr (std::is_same_v<T, double>) return util::parse_double(value);
+  else return T::try_deserialize(value);
+}
+
+template <class T>
+bool decodes(const std::string& value) {
+  return decode<T>(value).has_value();
+}
+
+/// The cached value of `key`; drop_cached or a finished job left it there.
+template <class T>
+T decoded(const MeasurementDb& db, const std::string& key) {
+  std::optional<T> v = decode<T>(db.get(key).value_or(""));
+  ACTNET_CHECK_MSG(v.has_value(), "measurement '" << key << "' does not decode");
+  return *std::move(v);
+}
 
 }  // namespace
 
@@ -43,8 +66,8 @@ Campaign::Campaign(CampaignConfig config)
 std::string Campaign::fingerprint() const {
   // Every knob that changes simulated results must be folded in: a stale
   // cache silently mixing measurements from two different networks is
-  // worse than a cold one. (The fingerprint used to cover only window/
-  // warmup/seed/nodes — editing e.g. the MTU kept serving old lines.)
+  // worse than a cold one. The flow-forward regime is appended only when
+  // off, so default fingerprints keep their bytes.
   const net::NetworkConfig& net = config_.opts.cluster.network;
   const net::OutputQueuedConfig& oq = net.output_queued;
   std::ostringstream os;
@@ -67,65 +90,87 @@ std::string Campaign::fingerprint() const {
      << "|sq.m=" << net.sq_service_mean_ns
      << "|sq.s=" << net.sq_service_stddev_ns
      << "|loc.bw=" << net.local_bandwidth << "|loc.lat=" << net.local_latency;
+  if (!net::flow_forward_regime(config_.opts.cluster.flow_forward))
+    os << "|ffwd=0";
   return os.str();
 }
 
-const Calibration& Campaign::calibration() {
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (calibrated_) return calibration_;
-  }
-  if (const auto cached = db_.get(keys::calibration()); cached.has_value()) {
-    // A cached value that no longer decodes (torn write, bit rot that
-    // survived line framing) is a miss, not a crash: drop it, re-measure.
-    if (auto calib = Calibration::try_deserialize(*cached);
-        calib.has_value()) {
-      std::lock_guard<std::mutex> lock(memo_mu_);
-      if (!calibrated_) {
-        calibration_ = *std::move(calib);
-        calibrated_ = true;
-      }
-      return calibration_;
-    }
-    db_.invalidate(keys::calibration());
-  }
-  record_calibration(calibrate(config_.opts));
-  return calibration_;
+Experiment Campaign::calibration_experiment() {
+  return {keys::calibration(), decodes<Calibration>, [this] {
+            db_.put(keys::calibration(), calibrate(config_.opts).serialize());
+          }};
 }
 
-void Campaign::record_calibration(const Calibration& calib) {
-  db_.put(keys::calibration(), calib.serialize());
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  calibration_ = calib;
-  calibrated_ = true;
+Experiment Campaign::impact_experiment(const Workload& workload) {
+  return {keys::impact(workload), decodes<LatencySummary>, [this, workload] {
+            db_.put(keys::impact(workload),
+                    run_impact_experiment(workload, config_.opts).serialize());
+          }};
+}
+
+Experiment Campaign::baseline_experiment(apps::AppId app) {
+  return {keys::baseline(app), decodes<double>, [this, app] {
+            db_.put_double(keys::baseline(app),
+                           measure_app_alone_us(app, config_.opts));
+          }};
+}
+
+Experiment Campaign::degradation_experiment(apps::AppId app,
+                                            const CompressionConfig& cfg) {
+  return {keys::degradation(app, cfg), decodes<double>, [this, app, cfg] {
+            db_.put_double(
+                keys::degradation(app, cfg),
+                measure_app_vs_compression_us(app, cfg, config_.opts));
+          }};
+}
+
+Experiment Campaign::pair_experiment(apps::AppId first, apps::AppId second) {
+  return {keys::pair(first, second), decodes<PairTimes>, [this, first, second] {
+            db_.put(keys::pair(first, second),
+                    measure_pair_us(first, second, config_.opts).serialize());
+          }};
+}
+
+std::vector<std::string> Campaign::drop_cached(
+    std::vector<Experiment>& wanted) {
+  std::vector<std::string> cached;
+  std::erase_if(wanted, [&](const Experiment& e) {
+    const auto value = db_.get(e.key);
+    if (!value.has_value()) return false;
+    if (!e.decodes(*value)) {
+      db_.invalidate(e.key);
+      return false;
+    }
+    cached.push_back(e.key);
+    return true;
+  });
+  return cached;
+}
+
+void Campaign::measure_missing(const char* label,
+                               std::vector<Experiment> wanted) {
+  std::vector<std::string> cached = drop_cached(wanted);
+  if (!wanted.empty())
+    ParallelRunner(*this).run(label, std::move(wanted), std::move(cached));
+}
+
+const Calibration& Campaign::calibration() {
+  if (!calibrated_) {
+    measure_missing("calibration", {calibration_experiment()});
+    calibration_ = decoded<Calibration>(db_, keys::calibration());
+    calibrated_ = true;
+  }
+  return calibration_;
 }
 
 const LatencySummary& Campaign::impact_of(const Workload& workload) {
   const std::string label = workload.label();
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (const auto it = impact_memo_.find(label); it != impact_memo_.end())
-      return it->second;
-  }
-  if (const auto cached = db_.get(keys::impact(workload));
-      cached.has_value()) {
-    if (auto summary = LatencySummary::try_deserialize(*cached);
-        summary.has_value()) {
-      std::lock_guard<std::mutex> lock(memo_mu_);
-      return impact_memo_.emplace(label, *std::move(summary)).first->second;
-    }
-    db_.invalidate(keys::impact(workload));
-  }
-  record_impact(workload, run_impact_experiment(workload, config_.opts));
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  return impact_memo_.at(label);
-}
-
-void Campaign::record_impact(const Workload& workload,
-                             const LatencySummary& summary) {
-  db_.put(keys::impact(workload), summary.serialize());
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  impact_memo_.emplace(workload.label(), summary);
+  if (const auto it = impact_memo_.find(label); it != impact_memo_.end())
+    return it->second;
+  measure_missing("impact", {impact_experiment(workload)});
+  return impact_memo_
+      .emplace(label, decoded<LatencySummary>(db_, keys::impact(workload)))
+      .first->second;
 }
 
 double Campaign::utilization_of(const Workload& workload) {
@@ -134,6 +179,10 @@ double Campaign::utilization_of(const Workload& workload) {
 
 const std::vector<CompressionProfile>& Campaign::compression_table() {
   if (!compression_table_.empty()) return compression_table_;
+  std::vector<Experiment> wanted = {calibration_experiment()};
+  for (const CompressionConfig& cfg : grid_)
+    wanted.push_back(impact_experiment(Workload::of_compression(cfg)));
+  measure_missing("compression_table", std::move(wanted));
   for (const CompressionConfig& cfg : grid_) {
     CompressionProfile profile;
     profile.config = cfg;
@@ -145,78 +194,39 @@ const std::vector<CompressionProfile>& Campaign::compression_table() {
 }
 
 double Campaign::baseline_us(apps::AppId app) {
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (const auto it = baselines_.find(app); it != baselines_.end())
-      return it->second;
-  }
-  if (const auto cached = db_.get_double(keys::baseline(app));
-      cached.has_value()) {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    return baselines_.emplace(app, *cached).first->second;
-  }
-  const double value = measure_app_alone_us(app, config_.opts);
-  record_baseline(app, value);
-  return value;
-}
-
-void Campaign::record_baseline(apps::AppId app, double iter_us) {
-  db_.put_double(keys::baseline(app), iter_us);
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  baselines_.emplace(app, iter_us);
-}
-
-void Campaign::record_degradation(apps::AppId app, const CompressionConfig& cfg,
-                                  double iter_us) {
-  db_.put_double(keys::degradation(app, cfg), iter_us);
+  if (const auto it = baselines_.find(app); it != baselines_.end())
+    return it->second;
+  measure_missing("baseline", {baseline_experiment(app)});
+  return baselines_.emplace(app, decoded<double>(db_, keys::baseline(app)))
+      .first->second;
 }
 
 const AppProfile& Campaign::app_profile(apps::AppId app) {
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (const auto it = app_profiles_.find(app); it != app_profiles_.end())
-      return it->second;
-  }
+  if (const auto it = app_profiles_.find(app); it != app_profiles_.end())
+    return it->second;
 
-  const auto& info = apps::app_info(app);
+  // One batch for everything the profile reads: the compression table's
+  // experiments, the app's impact and baseline, and its degradations.
+  std::vector<Experiment> wanted = {calibration_experiment()};
+  for (const CompressionConfig& cfg : grid_)
+    wanted.push_back(impact_experiment(Workload::of_compression(cfg)));
+  wanted.push_back(impact_experiment(Workload::of_app(app)));
+  wanted.push_back(baseline_experiment(app));
+  for (const CompressionConfig& cfg : grid_)
+    wanted.push_back(degradation_experiment(app, cfg));
+  measure_missing("app_profile", std::move(wanted));
+
   AppProfile profile;
   profile.id = app;
-  profile.name = info.name;
+  profile.name = apps::app_info(app).name;
   profile.impact = impact_of(Workload::of_app(app));
   profile.utilization = estimate_utilization(profile.impact, calibration());
   profile.baseline_iter_us = baseline_us(app);
-  for (const CompressionProfile& comp : compression_table()) {
-    const std::string key = keys::degradation(app, comp.config);
-    double iter_us = 0.0;
-    if (const auto cached = db_.get_double(key); cached.has_value()) {
-      iter_us = *cached;
-    } else {
-      iter_us =
-          measure_app_vs_compression_us(app, comp.config, config_.opts);
-      record_degradation(app, comp.config, iter_us);
-    }
-    profile.degradation_pct.push_back(
-        slowdown_pct(iter_us, profile.baseline_iter_us));
-  }
-  std::lock_guard<std::mutex> lock(memo_mu_);
+  for (const CompressionProfile& comp : compression_table())
+    profile.degradation_pct.push_back(slowdown_pct(
+        decoded<double>(db_, keys::degradation(app, comp.config)),
+        profile.baseline_iter_us));
   return app_profiles_.emplace(app, std::move(profile)).first->second;
-}
-
-PairTimes Campaign::pair_times(apps::AppId first, apps::AppId second) {
-  const std::string key = keys::pair(first, second);
-  if (const auto cached = db_.get(key); cached.has_value()) {
-    if (const auto t = PairTimes::try_deserialize(*cached); t.has_value())
-      return *t;
-    db_.invalidate(key);
-  }
-  const PairTimes t = measure_pair_us(first, second, config_.opts);
-  record_pair(first, second, t);
-  return t;
-}
-
-void Campaign::record_pair(apps::AppId first, apps::AppId second,
-                           const PairTimes& t) {
-  db_.put(keys::pair(first, second), t.serialize());
 }
 
 double Campaign::measured_pair_slowdown_pct(apps::AppId victim,
@@ -225,12 +235,13 @@ double Campaign::measured_pair_slowdown_pct(apps::AppId victim,
   // average the two copies.
   const apps::AppId first = std::min(victim, aggressor);
   const apps::AppId second = std::max(victim, aggressor);
-  const PairTimes t = pair_times(first, second);
-  double victim_iter_us = 0.0;
-  if (victim == aggressor)
-    victim_iter_us = (t.first_us + t.second_us) / 2.0;
-  else
-    victim_iter_us = (victim == first) ? t.first_us : t.second_us;
+  measure_missing("pair", {pair_experiment(first, second),
+                           baseline_experiment(victim)});
+  const PairTimes t = decoded<PairTimes>(db_, keys::pair(first, second));
+  const double victim_iter_us = victim == aggressor
+                                    ? (t.first_us + t.second_us) / 2.0
+                                    : (victim == first ? t.first_us
+                                                       : t.second_us);
   return slowdown_pct(victim_iter_us, baseline_us(victim));
 }
 

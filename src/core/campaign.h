@@ -1,22 +1,20 @@
-// Campaign orchestration: everything the paper's evaluation needs, lazily
-// measured and cached.
+// Campaign orchestration: everything the paper's evaluation needs,
+// measured on demand and cached in memory and in a MeasurementDb file —
+// the calibration, ImpactB summaries, the CompressionB table, degradation
+// curves, co-run pairs, and the four models' predictions. The benches are
+// thin formatters over this API and share one cache.
 //
-// A Campaign memoizes (in memory and in a MeasurementDb file) the
-// calibration, the per-workload ImpactB summaries, the 40-configuration
-// CompressionB table, the per-application degradation curves, the co-run
-// pair measurements, and the predictions of the four models. The
-// figure/table benches are thin formatters over this API, and all of them
-// share one cache, so the expensive simulations run exactly once.
-//
-// Threading: the lazy accessors are single-threaded (call them from one
-// thread). To use many cores, run a core::ParallelRunner first — it fans
-// the pending experiments out over a util::ThreadPool and merges results
-// into this campaign through the thread-safe record_*() helpers; the
-// accessors then find everything cached and never simulate.
+// Each simulation is one of five experiment kinds; *_experiment() maps it
+// to its cache key and a job that measures it into the db. Only
+// core::ParallelRunner runs jobs: prefetch() hands it a scope, and an
+// accessor hands it the experiments it lacks as one batch, then decodes
+// its result from the cache (so a cold app_profile() runs in parallel and
+// a warm accessor builds no runner). Call the accessors from one thread;
+// the jobs run on the runner's workers and touch only the thread-safe db.
 #pragma once
 
+#include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +42,15 @@ struct CampaignConfig {
   std::string report_path;
 
   static CampaignConfig from_env();
+};
+
+/// One cacheable experiment: its MeasurementDb key (core/keys.h), a check
+/// that a cached value still decodes, and the job that measures it into
+/// the campaign's db (independent of other jobs, safe on any thread).
+struct Experiment {
+  std::string key;
+  bool (*decodes)(const std::string& value) = nullptr;
+  std::function<void()> run;
 };
 
 class Campaign {
@@ -98,27 +105,29 @@ class Campaign {
   /// knob. A cache recorded under another fingerprint is discarded.
   std::string fingerprint() const;
 
-  // --- thread-safe result merging (used by ParallelRunner workers) ---
+  // --- the five experiment kinds (run by core::ParallelRunner) ---
+  Experiment calibration_experiment();
+  Experiment impact_experiment(const Workload& workload);
+  Experiment baseline_experiment(apps::AppId app);
+  Experiment degradation_experiment(apps::AppId app,
+                                    const CompressionConfig& cfg);
+  /// Unordered pair; callers normalize (first <= second).
+  Experiment pair_experiment(apps::AppId first, apps::AppId second);
 
-  /// Each records one finished measurement into the db and memo maps under
-  /// the campaign mutex; safe to call from worker threads.
-  void record_calibration(const Calibration& calib);
-  void record_impact(const Workload& workload, const LatencySummary& summary);
-  void record_baseline(apps::AppId app, double iter_us);
-  void record_degradation(apps::AppId app, const CompressionConfig& cfg,
-                          double iter_us);
-  void record_pair(apps::AppId first, apps::AppId second, const PairTimes& t);
+  /// Removes from `wanted` every experiment whose cached value still
+  /// decodes and returns their keys. A cached value that no longer decodes
+  /// (torn write, bit rot that survived line framing) is invalidated, and
+  /// its experiment stays in `wanted` to be measured again.
+  std::vector<std::string> drop_cached(std::vector<Experiment>& wanted);
 
  private:
-  /// Ordered pair iteration times, running each unordered pair once.
-  PairTimes pair_times(apps::AppId first, apps::AppId second);
+  /// Runs the experiments of `wanted` that are not cached as one
+  /// ParallelRunner batch named `label`; builds no runner when all are.
+  void measure_missing(const char* label, std::vector<Experiment> wanted);
 
   CampaignConfig config_;
   std::vector<CompressionConfig> grid_;
   MeasurementDb db_;
-  /// Guards the memo maps and calibration state against concurrent
-  /// record_*() merges.
-  std::mutex memo_mu_;
   bool calibrated_ = false;
   Calibration calibration_;
   std::unordered_map<std::string, LatencySummary> impact_memo_;

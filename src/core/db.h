@@ -90,7 +90,6 @@ class MeasurementDb {
   void rewrite_file();
   void ensure_append_handle();
   void close_append_handle();
-  void note_corruption(std::size_t lines);
 
   std::string path_;
   mutable std::mutex mu_;

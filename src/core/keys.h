@@ -1,6 +1,6 @@
-// Measurement-cache key scheme, shared by the lazy Campaign accessors and
-// the ParallelRunner prefetcher so both resolve the same experiment to the
-// same MeasurementDb entry.
+// Measurement-cache key scheme: Campaign's five *_experiment() builders
+// name their experiments by these keys, and its accessors decode results
+// from the same entries, so every path resolves one experiment to one.
 #pragma once
 
 #include <string>

@@ -8,8 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/keys.h"
-#include "core/probes.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/fsio.h"
@@ -63,82 +61,58 @@ ParallelRunner::ParallelRunner(Campaign& campaign, int jobs)
                             ? campaign.config().jobs
                             : util::ThreadPool::default_jobs())) {}
 
-void ParallelRunner::collect(PrefetchScope scope, std::vector<Pending>& jobs,
-                             std::vector<std::string>& cached_keys) {
+PrefetchReport ParallelRunner::prefetch(
+    PrefetchScope scope, const std::vector<apps::AppId>& app_set) {
   Campaign& c = campaign_;
-  const MeasureOptions& opts = c.options();
-  auto add = [&](std::string key, Job fn) {
-    if (c.db().get(key).has_value()) {
-      cached_keys.push_back(std::move(key));
-      return;
-    }
-    jobs.push_back(Pending{std::move(key), std::move(fn)});
-  };
-
   // Calibration (every scope needs it: utilization derives from it).
-  add(keys::calibration(),
-      [&c, &opts] { c.record_calibration(calibrate(opts)); });
+  std::vector<Experiment> wanted = {c.calibration_experiment()};
 
-  // ImpactB runs: the CompressionB grid, the six apps, and the idle probe.
-  std::vector<Workload> impacts;
+  // ImpactB runs: the CompressionB grid, the apps, and the idle probe.
   if (wants_grid_impacts(scope))
     for (const CompressionConfig& cfg : c.compression_grid())
-      impacts.push_back(Workload::of_compression(cfg));
+      wanted.push_back(c.impact_experiment(Workload::of_compression(cfg)));
   if (wants_profiles(scope) || wants_impacts(scope))
-    for (const auto& app : apps::all_apps())
-      impacts.push_back(Workload::of_app(app.id));
-  if (wants_impacts(scope)) impacts.push_back(Workload::idle());
-  for (const Workload& w : impacts)
-    add(keys::impact(w), [&c, &opts, w] {
-      c.record_impact(w, run_impact_experiment(w, opts));
-    });
+    for (const apps::AppId id : app_set)
+      wanted.push_back(c.impact_experiment(Workload::of_app(id)));
+  if (wants_impacts(scope))
+    wanted.push_back(c.impact_experiment(Workload::idle()));
 
-  // Per-app baselines.
   if (wants_baselines(scope))
-    for (const auto& app : apps::all_apps())
-      add(keys::baseline(app.id), [&c, &opts, id = app.id] {
-        c.record_baseline(id, measure_app_alone_us(id, opts));
-      });
+    for (const apps::AppId id : app_set)
+      wanted.push_back(c.baseline_experiment(id));
 
   // Degradation curves: one co-run per (app, CompressionB config).
   if (wants_profiles(scope))
-    for (const auto& app : apps::all_apps())
+    for (const apps::AppId id : app_set)
       for (const CompressionConfig& cfg : c.compression_grid())
-        add(keys::degradation(app.id, cfg), [&c, &opts, id = app.id, cfg] {
-          c.record_degradation(
-              id, cfg, measure_app_vs_compression_us(id, cfg, opts));
-        });
+        wanted.push_back(c.degradation_experiment(id, cfg));
 
   // Unordered co-run pairs (self-pairs included), normalized first<=second.
-  if (wants_pairs(scope)) {
-    const auto& all = apps::all_apps();
-    for (std::size_t i = 0; i < all.size(); ++i)
-      for (std::size_t j = i; j < all.size(); ++j) {
-        const apps::AppId a = std::min(all[i].id, all[j].id);
-        const apps::AppId b = std::max(all[i].id, all[j].id);
-        add(keys::pair(a, b), [&c, &opts, a, b] {
-          c.record_pair(a, b, measure_pair_us(a, b, opts));
-        });
-      }
-  }
+  if (wants_pairs(scope))
+    for (std::size_t i = 0; i < app_set.size(); ++i)
+      for (std::size_t j = i; j < app_set.size(); ++j)
+        wanted.push_back(
+            c.pair_experiment(std::min(app_set[i], app_set[j]),
+                              std::max(app_set[i], app_set[j])));
+
+  std::vector<std::string> cached = c.drop_cached(wanted);
+  return run(scope_name(scope), std::move(wanted), std::move(cached));
 }
 
-PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
+PrefetchReport ParallelRunner::run(const std::string& label,
+                                   std::vector<Experiment> pending,
+                                   std::vector<std::string> cached_keys) {
   const auto t_start = std::chrono::steady_clock::now();
   PrefetchReport report;
   report.jobs = jobs_;
   report.run.workers = jobs_;
-
-  std::vector<Pending> pending;
-  std::vector<std::string> cached_keys;
-  collect(scope, pending, cached_keys);
   report.executed = pending.size();
   report.cached = cached_keys.size();
 
   obs::Registry& reg = obs::default_registry();
   reg.counter("core.jobs.executed").inc(pending.size());
   reg.counter("core.jobs.cached").inc(cached_keys.size());
-  reg.counter(std::string("core.scope.") + scope_name(scope)).inc();
+  reg.counter("core.scope." + label).inc();
 
   // The per-job stream rides the run report's switch.
   const std::string& report_path = campaign_.config().report_path;
@@ -147,8 +121,8 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
     stream.emplace(obs::job_stream_path(report_path));
     std::vector<std::string> pending_keys;
     pending_keys.reserve(pending.size());
-    for (const Pending& p : pending) pending_keys.push_back(p.key);
-    stream->begin(scope_name(scope), jobs_, cached_keys, pending_keys);
+    for (const Experiment& e : pending) pending_keys.push_back(e.key);
+    stream->begin(label, jobs_, cached_keys, pending_keys);
   }
   obs::JobStreamWriter* const sink = stream ? &*stream : nullptr;
 
@@ -170,19 +144,20 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
     // independent of worker scheduling.
     campaign_.db().set_deferred_flush(true);
     {
-      util::ThreadPool pool(jobs_);
+      util::ThreadPool pool(
+          static_cast<int>(std::min<std::size_t>(jobs_, pending.size())));
       std::vector<std::future<void>> futures;
       futures.reserve(pending.size());
       for (std::size_t i = 0; i < pending.size(); ++i) {
-        Pending& p = pending[i];
+        Experiment& e = pending[i];
         obs::JobStats& stats = report.run.jobs[base + i];
-        stats.key = p.key;
-        futures.push_back(pool.submit([&p, &stats, sink] {
+        stats.key = e.key;
+        futures.push_back(pool.submit([&e, &stats, sink] {
           const auto t0 = std::chrono::steady_clock::now();
           // Binds Cluster::run_for's add_job_stats() calls on this worker
           // thread to this job's row for the duration of the experiment.
           obs::JobStatsScope bind(&stats);
-          p.fn();
+          e.run();
           stats.wall_ms = elapsed_ms(t0);
           if (sink != nullptr) sink->job(stats);
         }));

@@ -1,23 +1,24 @@
-// Parallel campaign executor.
+// Parallel campaign executor: the only code that runs an experiment.
 //
 // The full paper reproduction runs ~300 independent simulations (idle
 // calibration, the CompressionB sweep, per-app baselines and degradation
 // curves, the 21 unordered co-run pairs); each one builds its own
 // Engine/Network/Machine and draws from its own seeded RNG streams, so
 // they can run on any thread in any order and still produce bit-identical
-// numbers. ParallelRunner expresses a campaign scope as that set of
-// independent jobs, skips the ones already cached, fans the rest out over
-// a util::ThreadPool, and merges results into the Campaign's memo maps and
-// MeasurementDb through its thread-safe record_*() helpers. The db's file
-// write is deferred to one sorted single-writer flush at the end, so the
-// cache bytes are identical no matter how many workers ran.
+// numbers. ParallelRunner takes a batch of such experiments (Campaign's
+// five *_experiment() builders), skips the ones already cached, and fans
+// the rest out over a util::ThreadPool; each job puts its result in the
+// Campaign's MeasurementDb. prefetch() builds the batch for a campaign
+// scope; the Campaign accessors build one for what they lack. The db's
+// file write is deferred to one sorted single-writer flush at the end, so
+// the cache bytes are identical no matter how many workers ran.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "apps/apps.h"
 #include "core/campaign.h"
 #include "obs/report.h"
 
@@ -50,25 +51,24 @@ class ParallelRunner {
   /// defaults to ACTNET_JOBS / hardware_concurrency.
   explicit ParallelRunner(Campaign& campaign, int jobs = 0);
 
-  /// Runs every not-yet-cached experiment in `scope`; returns once all are
-  /// merged and the db is flushed. Rethrows the first job exception.
-  PrefetchReport prefetch(PrefetchScope scope);
+  /// Runs every not-yet-cached experiment of `scope` for the apps in
+  /// `app_set` (impacts, baselines, degradations and the unordered pairs
+  /// among them) as one batch; returns once all are merged and the db is
+  /// flushed. Rethrows the first job exception.
+  PrefetchReport prefetch(PrefetchScope scope,
+                          const std::vector<apps::AppId>& app_set =
+                              apps::all_app_ids());
 
   PrefetchReport prefetch_all() { return prefetch(PrefetchScope::kAll); }
 
+  /// Runs `pending` as one batch named `label` (the scope in the run
+  /// report and the per-job stream). `cached` lists the batch's
+  /// experiments that were found in the cache (Campaign::drop_cached), so
+  /// the report names them too.
+  PrefetchReport run(const std::string& label, std::vector<Experiment> pending,
+                     std::vector<std::string> cached = {});
+
  private:
-  using Job = std::function<void()>;
-
-  /// One not-yet-cached experiment, tagged with its cache key so the run
-  /// report can name it.
-  struct Pending {
-    std::string key;
-    Job fn;
-  };
-
-  void collect(PrefetchScope scope, std::vector<Pending>& jobs,
-               std::vector<std::string>& cached_keys);
-
   Campaign& campaign_;
   int jobs_;
 };

@@ -15,6 +15,14 @@
 namespace actnet::net {
 namespace {
 
+/// After a flow-forward demotion, the involved ports decline further
+/// flow-forwards for this long. Persistent contention (two ranks
+/// saturating one uplink) would otherwise accept-and-demote every message,
+/// paying for both regimes; the cooldown keeps such traffic on the plain
+/// packet path. Has no effect on uncontended traffic (no demotions, so no
+/// cooldown ever starts).
+constexpr Tick kFlowFwdCooldown = units::us(25);
+
 std::unique_ptr<Switch> make_switch(sim::Engine& engine,
                                     const NetworkConfig& config, Rng rng) {
   switch (config.switch_kind) {
@@ -35,6 +43,11 @@ std::unique_ptr<Switch> make_switch(sim::Engine& engine,
 }
 
 }  // namespace
+
+bool flow_forward_regime(std::optional<bool> configured) {
+  return configured.has_value() ? *configured
+                                : util::env_onoff_or("ACTNET_FLOWFWD", true);
+}
 
 NetworkConfig NetworkConfig::k_ary_fat_tree(int k) {
   ACTNET_CHECK_MSG(k >= 2 && k % 2 == 0,
@@ -101,10 +114,10 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     }
   }
 
-  // Flow-forward regime: on by default, ACTNET_FLOWFWD=off opts out
-  // (DESIGN.md §5.12). Requires a contention-free switch stage — the
-  // shared-queue ablation model couples packets and stays packet-level.
-  flowfwd_ = util::env_onoff_or("ACTNET_FLOWFWD", true);
+  // Flow-forward regime (DESIGN.md §5.12). Requires a contention-free
+  // switch stage — the shared-queue ablation model couples packets and
+  // stays packet-level.
+  flowfwd_ = flow_forward_regime();
   switch_contention_free_ = leaves_[0]->contention_free();
   ffwd_cooldown_up_.assign(static_cast<std::size_t>(config_.nodes), 0);
   ffwd_cooldown_down_.assign(static_cast<std::size_t>(config_.nodes), 0);
@@ -624,9 +637,9 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   down.disarm_flowfwd_guard();
   engine_.cancel(ff.done_ev);
   ffwd_cooldown_up_[static_cast<std::size_t>(ff.src)] =
-      td + config_.flowfwd_cooldown;
+      td + kFlowFwdCooldown;
   ffwd_cooldown_down_[static_cast<std::size_t>(ff.dst)] =
-      td + config_.flowfwd_cooldown;
+      td + kFlowFwdCooldown;
 
   Callback on_injected;
   bool inject_now = false;

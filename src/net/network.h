@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/link.h"
@@ -89,14 +90,6 @@ struct NetworkConfig {
   double local_bandwidth = units::GBps(8.0);
   Tick local_latency = units::ns(350);
 
-  /// After a flow-forward demotion, the involved ports decline further
-  /// flow-forwards for this long. Persistent contention (two ranks
-  /// saturating one uplink) would otherwise accept-and-demote every
-  /// message, paying for both regimes; the cooldown keeps such traffic on
-  /// the plain packet path. Has no effect on uncontended traffic (no
-  /// demotions, so no cooldown ever starts).
-  Tick flowfwd_cooldown = units::us(25);
-
   /// A Cab-like 18-node single-switch configuration (the defaults).
   static NetworkConfig cab_like() { return NetworkConfig{}; }
 
@@ -128,6 +121,12 @@ struct NetworkCounters {
   std::uint64_t flowfwd_fallback_packets = 0;
 };
 
+/// The flow-forward regime a network runs: `configured` when set, else
+/// ACTNET_FLOWFWD, else on. Network's constructor and the campaign cache
+/// fingerprint both resolve it here. A malformed ACTNET_FLOWFWD throws
+/// actnet::Error naming it.
+bool flow_forward_regime(std::optional<bool> configured = std::nullopt);
+
 class Network {
  public:
   /// Completion callbacks are move-only inline callables; closures beyond
@@ -155,10 +154,10 @@ class Network {
   MessageId send(NodeId src, NodeId dst, FlowId flow, Bytes size,
                  Callback&& on_injected, Callback&& on_delivered);
 
-  /// Flow-forward regime on/off (wired from ACTNET_FLOWFWD at
-  /// construction, default on; see DESIGN.md §5.12). Switch-stage draws
-  /// are keyed per packet, so the regime reproduces the per-packet path's
-  /// delays exactly, contended traffic included.
+  /// Flow-forward regime on/off (flow_forward_regime() at construction;
+  /// see DESIGN.md §5.12). Switch-stage draws are keyed per packet, so the
+  /// regime reproduces the per-packet path's delays exactly, contended
+  /// traffic included.
   void set_flow_forward(bool on) { flowfwd_ = on; }
   bool flow_forward() const { return flowfwd_; }
 

@@ -12,7 +12,12 @@ namespace actnet::obs {
 
 namespace {
 
-std::atomic<bool> g_profiling{util::env_flag("ACTNET_PROFILE")};
+/// Read on first use rather than during static initialization, where a
+/// malformed ACTNET_PROFILE would terminate the process before main.
+std::atomic<bool>& profiling_flag() {
+  static std::atomic<bool> flag{util::env_flag("ACTNET_PROFILE")};
+  return flag;
+}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -141,9 +146,11 @@ std::map<PathKey, PathStat> merged_paths() {
 
 }  // namespace
 
-bool profiling_enabled() { return g_profiling.load(std::memory_order_relaxed); }
+bool profiling_enabled() {
+  return profiling_flag().load(std::memory_order_relaxed);
+}
 void set_profiling_enabled(bool on) {
-  g_profiling.store(on, std::memory_order_relaxed);
+  profiling_flag().store(on, std::memory_order_relaxed);
 }
 
 ProfScope::ProfScope(Subsystem s) : active_(profiling_enabled()) {

@@ -5,7 +5,8 @@
 // (`abc`, `4x`, `-2`, ` 3`) throws actnet::Error naming the knob and the
 // value instead of silently meaning "default" or a prefix of itself. Unset
 // and empty still mean "use the default", and 0 keeps each knob's
-// documented meaning (the default, or "off").
+// documented meaning (the default, or "off"). On/off switches are strict
+// the same way: only 1|on|true|yes and 0|off|false|no are accepted.
 #pragma once
 
 #include <cmath>
@@ -57,13 +58,6 @@ inline std::string env_string(const char* name, std::string fallback = {}) {
   return v != nullptr ? std::string(v) : fallback;
 }
 
-/// True when `name` is set to a value starting with '1' (the convention of
-/// ACTNET_FAST=1, ACTNET_PROFILE=1, ...).
-inline bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] == '1';
-}
-
 /// Default-on knob accepting word forms too (ACTNET_FLOWFWD=on|off|1|0).
 /// Unset or empty means `fallback`; any other unrecognized value throws
 /// actnet::Error naming the variable and the value.
@@ -77,5 +71,9 @@ inline bool env_onoff_or(const char* name, bool fallback) {
               "' is not a recognized on/off value (use 1|on|true|yes or "
               "0|off|false|no)");
 }
+
+/// Default-off switch (ACTNET_FAST, ACTNET_PROFILE): env_onoff_or with
+/// `false`, so `10`, `1x` and `2` throw instead of reading as a prefix.
+inline bool env_flag(const char* name) { return env_onoff_or(name, false); }
 
 }  // namespace actnet::util

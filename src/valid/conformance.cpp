@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
+#include <string>
 
 #include "core/parallel.h"
 #include "obs/profile.h"
@@ -152,7 +153,6 @@ ConformanceReport run_conformance(const MatrixSpec& spec,
   report.grid_size = spec.grid.size();
   report.window_ms = units::to_ms(spec.opts.window);
 
-  const bool all_apps = spec.apps.size() == apps::all_apps().size();
   for (const std::uint64_t seed : spec.seeds) {
     core::CampaignConfig config;
     config.opts = spec.opts;
@@ -161,20 +161,23 @@ ConformanceReport run_conformance(const MatrixSpec& spec,
     config.compression_grid = spec.grid;
     config.jobs = spec.jobs;
     core::Campaign campaign(std::move(config));
-    // The prefetch pass uses the campaign's worker pool; reduced app sets
-    // stop at the compression table (the runner enumerates all six apps)
-    // and fill in app profiles lazily below.
-    const core::PrefetchReport pre =
-        core::ParallelRunner(campaign)
-            .prefetch(all_apps ? core::PrefetchScope::kAll
-                               : core::PrefetchScope::kCompressionTable);
+    // One batch per seed: every experiment the spec's pairings read.
+    const core::PrefetchReport pre = core::ParallelRunner(campaign).prefetch(
+        core::PrefetchScope::kAll, spec.apps);
     auto records = collect_pair_errors(campaign, spec.apps, perturb);
     ACTNET_INFO("conformance[" << spec.tier << "] seed " << seed << ": "
                                << records.size() << " pairings");
     report.records.insert(report.records.end(),
                           std::make_move_iterator(records.begin()),
                           std::make_move_iterator(records.end()));
-    report.run = pre.run;  // last seed's execution stats
+    // Registry totals are cumulative: the last seed's cover the sweep.
+    obs::RunReport run = pre.run;
+    for (obs::JobStats& job : run.jobs)
+      job.key = "seed" + std::to_string(seed) + "/" + job.key;
+    run.jobs.insert(run.jobs.begin(), report.run.jobs.begin(),
+                    report.run.jobs.end());
+    run.wall_ms += report.run.wall_ms;
+    report.run = std::move(run);
   }
   report.predictors = summarize_predictors(report.records);
   report.mg1 = check_mg1_inversion(spec.seeds);

@@ -47,8 +47,8 @@ struct PairErrorRecord {
   std::vector<core::Campaign::PairPrediction> predictions;
 };
 
-/// Runs (lazily, against the campaign's cache) every ordered pairing of
-/// `app_ids` and returns the per-pair records. The shared engine of the
+/// Runs (through the campaign's accessors, against its cache) every ordered
+/// pairing of `app_ids` and returns the per-pair records. The shared engine of the
 /// Fig. 8/9 benches and the conformance sweep. `perturb` scales the named
 /// model's predictions after the fact.
 std::vector<PairErrorRecord> collect_pair_errors(
@@ -95,8 +95,8 @@ struct ConformanceReport {
   std::vector<PairErrorRecord> records;
   std::vector<PredictorSummary> predictors;
   Mg1InversionSummary mg1;
-  /// Campaign execution stats of the last seed's sweep (conformance status
-  /// is attached by the gate evaluation; see tolerance.h).
+  /// Every seed's prefetch stats (job keys prefixed "seed<N>/", walls
+  /// summed); gate evaluation attaches the conformance status (tolerance.h).
   obs::RunReport run;
 };
 

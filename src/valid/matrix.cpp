@@ -37,7 +37,7 @@ MatrixSpec full_matrix() {
   MatrixSpec spec;
   spec.tier = "full";
   spec.seeds = {1, 2, 3};
-  for (const auto& app : apps::all_apps()) spec.apps.push_back(app.id);
+  spec.apps = apps::all_app_ids();
   // Eight configurations covering the (P, B, M) extremes and the middle of
   // the paper's grid — enough spread to reproduce the Fig. 6 utilization
   // range without the full 40-point sweep per seed.

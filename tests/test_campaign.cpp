@@ -5,6 +5,8 @@
 #include <filesystem>
 
 #include "core/campaign.h"
+#include "core/keys.h"
+#include "equivalence_harness.h"
 
 namespace actnet::core {
 namespace {
@@ -114,6 +116,55 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
     EXPECT_EQ(c.db().size(), 1u) << old_version;
   }
   std::filesystem::remove(path);
+}
+
+TEST(Campaign, FlowForwardRegimeIsFingerprinted) {
+  // Turning the regime off moves the campaign's measurements, so a cache
+  // written in one regime must not be served to the other. "|ffwd=0" is
+  // appended only when off, so default fingerprints keep their bytes.
+  const std::string path = testing::temp_cache("campaign_fp_ffwd");
+  std::filesystem::remove(path);
+  testing::ScopedEnv unset("ACTNET_FLOWFWD", "");  // empty = the default
+  const std::string on = Campaign(tiny_config()).fingerprint();
+  EXPECT_EQ(on.find("ffwd"), std::string::npos) << on;
+  CampaignConfig off_cfg = tiny_config(path);
+  off_cfg.opts.cluster.flow_forward = false;
+  EXPECT_EQ(Campaign(off_cfg).fingerprint(), on + "|ffwd=0");
+  CampaignConfig on_cfg = tiny_config();
+  on_cfg.opts.cluster.flow_forward = true;
+  EXPECT_EQ(Campaign(on_cfg).fingerprint(), on);
+  {
+    // The config wins over ACTNET_FLOWFWD, which wins over the default.
+    testing::ScopedEnv env("ACTNET_FLOWFWD", "off");
+    EXPECT_EQ(Campaign(tiny_config()).fingerprint(), on + "|ffwd=0");
+    EXPECT_EQ(Campaign(on_cfg).fingerprint(), on);
+  }
+  {
+    Campaign c(off_cfg);
+    c.db().put("probe", "1");
+  }
+  {
+    Campaign c(tiny_config(path));  // default regime: the off cache misses
+    EXPECT_EQ(c.db().get("probe"), std::nullopt);
+    EXPECT_EQ(c.db().size(), 1u);
+    c.db().put("probe", "1");
+  }
+  {
+    testing::ScopedEnv env("ACTNET_FLOWFWD", "0");  // and the reverse
+    Campaign c(tiny_config(path));
+    EXPECT_EQ(c.db().get("probe"), std::nullopt);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Campaign, UndecodableCachedValueIsMeasuredAgain) {
+  Campaign c(tiny_config());
+  c.db().put(keys::calibration(), "not#a#calibration");
+  const std::size_t corrupt_before = c.db().corrupt_lines();
+  EXPECT_GT(c.calibration().service_time_us, 0.9);
+  EXPECT_EQ(c.db().corrupt_lines(), corrupt_before + 1);  // invalidated
+  EXPECT_TRUE(Calibration::try_deserialize(*c.db().get(keys::calibration()))
+                  .has_value());
 }
 
 TEST(Campaign, FingerprintCoversFatTreeTopologyKnobs) {

@@ -479,8 +479,13 @@ TEST(FlowForward, FlowForwardCampaignDriftStaysWithinEnvelope) {
   const std::string off_bytes = testing::run_combo(off_path, "0");
   ASSERT_FALSE(off_bytes.empty());
 
+  // The regime is part of the cache fingerprint: the off-run's cache is
+  // read back under the regime it was written in.
   core::Campaign on(testing::reduced_config(on_path));
-  core::Campaign off(testing::reduced_config(off_path));
+  core::CampaignConfig off_cfg = testing::reduced_config(off_path);
+  off_cfg.opts.cluster.flow_forward = false;
+  core::Campaign off(off_cfg);
+  ASSERT_EQ(on.db().size(), off.db().size());  // both caches were kept
   double worst_predicted = 0.0;
   double worst_measured = 0.0;
   double sum_predicted = 0.0;

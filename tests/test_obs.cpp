@@ -1,21 +1,23 @@
 // Observability must be non-perturbing: a campaign run with the profiler,
 // tracing, the run report and its per-job stream enabled on 8 workers must
 // leave a byte-identical measurement cache — and identical model
-// predictions — to a serial run with all of them off. (Metrics have no
-// switch: every run publishes them.) This is the repo's "observe, never
-// steer" guarantee. The stream's line format and the self-profiler are
-// checked in test_telemetry_pipeline.
+// predictions and registry counts — to a serial run with all of them off.
+// (Metrics have no switch: every run publishes them.) This is the repo's
+// "observe, never steer" guarantee, and since the two runs also differ in
+// worker count, the proof that ACTNET_JOBS is a pure speed knob. The
+// stream's line format and the self-profiler are checked in
+// test_telemetry_pipeline.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/apps.h"
 #include "core/campaign.h"
 #include "core/parallel.h"
+#include "equivalence_harness.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/report.h"
@@ -23,40 +25,43 @@
 namespace actnet::core {
 namespace {
 
-std::string temp_path(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("actnet_obs_test_" + tag + "_" + std::to_string(::getpid())))
-      .string();
-}
+using testing::file_bytes;
+using testing::reduced_config;
+using testing::temp_cache;
 
-/// Reduced campaign: tiny window (>= the 50-probe-sample floor) and a
-/// two-point CompressionB grid instead of the paper's 40 — the same shape
-/// as the parallel-campaign determinism test.
-CampaignConfig reduced_config(const std::string& cache_path, int jobs) {
-  CampaignConfig c;
-  c.opts.window = units::ms(8);
-  c.opts.warmup = units::ms(2);
-  c.cache_path = cache_path;
+CampaignConfig with_jobs(CampaignConfig c, int jobs) {
   c.jobs = jobs;
-  c.compression_grid = {
-      CompressionConfig{1, 2.5e6, 1, units::KiB(40)},
-      CompressionConfig{4, 2.5e5, 10, units::KiB(40)},
-  };
   return c;
 }
 
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
+/// Registry counts every experiment's owners publish when destroyed.
+const std::vector<std::string> kPublishedCounters = {
+    "sim.engine.events_executed", "sim.engine.events_scheduled",
+    "net.messages_sent",          "net.packets_delivered",
+    "net.link.drr_rounds",        "net.flowfwd.messages",
+    "net.flowfwd.demotions",      "net.flowfwd.fallback_packets",
+};
+
+std::vector<std::uint64_t> published_counts() {
+  std::vector<std::uint64_t> out;
+  for (const std::string& name : kPublishedCounters)
+    out.push_back(obs::default_registry().counter(name).value());
+  return out;
+}
+
+/// Per-counter growth of the registry from `before` to now.
+std::vector<std::uint64_t> published_since(
+    const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> out = published_counts();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before[i];
+  return out;
 }
 
 TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
-  const std::string off_path = temp_path("off") + ".tsv";
-  const std::string on_path = temp_path("on") + ".tsv";
-  const std::string trace_dir = temp_path("traces");
-  const std::string report_path = temp_path("report") + ".json";
+  const std::string off_path = temp_cache("obs_off");
+  const std::string on_path = temp_cache("obs_on");
+  const std::string trace_dir = temp_cache("obs_traces") + ".d";
+  const std::string report_path = temp_cache("obs_report") + ".json";
   const std::string stream_path = obs::job_stream_path(report_path);
   std::filesystem::remove(off_path);
   std::filesystem::remove(on_path);
@@ -67,22 +72,29 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
 
   // Reference: serial, profiler and tracing off.
   obs::set_profiling_enabled(false);
+  std::vector<std::uint64_t> off_counts;
   {
-    Campaign off(reduced_config(off_path, 1));
+    const std::vector<std::uint64_t> before = published_counts();
+    Campaign off(with_jobs(reduced_config(off_path), 1));
     const PrefetchReport r = ParallelRunner(off).prefetch_all();
+    EXPECT_EQ(r.jobs, 1);
     EXPECT_GT(r.executed, 0u);
+    off_counts = published_since(before);
   }
 
   // Candidate: 8 workers, profiler on, every experiment tracing into
   // trace_dir, run report and per-job stream on.
   obs::set_profiling_enabled(true);
   std::size_t executed = 0;
+  std::vector<std::uint64_t> on_counts;
   {
-    CampaignConfig cfg = reduced_config(on_path, 8);
+    const std::vector<std::uint64_t> before = published_counts();
+    CampaignConfig cfg = with_jobs(reduced_config(on_path), 8);
     cfg.opts.cluster.trace_path = trace_dir + "/trace.json";
     cfg.report_path = report_path;
     Campaign on(cfg);
     const PrefetchReport r = ParallelRunner(on).prefetch_all();
+    EXPECT_EQ(r.jobs, 8);
     EXPECT_GT(r.executed, 0u);
 
     // The run report covered every job and recorded real work.
@@ -90,8 +102,16 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
     EXPECT_GT(r.run.total_events(), 0u);
     EXPECT_GT(r.run.wall_ms, 0.0);
     executed = r.executed;
+    on_counts = published_since(before);
   }
   obs::set_profiling_enabled(prof_before);
+
+  // Eight workers folding their experiments' counts into the shared
+  // registry concurrently must add up to exactly the serial totals.
+  for (std::size_t i = 0; i < kPublishedCounters.size(); ++i)
+    EXPECT_EQ(off_counts[i], on_counts[i]) << kPublishedCounters[i];
+  EXPECT_GT(off_counts[0], 0u);  // events executed
+  EXPECT_GT(off_counts[2], 0u);  // messages sent
 
   // Observability must not have perturbed a single simulated byte.
   const std::string off_bytes = file_bytes(off_path);
@@ -130,8 +150,8 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
   EXPECT_FALSE(stream.profile.empty());
 
   // Every model prediction (the Fig 8 pipeline) must be identical too.
-  Campaign a(reduced_config(off_path, 1));
-  Campaign b(reduced_config(on_path, 1));
+  Campaign a(with_jobs(reduced_config(off_path), 1));
+  Campaign b(with_jobs(reduced_config(on_path), 1));
   const auto& apps = apps::all_apps();
   for (const auto& victim : apps)
     for (const auto& aggressor : apps) {
@@ -153,7 +173,7 @@ TEST(Observability, EnabledTracingRunMatchesDisabledSerialRun) {
 }
 
 TEST(Observability, RunReportSeparatesCachedFromExecuted) {
-  Campaign c(reduced_config("", 2));  // in-memory cache
+  Campaign c(with_jobs(reduced_config(""), 2));  // in-memory cache
   const PrefetchReport first =
       ParallelRunner(c).prefetch(PrefetchScope::kCalibration);
   ASSERT_EQ(first.run.jobs.size(), 1u);

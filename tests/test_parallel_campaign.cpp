@@ -1,134 +1,36 @@
-// Parallel campaign executor: a reduced campaign prefetched with 1 worker
-// and with 8 workers must leave byte-identical measurement caches, make
-// identical predictions and publish identical counts into the metrics
-// registry — determinism is what lets ACTNET_JOBS be a pure speed knob.
+// Parallel campaign executor: ParallelRunner is the only code that runs an
+// experiment. A prefetch skips what is cached; a cold Campaign accessor
+// hands the runner exactly the experiments it lacks, in one batch, and
+// leaves the same cache entries a prefetch would; a warm accessor runs
+// nothing. (That the worker count does not change results is proven by
+// test_obs, whose reference run is serial and whose candidate uses 8.)
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "core/campaign.h"
+#include "core/keys.h"
 #include "core/parallel.h"
-#include "obs/metrics.h"
+#include "equivalence_harness.h"
+#include "obs/report.h"
 
 namespace actnet::core {
 namespace {
 
-std::string temp_cache(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("actnet_parallel_test_" + tag + "_" + std::to_string(::getpid()) +
-           ".tsv"))
-      .string();
-}
+using testing::reduced_config;
+using testing::temp_cache;
 
-/// Reduced campaign: tiny window (>= the 50-probe-sample floor) and a
-/// two-point CompressionB grid instead of the paper's 40.
-CampaignConfig reduced_config(const std::string& cache_path, int jobs) {
-  CampaignConfig c;
-  c.opts.window = units::ms(8);
-  c.opts.warmup = units::ms(2);
-  c.cache_path = cache_path;
+CampaignConfig with_jobs(CampaignConfig c, int jobs) {
   c.jobs = jobs;
-  c.compression_grid = {
-      CompressionConfig{1, 2.5e6, 1, units::KiB(40)},
-      CompressionConfig{4, 2.5e5, 10, units::KiB(40)},
-  };
   return c;
 }
 
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Registry counts every experiment's owners publish when destroyed.
-const std::vector<std::string> kPublishedCounters = {
-    "sim.engine.events_executed", "sim.engine.events_scheduled",
-    "net.messages_sent",          "net.packets_delivered",
-    "net.link.drr_rounds",        "net.flowfwd.messages",
-    "net.flowfwd.demotions",      "net.flowfwd.fallback_packets",
-};
-
-std::vector<std::uint64_t> published_counts() {
-  std::vector<std::uint64_t> out;
-  for (const std::string& name : kPublishedCounters)
-    out.push_back(obs::default_registry().counter(name).value());
-  return out;
-}
-
-/// Per-counter growth of the registry from `before` to now.
-std::vector<std::uint64_t> published_since(
-    const std::vector<std::uint64_t>& before) {
-  std::vector<std::uint64_t> out = published_counts();
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before[i];
-  return out;
-}
-
-TEST(ParallelCampaign, WorkerCountDoesNotChangeResults) {
-  const std::string serial_path = temp_cache("serial");
-  const std::string parallel_path = temp_cache("parallel");
-  std::filesystem::remove(serial_path);
-  std::filesystem::remove(parallel_path);
-
-  std::vector<std::uint64_t> serial_counts;
-  std::vector<std::uint64_t> parallel_counts;
-  {
-    const std::vector<std::uint64_t> before = published_counts();
-    Campaign serial(reduced_config(serial_path, 1));
-    const PrefetchReport r = ParallelRunner(serial).prefetch_all();
-    EXPECT_EQ(r.jobs, 1);
-    EXPECT_GT(r.executed, 0u);
-    serial_counts = published_since(before);
-  }
-  {
-    const std::vector<std::uint64_t> before = published_counts();
-    Campaign parallel(reduced_config(parallel_path, 8));
-    const PrefetchReport r = ParallelRunner(parallel).prefetch_all();
-    EXPECT_EQ(r.jobs, 8);
-    EXPECT_GT(r.executed, 0u);
-    parallel_counts = published_since(before);
-  }
-
-  // Eight workers folding their experiments' counts into the shared
-  // registry concurrently must add up to exactly the serial totals.
-  for (std::size_t i = 0; i < kPublishedCounters.size(); ++i)
-    EXPECT_EQ(serial_counts[i], parallel_counts[i]) << kPublishedCounters[i];
-  EXPECT_GT(serial_counts[0], 0u);  // events executed
-  EXPECT_GT(serial_counts[2], 0u);  // messages sent
-
-  // The flushed caches must match byte for byte.
-  const std::string serial_bytes = file_bytes(serial_path);
-  ASSERT_FALSE(serial_bytes.empty());
-  EXPECT_EQ(serial_bytes, file_bytes(parallel_path));
-
-  // And every model prediction for every ordered pair must be identical.
-  Campaign a(reduced_config(serial_path, 1));
-  Campaign b(reduced_config(parallel_path, 8));
-  const auto& apps = apps::all_apps();
-  for (const auto& victim : apps)
-    for (const auto& aggressor : apps) {
-      const auto pa = a.predict_pair(victim.id, aggressor.id);
-      const auto pb = b.predict_pair(victim.id, aggressor.id);
-      ASSERT_EQ(pa.size(), pb.size());
-      for (std::size_t m = 0; m < pa.size(); ++m) {
-        EXPECT_EQ(pa[m].model, pb[m].model);
-        EXPECT_EQ(pa[m].predicted_pct, pb[m].predicted_pct);
-        EXPECT_EQ(pa[m].measured_pct, pb[m].measured_pct);
-      }
-    }
-
-  std::filesystem::remove(serial_path);
-  std::filesystem::remove(parallel_path);
-}
-
 TEST(ParallelCampaign, SecondPrefetchFindsEverythingCached) {
-  Campaign c(reduced_config("", 2));  // in-memory cache
+  Campaign c(with_jobs(reduced_config(""), 2));  // in-memory cache
   const PrefetchReport first =
       ParallelRunner(c).prefetch(PrefetchScope::kCalibration);
   EXPECT_EQ(first.executed, 1u);
@@ -140,19 +42,89 @@ TEST(ParallelCampaign, SecondPrefetchFindsEverythingCached) {
 }
 
 TEST(ParallelCampaign, ExplicitJobsOverridesConfig) {
-  Campaign c(reduced_config("", 2));
+  Campaign c(with_jobs(reduced_config(""), 2));
   ParallelRunner r(c, 5);
   const PrefetchReport report = r.prefetch(PrefetchScope::kCalibration);
   EXPECT_EQ(report.jobs, 5);
 }
 
 TEST(ParallelCampaign, AccessorsAfterPrefetchHitTheCache) {
-  Campaign c(reduced_config("", 4));
+  Campaign c(reduced_config(""));
   ParallelRunner(c).prefetch(PrefetchScope::kCompressionTable);
   const std::size_t entries = c.db().size();
   // Lazy accessors must be satisfied entirely from cache: no new entries.
   c.compression_table();
   EXPECT_EQ(c.db().size(), entries);
+}
+
+TEST(ParallelCampaign, ColdAccessorRunsItsExperimentsAsOneBatch) {
+  const std::string cold_path = temp_cache("cold_accessor");
+  const std::string full_path = temp_cache("prefetch_all");
+  const std::string cold_report = temp_cache("cold_report") + ".json";
+  const std::string full_report = temp_cache("full_report") + ".json";
+  for (const std::string& p :
+       {cold_path, full_path, obs::job_stream_path(cold_report),
+        obs::job_stream_path(full_report)})
+    std::filesystem::remove(p);
+
+  // The profile's experiments: the calibration, the grid impacts, the
+  // app's impact and baseline, and one degradation per grid point.
+  const apps::AppId app = apps::AppId::kMCB;
+  CampaignConfig cold_cfg = reduced_config(cold_path);
+  cold_cfg.report_path = cold_report;
+  std::set<std::string> expected = {keys::calibration(),
+                                    keys::impact(Workload::of_app(app)),
+                                    keys::baseline(app)};
+  for (const CompressionConfig& cfg : cold_cfg.compression_grid) {
+    expected.insert(keys::impact(Workload::of_compression(cfg)));
+    expected.insert(keys::degradation(app, cfg));
+  }
+
+  std::vector<std::string> cold_values;
+  {
+    Campaign cold(cold_cfg);
+    const AppProfile& profile = cold.app_profile(app);
+    EXPECT_EQ(profile.degradation_pct.size(), cold_cfg.compression_grid.size());
+    for (const std::string& key : expected)
+      cold_values.push_back(cold.db().get(key).value_or("<missing>"));
+    EXPECT_EQ(cold.db().size(), expected.size() + 1);  // + the fingerprint
+  }
+  const obs::JobStreamLog cold_stream =
+      obs::load_job_stream(obs::job_stream_path(cold_report));
+  ASSERT_EQ(cold_stream.prefetches.size(), 1u);  // exactly one begin record
+  const obs::PrefetchLog& batch = cold_stream.prefetches[0];
+  EXPECT_EQ(batch.scope, "app_profile");
+  EXPECT_TRUE(batch.cached.empty());
+  EXPECT_EQ(std::set<std::string>(batch.pending.begin(), batch.pending.end()),
+            expected);
+  EXPECT_EQ(batch.pending.size(), expected.size());
+  EXPECT_TRUE(batch.ended);
+  EXPECT_TRUE(batch.unfinished().empty());
+
+  // A prefetch_all campaign measures the same entries byte for byte, and
+  // afterwards the whole Fig 8/9 sweep runs nothing: no second prefetch in
+  // its stream.
+  CampaignConfig full_cfg = reduced_config(full_path);
+  full_cfg.report_path = full_report;
+  Campaign full(full_cfg);
+  ParallelRunner(full).prefetch_all();
+  std::vector<std::string> full_values;
+  for (const std::string& key : expected)
+    full_values.push_back(full.db().get(key).value_or("<missing>"));
+  EXPECT_EQ(cold_values, full_values);
+  const std::size_t entries = full.db().size();
+  for (const auto& victim : apps::all_apps())
+    for (const auto& aggressor : apps::all_apps())
+      full.predict_pair(victim.id, aggressor.id);
+  EXPECT_EQ(full.db().size(), entries);
+  EXPECT_EQ(obs::load_job_stream(obs::job_stream_path(full_report))
+                .prefetches.size(),
+            1u);
+
+  for (const std::string& p :
+       {cold_path, full_path, cold_report, full_report,
+        obs::job_stream_path(cold_report), obs::job_stream_path(full_report)})
+    std::filesystem::remove(p);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // ThreadPool: result/exception propagation through futures, clean shutdown
 // with queued work, wait_idle, and the ACTNET_JOBS default (strictly
-// parsed, like every numeric ACTNET_* knob and every bench flag).
+// parsed, like every numeric ACTNET_* knob, every on/off switch and every
+// bench flag).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -161,6 +162,34 @@ TEST(ThreadPool, NumericKnobsAreStrict) {
           << e.what();
     }
   }
+}
+
+TEST(EnvFlag, SwitchesAreStrict) {
+  // Switches (ACTNET_FAST, ACTNET_PROFILE) take the on/off words; a value
+  // that merely starts with '1' or is any other word throws, naming the
+  // variable.
+  const char* name = "ACTNET_TEST_FLAG";
+  ::unsetenv(name);
+  EXPECT_FALSE(env_flag(name));
+  for (const char* off : {"", "0", "off", "false", "no"}) {
+    ::setenv(name, off, 1);
+    EXPECT_FALSE(env_flag(name)) << "'" << off << "'";
+  }
+  for (const char* on : {"1", "on", "true", "yes"}) {
+    ::setenv(name, on, 1);
+    EXPECT_TRUE(env_flag(name)) << on;
+  }
+  for (const char* bad : {"10", "1x", "2", "enabled", " 1"}) {
+    ::setenv(name, bad, 1);
+    try {
+      env_flag(name);
+      ADD_FAILURE() << name << "='" << bad << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv(name);
 }
 
 TEST(BenchCli, UsageErrorsExitTwoWithTheMessage) {

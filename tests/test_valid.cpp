@@ -4,7 +4,9 @@
 // the conformance.json round-trip.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 #include "util/json.h"
@@ -194,6 +196,34 @@ TEST(Mg1Inversion, RecoversInjectedUtilization) {
   // Deterministic in the seed list.
   const Mg1InversionSummary again = check_mg1_inversion({1});
   EXPECT_EQ(s.max_abs_rho_error, again.max_abs_rho_error);
+}
+
+TEST(Conformance, RunReportListsEverySeedsJobs) {
+  // A one-app, two-point slice of the quick tier: per seed, the
+  // calibration, two grid impacts, the app's impact and baseline, two
+  // degradations, its self-pair and the idle impact (kAll's), all
+  // prefetched as one batch.
+  MatrixSpec spec = quick_matrix();
+  spec.apps = {apps::AppId::kMCB};
+  spec.grid.resize(2);
+  spec.jobs = 2;
+  const ConformanceReport report = run_conformance(spec);
+  EXPECT_EQ(report.records.size(), spec.seeds.size());
+  constexpr std::size_t kPerSeed = 9;
+  ASSERT_EQ(report.run.jobs.size(), kPerSeed * spec.seeds.size());
+  std::set<std::string> keys;
+  for (const obs::JobStats& job : report.run.jobs) {
+    EXPECT_FALSE(job.cached) << job.key;
+    EXPECT_GT(job.events, 0u) << job.key;
+    keys.insert(job.key);
+  }
+  EXPECT_EQ(keys.size(), report.run.jobs.size());  // seed-prefixed keys
+  for (const std::uint64_t seed : spec.seeds)
+    EXPECT_TRUE(keys.count("seed" + std::to_string(seed) + "/calibration"));
+  EXPECT_EQ(report.run.workers, 2);
+  EXPECT_GT(report.run.wall_ms, 0.0);
+  // Job walls fit in the summed prefetch walls of both seeds.
+  EXPECT_LE(report.run.worker_utilization(), 1.0);
 }
 
 TEST(ConformanceJson, RoundTripsThroughParser) {
