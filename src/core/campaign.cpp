@@ -24,12 +24,21 @@ namespace {
 /// sequential stream per switch, which moves every simulated number.
 /// v5: the per-packet path folds its fixed hops (three events per packet,
 /// one per message), which reorders same-tick events.
-constexpr const char* kSchemaVersion = "actnet-v6";
+/// v6: switch jitter is drawn from a precomputed table of its integer CDF.
+/// v7: the calibration record is the idle ImpactB summary itself, and the
+/// idle impact has no record of its own.
+constexpr const char* kSchemaVersion = "actnet-v7";
 
 template <class T>
 std::optional<T> decode(const std::string& value) {
-  if constexpr (std::is_same_v<T, double>) return util::parse_double(value);
-  else return T::try_deserialize(value);
+  if constexpr (std::is_same_v<T, double>) {
+    return util::parse_double(value);
+  } else if constexpr (std::is_same_v<T, Calibration>) {
+    const auto idle = LatencySummary::try_deserialize(value);
+    return idle ? Calibration::of(*idle) : std::nullopt;
+  } else {
+    return T::try_deserialize(value);
+  }
 }
 
 template <class T>
@@ -97,7 +106,8 @@ std::string Campaign::fingerprint() const {
 
 Experiment Campaign::calibration_experiment() {
   return {keys::calibration(), decodes<Calibration>, [this] {
-            db_.put(keys::calibration(), calibrate(config_.opts).serialize());
+            db_.put(keys::calibration(),
+                    calibrate(config_.opts).idle.serialize());
           }};
 }
 
@@ -155,15 +165,15 @@ void Campaign::measure_missing(const char* label,
 }
 
 const Calibration& Campaign::calibration() {
-  if (!calibrated_) {
+  if (!calibration_) {
     measure_missing("calibration", {calibration_experiment()});
     calibration_ = decoded<Calibration>(db_, keys::calibration());
-    calibrated_ = true;
   }
-  return calibration_;
+  return *calibration_;
 }
 
 const LatencySummary& Campaign::impact_of(const Workload& workload) {
+  if (workload.kind == Workload::Kind::kIdle) return calibration().idle;
   const std::string label = workload.label();
   if (const auto it = impact_memo_.find(label); it != impact_memo_.end())
     return it->second;

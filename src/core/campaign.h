@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,10 +66,12 @@ class Campaign {
     return grid_;
   }
 
-  /// Idle-switch calibration (mu, Var(S)) — paper §IV-B.
+  /// Idle-switch calibration (mu, Var(S)) — paper §IV-B. Cached under the
+  /// `calibration` key as the idle ImpactB summary it derives from.
   const Calibration& calibration();
 
-  /// ImpactB latency summary while `workload` runs — paper §III-A.
+  /// ImpactB latency summary while `workload` runs — paper §III-A. The
+  /// idle workload's summary is the calibration's.
   const LatencySummary& impact_of(const Workload& workload);
 
   /// Switch utilization induced by `workload` (P–K inversion).
@@ -107,6 +110,7 @@ class Campaign {
 
   // --- the five experiment kinds (run by core::ParallelRunner) ---
   Experiment calibration_experiment();
+  /// A loaded workload; the idle one's run is calibration_experiment().
   Experiment impact_experiment(const Workload& workload);
   Experiment baseline_experiment(apps::AppId app);
   Experiment degradation_experiment(apps::AppId app,
@@ -128,8 +132,7 @@ class Campaign {
   CampaignConfig config_;
   std::vector<CompressionConfig> grid_;
   MeasurementDb db_;
-  bool calibrated_ = false;
-  Calibration calibration_;
+  std::optional<Calibration> calibration_;
   std::unordered_map<std::string, LatencySummary> impact_memo_;
   std::vector<CompressionProfile> compression_table_;
   std::map<apps::AppId, AppProfile> app_profiles_;

@@ -98,58 +98,25 @@ void MeasurementDb::load_file() {
   std::string raw((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   if (raw.empty()) return;
-  const bool torn_last = raw.back() != '\n';
 
-  std::vector<std::string_view> lines;
+  // Every line but the header must carry a valid CRC. A torn final line
+  // almost surely fails it; if it passes, the record is intact (only the
+  // newline was lost) and is safe to keep. Pre-CRC lines count as corrupt.
+  std::size_t corrupt = 0;
+  std::string_view key, value;
   for (std::size_t start = 0; start < raw.size();) {
     std::size_t end = raw.find('\n', start);
     if (end == std::string::npos) end = raw.size();
     std::string_view line(raw.data() + start, end - start);
+    start = end + 1;
     // Failpoint: emulate a short read() that lost the tail of a line.
     if (ACTNET_FAILPOINT_FIRES("db.load.short_read"))
       line = line.substr(0, line.size() / 2);
-    if (!line.empty()) lines.push_back(line);
-    start = end + 1;
-  }
-
-  // Version detection must survive a corrupted header: the file is v2 when
-  // the header line OR any CRC-valid record is present. Only a file with
-  // neither (a pre-CRC v1 cache) gets the lenient legacy parse — otherwise
-  // a damaged v2 file could have records admitted without CRC checks.
-  std::string_view key, value;
-  bool v2 = false;
-  for (const std::string_view line : lines) {
-    if (line == kHeader || parse_v2_record(line, key, value)) {
-      v2 = true;
-      break;
-    }
-  }
-
-  std::size_t corrupt = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string_view line = lines[i];
-    if (v2) {
-      if (line == kHeader) continue;
-      // A torn final line almost surely fails its CRC; if it passes, the
-      // record is intact (only the newline was lost) and is safe to keep.
-      if (parse_v2_record(line, key, value))
-        entries_[std::string(key)] = std::string(value);
-      else
-        ++corrupt;
-    } else {
-      if (i + 1 == lines.size() && torn_last) {
-        ++corrupt;  // no CRC to vouch for a torn v1 line
-        continue;
-      }
-      const auto sep = line.find('\t');
-      if (sep == std::string_view::npos || sep == 0 ||
-          line.find('\t', sep + 1) != std::string_view::npos) {
-        ++corrupt;
-        continue;
-      }
-      entries_[std::string(line.substr(0, sep))] =
-          std::string(line.substr(sep + 1));
-    }
+    if (line.empty() || line == kHeader) continue;
+    if (parse_v2_record(line, key, value))
+      entries_[std::string(key)] = std::string(value);
+    else
+      ++corrupt;
   }
 
   corrupt_lines_ = corrupt;
@@ -163,15 +130,10 @@ void MeasurementDb::load_file() {
   }
   ACTNET_INFO("measurement cache " << path_ << ": " << entries_.size()
                                    << " entries loaded");
-  const bool migrate = !v2 && !entries_.empty();
-  if (migrate)
-    ACTNET_INFO("measurement cache " << path_
-                                     << ": migrating v1 file to v2 (CRC)");
   // Repair on read: scrub corrupt bytes from disk immediately, so a torn
   // tail can't swallow the next appended record and later opens see a
   // healthy file instead of re-warning forever.
-  if (migrate || corrupt > 0)
-    rewrite_file();  // single-threaded: still inside the constructor
+  if (corrupt > 0) rewrite_file();  // single-threaded: inside the constructor
 }
 
 void MeasurementDb::bind_fingerprint(const std::string& fingerprint) {

@@ -8,8 +8,8 @@
 //
 // Durability (file format v2, see DESIGN.md "Cache durability"):
 //  * Every record line is "key\tvalue\tcrc32hex"; the file opens with a
-//    "#actnet-cache v2" version header. v1 files (no CRCs) are read once
-//    and auto-migrated on load.
+//    "#actnet-cache v2" version header. A line without a valid CRC is
+//    corrupt, whatever wrote it.
 //  * Loads are corruption-tolerant: lines that fail CRC, fail to parse, or
 //    are truncated mid-line (torn final write) degrade to a cache miss and
 //    are counted (corrupt_lines/recovered, mirrored into the obs registry

@@ -10,6 +10,9 @@
 namespace actnet::core {
 namespace {
 
+/// The pooled idle summary the calibration derives from.
+constexpr const char* kCalibKey = "fabric/calib";
+
 std::string impact_key(int pod) {
   return "fabric/pod=" + std::to_string(pod) + "/impact";
 }
@@ -110,7 +113,7 @@ std::string FabricCampaign::fingerprint() const {
   const net::NetworkConfig& net = config_.network;
   const net::OutputQueuedConfig& oq = net.output_queued;
   std::ostringstream os;
-  os << "actnet-fabric-v1|w=" << config_.window << "|u=" << config_.warmup
+  os << "actnet-fabric-v2|w=" << config_.window << "|u=" << config_.warmup
      << "|s=" << config_.seed << "|ps=" << config_.probe_size
      << "|pg=" << config_.probe_gap << "|bs=" << config_.bg_size
      << "|bi=" << config_.bg_interval << "|net.n=" << net.nodes
@@ -129,30 +132,24 @@ std::string FabricCampaign::fingerprint() const {
 }
 
 const Calibration& FabricCampaign::calibration() {
-  if (calibrated_) return calibration_;
-  if (const auto cached = db_.get("fabric/calib"); cached.has_value()) {
-    if (auto c = Calibration::try_deserialize(*cached); c.has_value()) {
-      calibration_ = *std::move(c);
-      calibrated_ = true;
-      return calibration_;
-    }
-    db_.invalidate("fabric/calib");
+  if (calibration_) return *calibration_;
+  if (const auto cached = db_.get(kCalibKey); cached.has_value()) {
+    if (const auto idle = LatencySummary::try_deserialize(*cached))
+      calibration_ = Calibration::of(*idle);
+    if (calibration_) return *calibration_;
+    db_.invalidate(kCalibKey);
   }
   FabricRun run = run_fabric_experiment(config_, /*loaded=*/false);
   std::vector<LatencySample> all;
   for (const LatencyCollector& col : run.pods)
     all.insert(all.end(), col.samples().begin(), col.samples().end());
-  Calibration c;
-  c.idle = summarize(all, config_.warmup, config_.total());
-  ACTNET_CHECK_MSG(c.idle.count > 0,
+  calibration_ =
+      Calibration::of(summarize(all, config_.warmup, config_.total()));
+  ACTNET_CHECK_MSG(calibration_.has_value(),
                    "fabric calibration produced no probe samples (window too "
                    "short for the probe gap?)");
-  c.service_time_us = c.idle.min_us;
-  c.var_service_us2 = c.idle.stddev_us * c.idle.stddev_us;
-  calibration_ = c;
-  calibrated_ = true;
-  db_.put("fabric/calib", c.serialize());
-  return calibration_;
+  db_.put(kCalibKey, calibration_->idle.serialize());
+  return *calibration_;
 }
 
 const LatencySummary& FabricCampaign::impact_of_pod(int pod) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,8 @@ class FabricCampaign {
   const FabricCampaignConfig& config() const { return config_; }
   int pods() const { return config_.network.pods; }
 
-  /// Pooled idle calibration (cached under "fabric/calib").
+  /// Pooled idle calibration (its idle summary cached under
+  /// "fabric/calib").
   const Calibration& calibration();
 
   /// Probe latency summary of pod `p` under background load (cached under
@@ -98,8 +100,7 @@ class FabricCampaign {
 
   FabricCampaignConfig config_;
   MeasurementDb db_;
-  bool calibrated_ = false;
-  Calibration calibration_;
+  std::optional<Calibration> calibration_;
   std::vector<LatencySummary> pod_impact_;
   std::vector<bool> pod_impact_ready_;
   FabricRunInfo loaded_;

@@ -147,59 +147,20 @@ std::vector<LatencySummary> run_impact_series(const Workload& workload,
   return series;
 }
 
+std::optional<Calibration> Calibration::of(const LatencySummary& idle) {
+  if (idle.count == 0 || !(idle.min_us > 0.0)) return std::nullopt;
+  Calibration c;
+  c.service_time_us = idle.min_us;
+  c.var_service_us2 = idle.stddev_us * idle.stddev_us;
+  c.idle = idle;
+  return c;
+}
+
 Calibration calibrate(const MeasureOptions& opts) {
-  Calibration c;
-  c.idle = run_impact_experiment(Workload::idle(), opts);
-  c.service_time_us = c.idle.min_us;
-  c.var_service_us2 = c.idle.stddev_us * c.idle.stddev_us;
-  ACTNET_CHECK(c.service_time_us > 0.0);
-  return c;
-}
-
-std::string Calibration::serialize() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << service_time_us << '#' << var_service_us2 << '#' << idle.serialize();
-  return os.str();
-}
-
-Calibration Calibration::deserialize(const std::string& text) {
-  auto c = try_deserialize(text);
-  ACTNET_CHECK_MSG(c.has_value(), "bad Calibration encoding");
+  std::optional<Calibration> c =
+      Calibration::of(run_impact_experiment(Workload::idle(), opts));
+  ACTNET_CHECK(c.has_value());
   return *std::move(c);
-}
-
-std::optional<Calibration> Calibration::try_deserialize(
-    const std::string& text) {
-  const auto p1 = text.find('#');
-  if (p1 == std::string::npos) {
-    warn_bad_record("Calibration", "framing('#')", text);
-    return std::nullopt;
-  }
-  const auto p2 = text.find('#', p1 + 1);
-  if (p2 == std::string::npos) {
-    warn_bad_record("Calibration", "framing('#',2)", text);
-    return std::nullopt;
-  }
-  const auto service = util::parse_double(text.substr(0, p1));
-  const auto var = util::parse_double(text.substr(p1 + 1, p2 - p1 - 1));
-  auto idle = LatencySummary::try_deserialize(text.substr(p2 + 1));
-  if (!service || !var || !idle) {
-    warn_bad_record("Calibration",
-                    !service ? "service_time_us"
-                             : (!var ? "var_service_us2" : "idle"),
-                    text);
-    return std::nullopt;
-  }
-  if (!(*service > 0.0)) {  // mg1() divides by this
-    warn_bad_record("Calibration", "service_time_us(<=0)", text);
-    return std::nullopt;
-  }
-  Calibration c;
-  c.service_time_us = *service;
-  c.var_service_us2 = *var;
-  c.idle = *std::move(idle);
-  return c;
 }
 
 double estimate_utilization(const LatencySummary& loaded,

@@ -72,6 +72,8 @@ std::vector<LatencySummary> run_impact_series(const Workload& workload,
 
 /// Switch calibration from an idle run (paper §IV-B): the service time
 /// 1/mu is the *minimum* idle probe latency; Var(S) is the idle variance.
+/// The idle ImpactB summary is the whole record; both parameters derive
+/// from it in of().
 struct Calibration {
   double service_time_us = 0.0;
   double var_service_us2 = 0.0;
@@ -80,13 +82,12 @@ struct Calibration {
   queueing::Mg1Params mg1() const {
     return queueing::Mg1Params{1.0 / service_time_us, var_service_us2};
   }
-  std::string serialize() const;
-  /// Throws actnet::Error on a malformed encoding.
-  static Calibration deserialize(const std::string& text);
-  /// Non-throwing variant for cache loads; nullopt on corruption.
-  static std::optional<Calibration> try_deserialize(const std::string& text);
+  /// mu and Var(S) of an idle summary; nullopt when it cannot calibrate
+  /// (no samples, or a minimum that is not positive: mg1() divides by it).
+  static std::optional<Calibration> of(const LatencySummary& idle);
 };
 
+/// Runs the idle ImpactB experiment and calibrates from it.
 Calibration calibrate(const MeasureOptions& opts);
 
 /// Switch utilization (fraction of queue capacity, in [0, 0.999]) inferred

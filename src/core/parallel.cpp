@@ -67,15 +67,14 @@ PrefetchReport ParallelRunner::prefetch(
   // Calibration (every scope needs it: utilization derives from it).
   std::vector<Experiment> wanted = {c.calibration_experiment()};
 
-  // ImpactB runs: the CompressionB grid, the apps, and the idle probe.
+  // ImpactB runs: the CompressionB grid and the apps (the idle probe is
+  // the calibration).
   if (wants_grid_impacts(scope))
     for (const CompressionConfig& cfg : c.compression_grid())
       wanted.push_back(c.impact_experiment(Workload::of_compression(cfg)));
   if (wants_profiles(scope) || wants_impacts(scope))
     for (const apps::AppId id : app_set)
       wanted.push_back(c.impact_experiment(Workload::of_app(id)));
-  if (wants_impacts(scope))
-    wanted.push_back(c.impact_experiment(Workload::idle()));
 
   if (wants_baselines(scope))
     for (const apps::AppId id : app_set)

@@ -28,7 +28,7 @@ namespace actnet::core {
 /// figure needs them to be (profiles include the compression table).
 enum class PrefetchScope {
   kCalibration,       ///< idle-switch calibration only
-  kImpacts,           ///< calibration + every ImpactB run (idle, grid, apps)
+  kImpacts,           ///< calibration (the idle run) + grid and app ImpactB
   kCompressionTable,  ///< calibration + the CompressionB grid impacts (Fig 6)
   kAppProfiles,       ///< + baselines and degradation curves (Fig 7)
   kPairs,             ///< baselines + the 21 unordered co-run pairs (Table I)

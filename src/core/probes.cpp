@@ -95,6 +95,10 @@ mpi::RankProgram make_impact_program(ImpactConfig config,
 std::string CompressionConfig::label() const {
   std::ostringstream os;
   os << "P" << partners << "_B" << sleep_cycles << "_M" << messages;
+  // The paper's size is left out, so its labels (and cache keys) keep
+  // their bytes.
+  if (message_bytes != CompressionConfig{}.message_bytes)
+    os << "_S" << message_bytes;
   return os.str();
 }
 

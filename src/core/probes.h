@@ -46,6 +46,7 @@ struct CompressionConfig {
   int messages = 1;            ///< M: messages per partner per round
   Bytes message_bytes = units::KiB(40);
 
+  /// "P<P>_B<B>_M<M>", plus "_S<bytes>" when the size is not the paper's.
   std::string label() const;
 };
 

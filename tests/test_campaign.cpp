@@ -6,6 +6,7 @@
 
 #include "core/campaign.h"
 #include "core/keys.h"
+#include "obs/report.h"
 #include "equivalence_harness.h"
 
 namespace actnet::core {
@@ -26,6 +27,63 @@ TEST(Campaign, CalibrationAndIdleImpact) {
   const double idle_rho = c.utilization_of(Workload::idle());
   EXPECT_GT(idle_rho, 0.05);
   EXPECT_LT(idle_rho, 0.40);
+}
+
+TEST(Campaign, IdleImpactIsTheCalibrationsSummary) {
+  // One idle simulation: once calibrated, the idle impact runs nothing,
+  // stores nothing and is the calibration's summary.
+  CampaignConfig cfg = tiny_config();
+  cfg.report_path = testing::temp_cache("idle_report") + ".json";
+  const std::string stream = obs::job_stream_path(cfg.report_path);
+  std::filesystem::remove(stream);
+  Campaign c(cfg);
+  const Calibration& calib = c.calibration();
+  const std::size_t entries = c.db().size();
+  EXPECT_EQ(c.impact_of(Workload::idle()).serialize(), calib.idle.serialize());
+  EXPECT_EQ(c.db().size(), entries);
+  EXPECT_FALSE(c.db().get(keys::impact(Workload::idle())).has_value());
+  const obs::JobStreamLog log = obs::load_job_stream(stream);
+  ASSERT_EQ(log.prefetches.size(), 1u);
+  EXPECT_EQ(log.prefetches[0].scope, "calibration");
+  EXPECT_EQ(log.prefetches[0].pending,
+            std::vector<std::string>{keys::calibration()});
+  std::filesystem::remove(cfg.report_path);
+  std::filesystem::remove(stream);
+}
+
+TEST(Campaign, CompressionMessageSizeIsInItsKeys) {
+  // Two grid points that differ only in message size are two experiments;
+  // the paper's 40 KiB keeps its old label.
+  const CompressionConfig paper{1, 2.5e6, 1, units::KiB(40)};
+  CompressionConfig big = paper;
+  big.message_bytes = units::KiB(64);
+  EXPECT_EQ(big.label(), paper.label() + "_S65536");
+  EXPECT_EQ(paper.label().find("_S"), std::string::npos);
+  EXPECT_NE(keys::impact(Workload::of_compression(paper)),
+            keys::impact(Workload::of_compression(big)));
+  EXPECT_NE(keys::degradation(apps::AppId::kMCB, paper),
+            keys::degradation(apps::AppId::kMCB, big));
+
+  // A 64 KiB grid opened on a cache the 40 KiB grid wrote measures again.
+  const std::string path = testing::temp_cache("campaign_size");
+  std::filesystem::remove(path);
+  CampaignConfig cfg = tiny_config(path);
+  cfg.compression_grid = {paper};
+  std::string paper_value;
+  {
+    Campaign c(cfg);
+    c.compression_table();
+    paper_value = *c.db().get(keys::impact(Workload::of_compression(paper)));
+  }
+  cfg.compression_grid = {big};
+  Campaign c(cfg);
+  const std::size_t entries = c.db().size();
+  const LatencySummary& measured = c.compression_table().front().impact;
+  EXPECT_EQ(c.db().size(), entries + 1);
+  EXPECT_EQ(*c.db().get(keys::impact(Workload::of_compression(big))),
+            measured.serialize());
+  EXPECT_NE(measured.serialize(), paper_value);
+  std::filesystem::remove(path);
 }
 
 TEST(Campaign, ImpactMemoizesByLabel) {
@@ -99,12 +157,14 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
   }
   // Caches written under earlier schemas carry the same config under an
   // old version tag; each must miss rather than mix with current
-  // measurements: v5 (jitter drawn per packet through log and exp, other
-  // draws of the same distribution), v4 (hop-per-event packet chain, a
-  // different same-tick order) and v3 (sequential switch-stage draws).
-  for (const char* old_version : {"actnet-v5", "actnet-v4", "actnet-v3"}) {
+  // measurements: v6 (a `#`-framed calibration record beside an
+  // `impact/idle` one), v5 (jitter drawn per packet through log and exp,
+  // other draws of the same distribution), v4 (hop-per-event packet chain,
+  // a different same-tick order) and v3 (sequential switch-stage draws).
+  for (const char* old_version :
+       {"actnet-v6", "actnet-v5", "actnet-v4", "actnet-v3"}) {
     std::string old_fingerprint = Campaign(tiny_config()).fingerprint();
-    ASSERT_EQ(old_fingerprint.rfind("actnet-v6|", 0), 0u);
+    ASSERT_EQ(old_fingerprint.rfind("actnet-v7|", 0), 0u);
     old_fingerprint.replace(0, 9, old_version);
     {
       MeasurementDb db(path);
@@ -158,13 +218,26 @@ TEST(Campaign, FlowForwardRegimeIsFingerprinted) {
 }
 
 TEST(Campaign, UndecodableCachedValueIsMeasuredAgain) {
-  Campaign c(tiny_config());
-  c.db().put(keys::calibration(), "not#a#calibration");
-  const std::size_t corrupt_before = c.db().corrupt_lines();
-  EXPECT_GT(c.calibration().service_time_us, 0.9);
-  EXPECT_EQ(c.db().corrupt_lines(), corrupt_before + 1);  // invalidated
-  EXPECT_TRUE(Calibration::try_deserialize(*c.db().get(keys::calibration()))
-                  .has_value());
+  // A calibration record decodes only as an idle summary that can
+  // calibrate: a parse failure, no samples, or a zero minimum (mg1()
+  // divides by it) is invalidated and measured again.
+  LatencySummary no_samples;
+  LatencySummary zero_min;
+  zero_min.count = 100;
+  zero_min.mean_us = 1.5;
+  zero_min.stddev_us = 0.2;
+  zero_min.max_us = 3.0;
+  for (const std::string& bad :
+       {std::string("not#a#calibration"), no_samples.serialize(),
+        zero_min.serialize()}) {
+    Campaign c(tiny_config());
+    c.db().put(keys::calibration(), bad);
+    const std::size_t corrupt_before = c.db().corrupt_lines();
+    EXPECT_GT(c.calibration().service_time_us, 0.9) << bad;
+    EXPECT_EQ(c.db().corrupt_lines(), corrupt_before + 1) << bad;
+    EXPECT_EQ(*c.db().get(keys::calibration()),
+              c.calibration().idle.serialize());
+  }
 }
 
 TEST(Campaign, FingerprintCoversFatTreeTopologyKnobs) {

@@ -25,13 +25,22 @@ TEST(Calibrate, IdleSwitchParameters) {
   EXPECT_LT(c.mg1().mu, 1.2);
 }
 
-TEST(Calibrate, SerializationRoundTrip) {
+TEST(Calibrate, DerivesFromTheIdleSummaryAlone) {
+  // The cached record is the idle summary; decoding it must rebuild the
+  // calibration exactly, or cached and fresh predictions would differ.
   const Calibration c = calibrate(fast_opts());
-  const Calibration r = Calibration::deserialize(c.serialize());
-  EXPECT_DOUBLE_EQ(r.service_time_us, c.service_time_us);
-  EXPECT_DOUBLE_EQ(r.var_service_us2, c.var_service_us2);
-  EXPECT_EQ(r.idle.count, c.idle.count);
-  EXPECT_DOUBLE_EQ(r.idle.mean_us, c.idle.mean_us);
+  const std::optional<Calibration> r =
+      Calibration::of(LatencySummary::deserialize(c.idle.serialize()));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->service_time_us, c.service_time_us);
+  EXPECT_EQ(r->var_service_us2, c.var_service_us2);
+  EXPECT_EQ(r->idle.serialize(), c.idle.serialize());
+  // A summary that cannot calibrate: no samples, or a minimum mg1()
+  // cannot divide by.
+  EXPECT_FALSE(Calibration::of(LatencySummary{}).has_value());
+  LatencySummary zero_min = c.idle;
+  zero_min.min_us = 0.0;
+  EXPECT_FALSE(Calibration::of(zero_min).has_value());
 }
 
 TEST(EstimateUtilization, IdleWorkloadGivesTheFloor) {

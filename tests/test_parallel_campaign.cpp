@@ -6,6 +6,7 @@
 // test_obs, whose reference run is serial and whose candidate uses 8.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -112,6 +113,23 @@ TEST(ParallelCampaign, ColdAccessorRunsItsExperimentsAsOneBatch) {
   for (const std::string& key : expected)
     full_values.push_back(full.db().get(key).value_or("<missing>"));
   EXPECT_EQ(cold_values, full_values);
+
+  // The cold prefetch_all simulates the idle probe once, as the
+  // calibration: one pending key per experiment, and no idle impact.
+  const std::vector<std::string> pending =
+      obs::load_job_stream(obs::job_stream_path(full_report))
+          .prefetches.at(0)
+          .pending;
+  const std::size_t n_apps = apps::all_apps().size();
+  const std::size_t n_grid = full_cfg.compression_grid.size();
+  EXPECT_EQ(pending.size(), 1 + n_grid + n_apps * (2 + n_grid) +
+                                n_apps * (n_apps + 1) / 2);
+  EXPECT_EQ(std::count(pending.begin(), pending.end(), keys::calibration()),
+            1);
+  EXPECT_EQ(std::count(pending.begin(), pending.end(),
+                       keys::impact(Workload::idle())),
+            0);
+  EXPECT_FALSE(full.db().get(keys::impact(Workload::idle())).has_value());
   const std::size_t entries = full.db().size();
   for (const auto& victim : apps::all_apps())
     for (const auto& aggressor : apps::all_apps())

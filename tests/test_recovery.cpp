@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/db.h"
+#include "core/keys.h"
 #include "core/latency.h"
 #include "core/measure.h"
+#include "core/parallel.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/parse.h"
@@ -233,27 +236,38 @@ TEST(Recovery, ShortReadFailpointDegradesToMiss) {
   MeasurementDb db2(f.path);
   util::FaultInjector::reset();
   // The mangled header line is skipped as corrupt; CRC-valid records
-  // still load (version detection keys off the records, not the header).
+  // still load (each line is vouched for by its own CRC, not the header).
   EXPECT_EQ(db2.get("alpha").value(), "1");
   EXPECT_EQ(db2.get("beta").value(), "2");
   EXPECT_EQ(db2.corrupt_lines(), 1u);
 }
 
-TEST(Recovery, V1CacheIsAutoMigratedOnLoad) {
-  TempFile f("migrate");
-  // A legacy (pre-CRC) cache: plain key\tvalue lines, no header.
-  write_bytes(f.path, "alpha\t1\nbeta\t2\n");
+TEST(Recovery, PreCrcCacheIsScrubbedAndMeasuredAgain) {
+  TempFile f("pre_crc");
+  // A pre-CRC cache: plain key\tvalue lines, no header. Even under the
+  // current fingerprint its records are corrupt: nothing vouches for them.
+  CampaignConfig cfg;
+  cfg.opts.window = units::ms(8);
+  cfg.opts.warmup = units::ms(2);
+  cfg.cache_path = f.path;
+  const std::string fingerprint = Campaign(cfg).fingerprint();
+  const std::string calibration = calibrate(cfg.opts).idle.serialize();
+  write_bytes(f.path, "_fingerprint\t" + fingerprint + "\ncalibration\t" +
+                          calibration + "\n");
   {
     MeasurementDb db(f.path);
-    EXPECT_EQ(db.get("alpha").value(), "1");
-    EXPECT_EQ(db.get("beta").value(), "2");
-    EXPECT_EQ(db.corrupt_lines(), 0u);
+    EXPECT_EQ(db.size(), 0u);
+    EXPECT_EQ(db.corrupt_lines(), 2u);
   }
-  // The load rewrote the file in v2 form: header + CRC-suffixed records.
-  const std::string bytes = read_bytes(f.path);
-  EXPECT_EQ(bytes.rfind("#actnet-cache v2\n", 0), 0u);
-  MeasurementDb db2(f.path);
-  EXPECT_EQ(db2.get("alpha").value(), "1");
+  // The load scrubbed the file down to the version header.
+  EXPECT_EQ(read_bytes(f.path), "#actnet-cache v2\n");
+  write_bytes(f.path, "_fingerprint\t" + fingerprint + "\ncalibration\t" +
+                          calibration + "\n");
+  Campaign c(cfg);
+  EXPECT_EQ(c.db().size(), 1u);  // the fingerprint the campaign bound
+  EXPECT_EQ(ParallelRunner(c).prefetch(PrefetchScope::kCalibration).executed,
+            1u);
+  EXPECT_EQ(c.db().get(keys::calibration()).value(), calibration);
 }
 
 TEST(Recovery, UnparseableCachedDoubleIsAMiss) {
@@ -284,13 +298,10 @@ TEST(Recovery, CorruptSerializedSummariesDegradeToNullopt) {
   // arbitrary CRC-clean-but-wrong payloads.
   for (const char* text :
        {"", ";;;", "abc", "1;2;3", "1;2;3;4;5", "-1;2;3;4;5;0|0",
-        "1;x;3;4;5;0|0|0", "999999999999999999999999;1;1;1;1;0|0"}) {
+        "1;x;3;4;5;0|0|0", "999999999999999999999999;1;1;1;1;0|0"})
     EXPECT_FALSE(LatencySummary::try_deserialize(text).has_value()) << text;
-    EXPECT_FALSE(Calibration::try_deserialize(text).has_value()) << text;
-  }
   EXPECT_FALSE(PairTimes::try_deserialize("1.5").has_value());
   EXPECT_FALSE(PairTimes::try_deserialize("1.5;x").has_value());
-  EXPECT_FALSE(Calibration::try_deserialize("0#1#whatever").has_value());
 
   // And the round trip still works through the non-throwing paths.
   LatencySummary s;

@@ -200,16 +200,16 @@ TEST(Mg1Inversion, RecoversInjectedUtilization) {
 
 TEST(Conformance, RunReportListsEverySeedsJobs) {
   // A one-app, two-point slice of the quick tier: per seed, the
-  // calibration, two grid impacts, the app's impact and baseline, two
-  // degradations, its self-pair and the idle impact (kAll's), all
-  // prefetched as one batch.
+  // calibration (the one idle run), two grid impacts, the app's impact
+  // and baseline, two degradations and its self-pair, all prefetched as
+  // one batch.
   MatrixSpec spec = quick_matrix();
   spec.apps = {apps::AppId::kMCB};
   spec.grid.resize(2);
   spec.jobs = 2;
   const ConformanceReport report = run_conformance(spec);
   EXPECT_EQ(report.records.size(), spec.seeds.size());
-  constexpr std::size_t kPerSeed = 9;
+  constexpr std::size_t kPerSeed = 8;
   ASSERT_EQ(report.run.jobs.size(), kPerSeed * spec.seeds.size());
   std::set<std::string> keys;
   for (const obs::JobStats& job : report.run.jobs) {
