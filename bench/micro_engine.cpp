@@ -341,8 +341,8 @@ void BM_FatTreeMeasurementCampaign(benchmark::State& state) {
     // exchange whose crisscrossing 64 B control messages land inside the
     // neighbours' delivery windows and demote their plans every round.
     cc.mpi.eager_threshold = 64 * 1024;
-    cc.flow_forward = FlowFwd;
     core::Cluster cluster(cc);
+    cluster.network().set_flow_forward(FlowFwd);
     std::array<core::LatencyCollector, 2> samples;
     for (int pod = 0; pod < 2; ++pod) {
       const int base = 18 * pod;

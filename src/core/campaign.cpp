@@ -27,7 +27,7 @@ namespace {
 /// v6: switch jitter is drawn from a precomputed table of its integer CDF.
 /// v7: the calibration record is the idle ImpactB summary itself, and the
 /// idle impact has no record of its own.
-constexpr const char* kSchemaVersion = "actnet-v7";
+constexpr const char* kSchemaVersion = "actnet-v8";
 
 template <class T>
 std::optional<T> decode(const std::string& value) {
@@ -99,8 +99,6 @@ std::string Campaign::fingerprint() const {
      << "|sq.m=" << net.sq_service_mean_ns
      << "|sq.s=" << net.sq_service_stddev_ns
      << "|loc.bw=" << net.local_bandwidth << "|loc.lat=" << net.local_latency;
-  if (!net::flow_forward_regime(config_.opts.cluster.flow_forward))
-    os << "|ffwd=0";
   return os.str();
 }
 

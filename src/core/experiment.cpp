@@ -25,7 +25,6 @@ Cluster::Cluster(ClusterConfig config)
   ACTNET_CHECK_MSG(config_.machine.nodes == config_.network.nodes,
                    "machine and network node counts differ");
   engine_.set_event_budget(config_.event_budget);
-  if (config_.flow_forward) network_.set_flow_forward(*config_.flow_forward);
   if (tracer_) network_.set_tracer(tracer_.get());
 }
 

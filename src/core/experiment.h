@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,10 +36,6 @@ struct ClusterConfig {
   std::uint64_t seed = 1;
   /// Hard cap on events per run (runaway-workload guard).
   std::uint64_t event_budget = 400'000'000;
-  /// Per-run override of the flow-forward regime; unset keeps the
-  /// network's ACTNET_FLOWFWD default. Drivers (validation, equivalence
-  /// tests) pin both arms of an on/off comparison with this.
-  std::optional<bool> flow_forward;
 
   // --- tracing (see obs/trace.h) ---
   /// Chrome-trace output path; empty falls back to the ACTNET_TRACE

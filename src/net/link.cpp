@@ -256,8 +256,8 @@ void Link::credit_flowfwd(std::uint64_t packets, Bytes bytes, Tick busy) {
 
 void Link::credit_flowfwd_depth(std::size_t depth) { stats_.depth.add(depth); }
 
-void Link::restore_in_service(Bytes size, Tick began_at, Tick end_at,
-                              sim::EventFn&& on_serialized,
+void Link::restore_in_service(Bytes size, Tick began_at, std::uint64_t place,
+                              Tick end_at, sim::EventFn&& on_serialized,
                               sim::EventFn&& on_arrive) {
   ACTNET_CHECK(!busy_);
   ACTNET_CHECK(end_at >= engine_.now());
@@ -266,7 +266,8 @@ void Link::restore_in_service(Bytes size, Tick began_at, Tick end_at,
   // busy-time for every already-started packet in one credit_flowfwd call.
   in_service_ =
       new_record(size, std::move(on_serialized), std::move(on_arrive));
-  engine_.schedule_as_of(began_at, end_at, [this] { finish_service(); });
+  engine_.schedule_as_of(began_at, place, end_at,
+                         [this] { finish_service(); });
 }
 
 void Link::restore_queued(FlowId flow, Bytes size,

@@ -110,7 +110,6 @@ class Link {
   /// Disarms without firing (the flow-forward completed, or a guard on the
   /// other end of the route fired first).
   void disarm_flowfwd_guard() { ffwd_guard_ = {}; }
-  bool flowfwd_guarded() const { return static_cast<bool>(ffwd_guard_); }
 
   /// Accounting credit for packets that bypassed this port's event
   /// machinery (the flow-forward regime): exactly the packets/bytes/
@@ -127,9 +126,10 @@ class Link {
   /// Restores the packet currently serializing; `end_at` is its analytic
   /// serialization-end tick (>= now), and its serialization-end event takes
   /// the place it would have had if created at `began_at`, when the packet
-  /// started serializing. The port must be free.
-  void restore_in_service(Bytes size, Tick began_at, Tick end_at,
-                          sim::EventFn&& on_serialized,
+  /// started serializing, at sequence place `place` (its message's). The
+  /// port must be free.
+  void restore_in_service(Bytes size, Tick began_at, std::uint64_t place,
+                          Tick end_at, sim::EventFn&& on_serialized,
                           sim::EventFn&& on_arrive);
   /// Appends a not-yet-started packet to `flow`'s queue without recording
   /// a depth sample (the accept-time analytic sample already covered it).

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "util/env.h"
 #include "util/error.h"
 
 namespace actnet::net {
@@ -22,6 +21,21 @@ namespace {
 /// packet path. Has no effect on uncontended traffic (no demotions, so no
 /// cooldown ever starts).
 constexpr Tick kFlowFwdCooldown = units::us(25);
+
+/// The sequence places a message takes at send, one per kind of event the
+/// flow-forward regime posts or restores, so two of one message's events
+/// that share their tick and creation tick still run in the per-packet
+/// path's order: a downlink serialization end before a switch exit (as
+/// replay_downlink orders them), a switch exit before the uplink
+/// serialization end created with it (an uplink serialization end routes
+/// its packet before it starts the next one). A completion ties with none.
+enum Place : std::uint64_t {
+  kDownlinkEnd,
+  kSwitchExit,
+  kUplinkEnd,
+  kCompletion,
+  kPlaces
+};
 
 std::unique_ptr<Switch> make_switch(sim::Engine& engine,
                                     const NetworkConfig& config, Rng rng) {
@@ -43,11 +57,6 @@ std::unique_ptr<Switch> make_switch(sim::Engine& engine,
 }
 
 }  // namespace
-
-bool flow_forward_regime(std::optional<bool> configured) {
-  return configured.has_value() ? *configured
-                                : util::env_onoff_or("ACTNET_FLOWFWD", true);
-}
 
 NetworkConfig NetworkConfig::k_ary_fat_tree(int k) {
   ACTNET_CHECK_MSG(k >= 2 && k % 2 == 0,
@@ -117,7 +126,6 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
   // Flow-forward regime (DESIGN.md §5.12). Requires a contention-free
   // switch stage — the shared-queue ablation model couples packets and
   // stays packet-level.
-  flowfwd_ = flow_forward_regime();
   switch_contention_free_ = leaves_[0]->contention_free();
   ffwd_cooldown_up_.assign(static_cast<std::size_t>(config_.nodes), 0);
   ffwd_cooldown_down_.assign(static_cast<std::size_t>(config_.nodes), 0);
@@ -296,8 +304,10 @@ void Network::route_from_leaf(const Packet& p) {
 }
 
 void Network::deliver_to_node(const Packet& p) {
+  delivering_ = p.msg_id;
   downlinks_[p.dst]->transmit(p.flow, p.size, nullptr,
                               [this, p] { downlink_done(p); });
+  delivering_ = 0;
 }
 
 void Network::downlink_done(const Packet& p) {
@@ -330,7 +340,8 @@ void Network::downlink_done(const Packet& p) {
 // demotion guard: the first competing enqueue re-materializes the
 // message's remaining packets into the exact packet-level state the
 // per-packet path would have reached, so contended dynamics stay exact
-// from that instant on.
+// from that instant on. Every event the regime posts or restores takes
+// one of the sequence places its message took at send.
 // ---------------------------------------------------------------------------
 
 bool Network::flowfwd_eligible(NodeId src, NodeId dst) const {
@@ -395,12 +406,29 @@ void Network::trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pk) {
                       "switch");
 }
 
-Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
+bool Network::ran_before_current(const FlowFwd& ff, Tick t,
+                                 Tick created) const {
+  const sim::Engine::Order order = engine_.order_vs_current(t, created);
+  if (order != sim::Engine::Order::kTie)
+    return order == sim::Engine::Order::kBefore;
+  // Same tick and creation tick: the two are ordered by their messages'
+  // sends, the order in which the per-packet path creates them when both
+  // event chains start at their sends. A packet handed to its downlink
+  // stands for its own message; any other running event for its place.
+  const std::uint64_t running =
+      delivering_ != 0 ? place_of(delivering_) : engine_.current().seq;
+  return place_of(ff.id) < running;
+}
+
+Network::DownlinkState Network::replay_downlink(FlowFwd& ff, bool at_accept) {
   // Replays the slow path's downlink decisions from the closed-form
   // schedule: which arrivals found the port free (depth sample 1), which
   // queued (depth = queue occupancy), and the flow's DRR visit state
-  // (deficit/visited) when the replay stops at `bound`. Single flow, so
-  // every ring rotation immediately re-credits the same flow.
+  // (deficit/visited) where the replay stops. Single flow, so every ring
+  // rotation immediately re-credits the same flow.
+  const auto ran = [&](Tick t, Tick created) {
+    return at_accept || ran_before_current(ff, t, created);
+  };
   const Bytes quantum = config_.drr_quantum;
   DownlinkState st;
   bool in_ring = false;
@@ -435,9 +463,11 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
       pop_next();
   };
   const auto count = static_cast<int>(ff.order.size());
-  for (int m = 0; m < count; ++m) {
+  int m = 0;
+  for (; m < count; ++m) {
     FFPacket& pk = pkt_at(m);
-    if (pk.fwd > bound) break;
+    // The switch exit was created at the uplink's serialization end.
+    if (!ran(pk.fwd, pk.upl_end)) break;
     // Service completions strictly before this arrival — and at the same
     // tick when the finish event (created at down_start) was created no
     // later than the arrival's switch exit (created at the uplink's
@@ -460,7 +490,10 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, Tick bound) {
       pk.depth = static_cast<std::uint32_t>(q_len);
     }
   }
-  while (cur >= 0 && pkt_at(cur).down_end <= bound) complete_cur();
+  while (cur >= 0 && ran(pkt_at(cur).down_end, pkt_at(cur).down_start))
+    complete_cur();
+  st.arrived = static_cast<std::uint32_t>(m);
+  st.served = static_cast<std::uint32_t>(cur >= 0 ? cur : m);
   return st;
 }
 
@@ -527,7 +560,7 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
     pk.complete = pk.down_end + prop + config_.recv_overhead;
   }
   ff.t_done = ff.pkts[ff.order.back()].complete;
-  replay_downlink(ff, std::numeric_limits<Tick>::max());  // depth samples
+  replay_downlink(ff, /*at_accept=*/true);  // depth samples
 
   // Accept-time accounting the per-packet path would have produced at t0:
   // the uplink's enqueue-depth samples (1..n, as transmit_train records).
@@ -541,11 +574,12 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   // same-tick events: injection for the last packet's uplink serialization
   // end (created as that packet started serializing), completion for the
   // last packet's completion (created at its downlink serialization end).
+  const std::uint64_t place = place_of(id);
   ff.inj_ev = engine_.schedule_cancellable_as_of(
-      ff.t_inj - ff.pkts.back().ser, ff.t_inj,
+      ff.t_inj - ff.pkts.back().ser, place + kUplinkEnd, ff.t_inj,
       [this, plan] { flowfwd_injected(plan); });
   ff.done_ev = engine_.schedule_cancellable_as_of(
-      ff.pkts[ff.order.back()].down_end, ff.t_done,
+      ff.pkts[ff.order.back()].down_end, place + kCompletion, ff.t_done,
       [this, plan] { finish_flowfwd(plan); });
   uplinks_[src]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
   downlinks_[dst]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
@@ -623,6 +657,7 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   FlowFwd& ff = ffwd_[plan];
   ACTNET_CHECK(ff.id != 0);
   const MessageId id = ff.id;
+  const std::uint64_t place = place_of(id);
   const auto n = static_cast<std::uint32_t>(ff.pkts.size());
   Link& up = *uplinks_[ff.src];
   Link& down = *downlinks_[ff.dst];
@@ -633,7 +668,10 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   // accept-and-demoting every message. The uplink guard is only ours
   // before injection — flowfwd_injected released it, and a LATER
   // flow-forward from the same source may have armed its own since.
-  if (!ff.injected) up.disarm_flowfwd_guard();
+  if (!ff.injected) {
+    up.disarm_flowfwd_guard();
+    engine_.cancel(ff.inj_ev);
+  }
   down.disarm_flowfwd_guard();
   engine_.cancel(ff.done_ev);
   ffwd_cooldown_up_[static_cast<std::size_t>(ff.src)] =
@@ -641,131 +679,112 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   ffwd_cooldown_down_[static_cast<std::size_t>(ff.dst)] =
       td + kFlowFwdCooldown;
 
-  Callback on_injected;
-  bool inject_now = false;
-  if (!ff.injected) {
-    engine_.cancel(ff.inj_ev);
-    on_injected = std::move(ff.on_injected);
-    inject_now = ff.t_inj <= td;  // same-tick race: event not yet fired
-  }
+  // Which of the plan's per-packet events have run is decided in the
+  // engine's order, same-tick ones included (ran_before_current). Every
+  // pending event is restored as of the tick the per-packet path created
+  // it at (the uplink finish when packet k began serializing, a switch
+  // exit at the uplink serialization end, a downlink finish at down_start,
+  // the last packet's completion at its down_end) and at the message's
+  // place. Queue entries carry no engine event and ride along with their
+  // port's in-service restore.
 
   // ---- uplink: credit the started packets, restore the rest exactly ----
-  std::uint32_t k = 0;  // first packet whose serialization end is ahead
-  while (k < n && ff.pkts[k].upl_end <= td) ++k;
+  // k is the packet serializing now. Before injection that is at most the
+  // last one: the injection event has not run, so neither has the last
+  // packet's serialization end it stands for.
+  std::uint32_t k = n;
   if (!ff.injected) {
-    const std::uint32_t started = std::min(k + 1, n);
-    Bytes bytes = 0;
-    Tick busy = 0;
-    for (std::uint32_t i = 0; i < started; ++i) {
-      bytes += ff.pkts[i].size;
-      busy += ff.pkts[i].ser;
-    }
-    up.credit_flowfwd(started, bytes, busy);
-  }
-  // Restored engine events must reproduce the slow path's same-tick
-  // ordering, and the engine orders same-tick events by creation tick.
-  // Every pending event's slow-path creation tick is known from the plan
-  // (the uplink finish was scheduled when packet k's service began, a
-  // switch exit at the uplink serialization end, a downlink finish at
-  // down_start, the last packet's completion at its down_end), so each is
-  // scheduled as of that tick. Queue entries carry no engine event and
-  // ride along with their port's in-service restore.
-
-  // ---- switch: serialized but not yet at the downlink ----
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const FFPacket& pk = ff.pkts[i];
-    if (pk.fwd <= td) continue;  // already at the downlink
-    // Routed at its uplink serialization end, which created the switch
-    // exit event and fixed the span.
-    trace_flowfwd_switch(ff, pk);
-    engine_.schedule_as_of(pk.upl_end, pk.fwd,
-                           [this, p = flowfwd_packet(ff, i)] {
-                             deliver_to_node(p);
-                           });
-  }
-
-  if (k < n) {
-    // Packet k is mid-serialization; k+1.. wait in the flow's queue with
+    k = 0;
+    while (k + 1 < n &&
+           ran_before_current(ff, ff.pkts[k].upl_end,
+                              ff.pkts[k].upl_end - ff.pkts[k].ser))
+      ++k;
+    // Packets 0..k have started, and k+1.. wait in the flow's queue with
     // the deficit the per-packet path would have earned (DRR's quantum
     // credits replayed over packets 0..k). The last packet carries
     // on_injected as its serialization-end callback, as transmit_train
     // would.
+    Bytes bytes = 0;
+    Bytes deficit = 0;
+    Tick busy = 0;
+    for (std::uint32_t i = 0; i <= k; ++i) {
+      bytes += ff.pkts[i].size;
+      busy += ff.pkts[i].ser;
+      while (deficit < ff.pkts[i].size) deficit += config_.drr_quantum;
+      deficit -= ff.pkts[i].size;
+    }
+    up.credit_flowfwd(k + 1, bytes, busy);
     const auto onser_for = [&](std::uint32_t i) {
       sim::EventFn fn;
-      if (i + 1 == n && on_injected) fn = std::move(on_injected);
+      if (i + 1 == n) fn = std::move(ff.on_injected);
       return fn;
     };
     const auto arrival = [&](std::uint32_t i) {
       return parked_arrival(flowfwd_packet(ff, i),
                             ff.pkts[i].fwd - ff.pkts[i].arrive);
     };
-    up.restore_in_service(ff.pkts[k].size,
-                          ff.pkts[k].upl_end - ff.pkts[k].ser,
-                          ff.pkts[k].upl_end, onser_for(k), arrival(k));
+    up.restore_in_service(ff.pkts[k].size, ff.pkts[k].upl_end - ff.pkts[k].ser,
+                          place + kUplinkEnd, ff.pkts[k].upl_end, onser_for(k),
+                          arrival(k));
     for (std::uint32_t i = k + 1; i < n; ++i)
       up.restore_queued(ff.flow, ff.pkts[i].size, onser_for(i), arrival(i));
-    if (k + 1 < n) {
-      Bytes deficit = 0;
-      for (std::uint32_t i = 0; i <= k; ++i) {
-        while (deficit < ff.pkts[i].size) deficit += config_.drr_quantum;
-        deficit -= ff.pkts[i].size;
-      }
-      up.restore_flow_front(ff.flow, deficit, /*visited=*/true);
-    }
+    if (k + 1 < n) up.restore_flow_front(ff.flow, deficit, /*visited=*/true);
+  }
+
+  // ---- switch: serialized but not yet at the downlink ----
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const FFPacket& pk = ff.pkts[i];
+    // Routed at its uplink serialization end, which created the switch
+    // exit event and fixed the span.
+    if (ran_before_current(ff, pk.fwd, pk.upl_end)) continue;  // at the port
+    trace_flowfwd_switch(ff, pk);
+    engine_.schedule_as_of(pk.upl_end, place + kSwitchExit, pk.fwd,
+                           [this, p = flowfwd_packet(ff, i)] {
+                             deliver_to_node(p);
+                           });
   }
 
   // ---- downlink: left the port / serializing / waiting ----
-  const DownlinkState drr = replay_downlink(ff, td);
+  const DownlinkState drr = replay_downlink(ff, /*at_accept=*/false);
   std::uint32_t accounted = 0;
   std::uint64_t dpkts = 0;
   Bytes dbytes = 0;
   Tick dbusy = 0;
-  int in_service = -1;                 // ff.order index serializing at td
-  std::vector<std::uint32_t> waiting;  // ff.order indices queued at td
-  for (std::uint32_t m = 0; m < n; ++m) {
+  for (std::uint32_t m = 0; m < drr.arrived; ++m) {
     const std::uint32_t idx = ff.order[m];
     const FFPacket& pk = ff.pkts[idx];
-    if (pk.fwd > td) break;  // handled by the switch-phase loop above
     down.credit_flowfwd_depth(pk.depth);
     trace_flowfwd_switch(ff, pk);
-    if (pk.down_end <= td) {
-      ++dpkts;
-      dbytes += pk.size;
-      dbusy += pk.ser;
-      if (m + 1 < n || pk.complete <= td) {
-        // Accounted at its downlink serialization end (or delivered).
-        account_packet(ff.dst, ff.t0, pk.complete);
-        ++accounted;
-      } else {
-        // The message's last packet, between the port and the node: its
-        // completion event was created at down_end.
-        engine_.schedule_as_of(pk.down_end, pk.complete,
-                               [this, p = flowfwd_packet(ff, idx)] {
-                                 complete_packet(p);
-                               });
-      }
-    } else if (pk.down_start <= td) {
-      in_service = static_cast<int>(idx);
-      ++dpkts;
-      dbytes += pk.size;
-      dbusy += pk.ser;
+    if (m > drr.served) continue;  // waiting: restored below
+    ++dpkts;
+    dbytes += pk.size;
+    dbusy += pk.ser;
+    if (m == drr.served) continue;  // in service: restored below
+    if (m + 1 < n) {
+      // Accounted at its downlink serialization end.
+      account_packet(ff.dst, ff.t0, pk.complete);
+      ++accounted;
     } else {
-      waiting.push_back(idx);
+      // The message's last packet, between the port and the node: its
+      // completion event was created at down_end.
+      engine_.schedule_as_of(pk.down_end, place + kCompletion, pk.complete,
+                             [this, p = flowfwd_packet(ff, idx)] {
+                               complete_packet(p);
+                             });
     }
   }
-  ACTNET_CHECK(waiting.empty() || in_service >= 0);
-  if (in_service >= 0) {
+  if (drr.served < drr.arrived) {
     const auto arrival = [this](const Packet& p) -> sim::EventFn {
       return [this, p] { downlink_done(p); };
     };
-    const FFPacket& pk = ff.pkts[static_cast<std::uint32_t>(in_service)];
-    down.restore_in_service(
-        pk.size, pk.down_start, pk.down_end, {},
-        arrival(flowfwd_packet(ff, static_cast<std::uint32_t>(in_service))));
-    for (const std::uint32_t w : waiting)
-      down.restore_queued(ff.flow, ff.pkts[w].size, {},
-                          arrival(flowfwd_packet(ff, w)));
-    if (!waiting.empty())
+    const std::uint32_t idx = ff.order[drr.served];
+    const FFPacket& pk = ff.pkts[idx];
+    down.restore_in_service(pk.size, pk.down_start, place + kDownlinkEnd,
+                            pk.down_end, {}, arrival(flowfwd_packet(ff, idx)));
+    for (std::uint32_t m = drr.served + 1; m < drr.arrived; ++m)
+      down.restore_queued(ff.flow, ff.pkts[ff.order[m]].size, {},
+                          arrival(flowfwd_packet(ff, ff.order[m])));
+    if (drr.served + 1 < drr.arrived)
       down.restore_flow_front(ff.flow, drr.deficit, drr.visited);
   }
   if (dpkts > 0) down.credit_flowfwd(dpkts, dbytes, dbusy);
@@ -773,11 +792,10 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   ++counters_.flowfwd_demotions;
   counters_.flowfwd_fallback_packets += n - accounted;
 
-  // Callbacks fire only now that every link holds its exact packet-level
-  // state: either may reenter send(), and eligibility must see the
-  // restored (busy) route, not a half-demoted one.
+  // No callback fires here: the last packet's completion and on_injected
+  // are restored events, so the competing enqueue finds every link in its
+  // exact packet-level state. The accounted packets are never the last.
   release_flowfwd(plan);
-  if (inject_now && on_injected) on_injected();
   if (accounted > 0) packet_delivered(id, accounted);
 }
 
@@ -789,8 +807,9 @@ void Network::complete_packet(const Packet& p) {
 MessageId Network::open_message(FlowId flow, std::uint32_t packets,
                                 Callback&& on_delivered) {
   if (flow >= flow_sends_.size()) flow_sends_.resize(flow + std::size_t{1});
-  const std::uint32_t slot =
-      in_flight_.put(InFlight{0, packets, std::move(on_delivered)});
+  const std::uint32_t slot = in_flight_.put(
+      InFlight{0, packets, engine_.take_places(kPlaces),
+               std::move(on_delivered)});
   const MessageId id =
       (static_cast<MessageId>(++flow_sends_[flow]) << 32) | slot;
   in_flight_.at(slot).id = id;

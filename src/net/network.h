@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/link.h"
@@ -121,12 +120,6 @@ struct NetworkCounters {
   std::uint64_t flowfwd_fallback_packets = 0;
 };
 
-/// The flow-forward regime a network runs: `configured` when set, else
-/// ACTNET_FLOWFWD, else on. Network's constructor and the campaign cache
-/// fingerprint both resolve it here. A malformed ACTNET_FLOWFWD throws
-/// actnet::Error naming it.
-bool flow_forward_regime(std::optional<bool> configured = std::nullopt);
-
 class Network {
  public:
   /// Completion callbacks are move-only inline callables; closures beyond
@@ -154,12 +147,10 @@ class Network {
   MessageId send(NodeId src, NodeId dst, FlowId flow, Bytes size,
                  Callback&& on_injected, Callback&& on_delivered);
 
-  /// Flow-forward regime on/off (flow_forward_regime() at construction;
-  /// see DESIGN.md §5.12). Switch-stage draws are keyed per packet, so the
-  /// regime reproduces the per-packet path's delays exactly, contended
-  /// traffic included.
+  /// Flow-forward regime on/off (on at construction; see DESIGN.md
+  /// §5.12). The regime reproduces the per-packet path exactly, contended
+  /// traffic included; turning it off runs that per-packet reference.
   void set_flow_forward(bool on) { flowfwd_ = on; }
-  bool flow_forward() const { return flowfwd_; }
 
   int nodes() const { return config_.nodes; }
   const NetworkConfig& config() const { return config_; }
@@ -191,10 +182,14 @@ class Network {
   struct InFlight {
     MessageId id = 0;
     std::uint32_t remaining = 0;
+    /// First of the engine sequence places taken at send: the places of
+    /// the message's flow-forward events and of the events a demotion
+    /// restores.
+    std::uint64_t place = 0;
     Callback on_delivered;
   };
-  /// Parks a message's delivery state and counts one send on `flow`;
-  /// returns its id.
+  /// Parks a message's delivery state, takes its sequence place and counts
+  /// one send on `flow`; returns its id.
   MessageId open_message(FlowId flow, std::uint32_t packets,
                          Callback&& on_delivered);
   /// The in_flight_ slot a MessageId carries in its low 32 bits (the high
@@ -202,6 +197,9 @@ class Network {
   /// reused).
   static std::uint32_t slot_of(MessageId id) {
     return static_cast<std::uint32_t>(id);
+  }
+  std::uint64_t place_of(MessageId id) const {
+    return in_flight_.at(slot_of(id)).place;
   }
   /// Counts one delivered packet of `id`; the last one completes it.
   void packet_delivered(MessageId id, std::uint32_t packets = 1);
@@ -271,16 +269,26 @@ class Network {
   void flowfwd_injected(std::uint32_t plan);
   void finish_flowfwd(std::uint32_t plan);
   void demote_flowfwd(std::uint32_t plan);
+  /// Whether the plan's per-packet event at tick `t`, created at
+  /// `created`, would already have run when the running event runs.
+  bool ran_before_current(const FlowFwd& ff, Tick t, Tick created) const;
   Packet flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const;
   sim::EventFn parked_arrival(const Packet& p, Tick stage_delay);
   void trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pkt);
-  /// DRR visit state of a flow-forwarded message's downlink flow at a
-  /// given instant, recovered by replaying the closed-form schedule.
+  /// A flow-forwarded message's downlink state, recovered by replaying the
+  /// closed-form schedule: how many packets (in service order) have
+  /// reached the port and how many have left it, and the flow's DRR visit
+  /// state. The packet at position `served` is in service when
+  /// served < arrived; the ones behind it wait in the flow's queue.
   struct DownlinkState {
+    std::uint32_t arrived = 0;
+    std::uint32_t served = 0;
     Bytes deficit = 0;
     bool visited = false;
   };
-  DownlinkState replay_downlink(FlowFwd& ff, Tick bound);
+  /// Replays every packet at accept time (`at_accept`, which also records
+  /// each packet's depth sample), else up to the running event.
+  DownlinkState replay_downlink(FlowFwd& ff, bool at_accept);
 
   sim::Engine& engine_;
   NetworkConfig config_;
@@ -300,6 +308,10 @@ class Network {
   std::vector<std::uint32_t> flow_sends_;
   FlowId next_flow_ = 1;
   NetworkCounters counters_;
+  /// Message whose packet deliver_to_node() is handing to its downlink (0
+  /// otherwise): a demotion it triggers breaks same-tick ties against that
+  /// message's place.
+  MessageId delivering_ = 0;
   /// Cross-node packet latency in ns.
   obs::LocalHistogram latency_ns_;
 

@@ -31,6 +31,7 @@ class SlotPool {
 
   /// The live record in `slot` (valid until take()).
   T& at(std::uint32_t slot) { return slots_[slot]; }
+  const T& at(std::uint32_t slot) const { return slots_[slot]; }
 
   /// Moves the record out of `slot` and recycles the slot.
   T take(std::uint32_t slot) {

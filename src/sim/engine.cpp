@@ -19,7 +19,7 @@ Engine::~Engine() {
                             static_cast<double>(ev)
                       : 0.0;
       });
-  scheduled.inc(next_seq_);
+  scheduled.inc(next_seq_ - places_);
   executed.inc(processed_);
   heap_peak.max(static_cast<double>(slots_.size()));
 }
@@ -31,49 +31,57 @@ bool Engine::next_event_time(Tick* t) const {
 }
 
 std::uint32_t Engine::alloc_slot(EventFn&& fn) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[s] = std::move(fn);
-    return s;
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+    slot_gen_.push_back(0);
   }
-  slots_.push_back(std::move(fn));
-  slot_seq_.push_back(kDeadSeq);
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  const std::uint32_t s = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[s] = std::move(fn);
+  ++slot_gen_[s];
+  return s;
 }
 
-EventKey Engine::push_event(Tick t, Tick created, EventFn&& fn) {
+EventKey Engine::push_event(Tick t, Tick created, std::uint64_t seq,
+                            EventFn&& fn) {
   ACTNET_CHECK_MSG(t >= now_, "event scheduled in the past: t=" << t
                                                                 << " now=" << now_);
   ACTNET_CHECK(fn);
-  const auto lag = static_cast<std::uint64_t>(t - created);
-  const EventKey k{t, next_seq_++, alloc_slot(std::move(fn)),
-                   lag < EventKey::kMaxLag ? static_cast<std::uint32_t>(lag)
-                                           : EventKey::kMaxLag};
-  slot_seq_[k.slot] = k.seq;
+  const EventKey k{t, seq, alloc_slot(std::move(fn)),
+                   EventKey::lag_of(t, created)};
   detail::heap_push(heap_, k);
   return k;
 }
 
 Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn&& fn) {
-  const EventKey k = push_event(t, now_, std::move(fn));
-  return CancelToken{k.slot, k.seq};
+  const EventKey k = push_event(t, now_, next_seq_++, std::move(fn));
+  return CancelToken{k.slot, slot_gen_[k.slot]};
 }
 
-Engine::CancelToken Engine::schedule_cancellable_as_of(Tick created, Tick t,
-                                                       EventFn&& fn) {
-  check_created(created, t);
-  const EventKey k = push_event(t, created, std::move(fn));
-  return CancelToken{k.slot, k.seq};
+Engine::CancelToken Engine::schedule_cancellable_as_of(Tick created,
+                                                       std::uint64_t place,
+                                                       Tick t, EventFn&& fn) {
+  check_as_of(created, place, t);
+  const EventKey k = push_event(t, created, place, std::move(fn));
+  return CancelToken{k.slot, slot_gen_[k.slot]};
+}
+
+Engine::Order Engine::order_vs_current(Tick t, Tick created) const {
+  if (t != current_.t) return t < current_.t ? Order::kBefore : Order::kAfter;
+  const std::uint32_t lag = EventKey::lag_of(t, created);
+  if (lag != current_.lag)
+    return lag > current_.lag ? Order::kBefore : Order::kAfter;
+  return Order::kTie;
 }
 
 bool Engine::cancel(CancelToken token) {
-  if (!token.valid() || token.slot >= slot_seq_.size()) return false;
-  if (slot_seq_[token.slot] != token.seq) return false;  // fired or reused
+  if (!token.valid() || token.slot >= slot_gen_.size()) return false;
+  if (slot_gen_[token.slot] != token.gen) return false;  // fired or reused
   // Tombstone: the key stays queued but its callable is emptied; drain
   // discards it for free. The slot is reclaimed when the key pops.
   slots_[token.slot] = EventFn{};
-  slot_seq_[token.slot] = kDeadSeq;
+  ++slot_gen_[token.slot];
   ++cancelled_;
   return true;
 }
@@ -91,14 +99,17 @@ std::uint64_t Engine::drain(Tick limit, bool bounded) {
     // slot is immediately reusable by them).
     EventFn fn = std::move(slots_[k.slot]);
     free_slots_.push_back(k.slot);
-    slot_seq_[k.slot] = kDeadSeq;
-    if (!fn) continue;  // cancelled tombstone
+    if (!fn) continue;  // cancelled tombstone (its generation already moved)
+    ++slot_gen_[k.slot];
+    current_ = k;
     ++processed_;
     ++n;
     fn();
     ACTNET_CHECK_MSG(budget_ == 0 || n <= budget_,
                      "event budget exhausted (" << budget_ << ")");
   }
+  if (bounded) now_ = limit;
+  current_ = idle_key(now_);
   return n;
 }
 
@@ -106,9 +117,7 @@ std::uint64_t Engine::run() { return drain(0, /*bounded=*/false); }
 
 std::uint64_t Engine::run_until(Tick t) {
   ACTNET_CHECK(t >= now_);
-  const std::uint64_t n = drain(t, /*bounded=*/true);
-  now_ = t;
-  return n;
+  return drain(t, /*bounded=*/true);
 }
 
 }  // namespace actnet::sim

@@ -1,11 +1,12 @@
 // Discrete-event simulation engine.
 //
 // A single-threaded engine with an event queue ordered by (time, creation
-// tick, insertion sequence). An event's creation tick is now() unless it
-// is scheduled as of another tick (schedule_as_of), so simultaneous events
-// fire in a deterministic order — FIFO for ordinary scheduling — which in
-// turn makes every experiment in this repository bit-reproducible for a
-// given seed.
+// tick, sequence place). An event's creation tick is now() and its place
+// the next number of the engine's scheduling sequence, unless it is
+// scheduled as of another tick at a place taken earlier (schedule_as_of),
+// so simultaneous events fire in a deterministic order — FIFO for
+// ordinary scheduling — which in turn makes every experiment in this
+// repository bit-reproducible for a given seed.
 //
 // Hot-path layout: the priority queue orders small POD keys (time,
 // sequence, slot index, creation lag) while the callables live out-of-line in a
@@ -47,25 +48,52 @@ class Engine {
 
   /// Schedules `fn` at absolute time `t` (>= now()).
   void schedule_at(Tick t, EventFn&& fn) {
-    push_event(t, now_, std::move(fn));
+    push_event(t, now_, next_seq_++, std::move(fn));
+  }
+
+  /// Takes the next `count` places of the scheduling sequence without
+  /// scheduling anything and returns the first: an event scheduled at one
+  /// of them later (schedule_as_of) sorts, among events of its tick and
+  /// creation tick, where an event scheduled now would have, and the
+  /// places keep their own order. Several events may share one place.
+  std::uint64_t take_places(std::uint64_t count = 1) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    places_ += count;
+    return first;
   }
 
   /// Schedules `fn` at `t` (>= now()) as if it had been scheduled at tick
-  /// `created` (<= t), which may lie before or after now(): among events
-  /// at tick `t` it runs after those created earlier and before those
-  /// created later. A flow-forward plan and its demotion use this to give
-  /// an event the place the per-packet path would have created it in.
-  void schedule_as_of(Tick created, Tick t, EventFn&& fn) {
-    check_created(created, t);
-    push_event(t, created, std::move(fn));
+  /// `created` (<= t), which may lie before or after now(), at `place`
+  /// (from take_places()): among events at tick `t` it runs after those
+  /// created earlier and before those created later, and among those
+  /// created at `created` by place. A flow-forward plan and its demotion
+  /// use this to give an event the place the per-packet path would have
+  /// created it in.
+  void schedule_as_of(Tick created, std::uint64_t place, Tick t,
+                      EventFn&& fn) {
+    check_as_of(created, place, t);
+    push_event(t, created, place, std::move(fn));
   }
 
-  /// Handle to a cancellable event. Tokens are validated against the
-  /// event's slot+sequence pair, so a stale token (the event already fired,
-  /// or its slot was reused) is recognized and cancel() refuses it.
+  enum class Order { kBefore, kTie, kAfter };
+
+  /// Whether an event at tick `t` created at `created` would run before
+  /// the running event (it would already have run), after it, or ties with
+  /// it on both ticks, so that only the two places decide.
+  Order order_vs_current(Tick t, Tick created) const;
+
+  /// Key of the running event. Outside an event callback it is a key after
+  /// every event at now(): created at now(), at a place past every place.
+  const EventKey& current() const { return current_; }
+
+  /// Handle to a cancellable event. Tokens carry the generation of the
+  /// event's slot, so a stale token (the event already fired, or its slot
+  /// was reused — even by an event at the same place) is recognized and
+  /// cancel() refuses it.
   struct CancelToken {
     std::uint32_t slot = 0xffffffffu;
-    std::uint64_t seq = 0;
+    std::uint64_t gen = 0;
     bool valid() const { return slot != 0xffffffffu; }
   };
 
@@ -73,7 +101,8 @@ class Engine {
   /// ordering semantics; the only cost over schedule_at is the token.
   CancelToken schedule_cancellable_at(Tick t, EventFn&& fn);
   /// schedule_as_of with a token.
-  CancelToken schedule_cancellable_as_of(Tick created, Tick t, EventFn&& fn);
+  CancelToken schedule_cancellable_as_of(Tick created, std::uint64_t place,
+                                         Tick t, EventFn&& fn);
 
   /// Cancels a pending event. Returns true when the event had not yet
   /// fired (it now never will); false for stale tokens. Cancelled events
@@ -85,12 +114,14 @@ class Engine {
 
   /// Schedules `fn` `delay` after the current time (delay >= 0).
   void schedule_in(Tick delay, EventFn&& fn) {
-    push_event(now_ + delay, now_, std::move(fn));
+    push_event(now_ + delay, now_, next_seq_++, std::move(fn));
   }
 
   /// Schedules `fn` at the current time, after already-queued events for
   /// this instant.
-  void schedule_now(EventFn&& fn) { push_event(now_, now_, std::move(fn)); }
+  void schedule_now(EventFn&& fn) {
+    push_event(now_, now_, next_seq_++, std::move(fn));
+  }
 
   /// Runs events until the queue drains. Returns the number of events run.
   std::uint64_t run();
@@ -114,20 +145,18 @@ class Engine {
   void set_event_budget(std::uint64_t max_events) { budget_ = max_events; }
 
  private:
-  /// slot_seq_ value of a slot whose event fired or was cancelled; real
-  /// sequence numbers never reach it.
-  static constexpr std::uint64_t kDeadSeq = ~std::uint64_t{0};
-
   std::uint32_t alloc_slot(EventFn&& fn);
-  /// The as-of entry points' extra precondition; ordinary scheduling
+  /// The as-of entry points' extra preconditions; ordinary scheduling
   /// creates at now() <= t, which push_event's own check already covers.
-  static void check_created(Tick created, Tick t) {
+  void check_as_of(Tick created, std::uint64_t place, Tick t) const {
     ACTNET_CHECK_MSG(created <= t,
                      "event created at " << created << " after its tick " << t);
+    ACTNET_CHECK_MSG(place < next_seq_, "place " << place << " not yet taken");
   }
-  EventKey push_event(Tick t, Tick created, EventFn&& fn);
+  EventKey push_event(Tick t, Tick created, std::uint64_t seq, EventFn&& fn);
   /// The shared drain loop behind run()/run_until(): one dispatch, budget
-  /// check, and events_processed() accounting for both.
+  /// check, and events_processed() accounting for both; a bounded drain
+  /// ends at now() == limit.
   std::uint64_t drain(Tick limit, bool bounded);
 
   std::vector<EventKey> heap_;   ///< 4-ary min-heap of pending keys
@@ -136,11 +165,16 @@ class Engine {
   /// vector grows only when no slot is free.
   std::vector<EventFn> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Sequence number of the event currently occupying each slot (kDeadSeq
-  /// when free); lets cancel() reject tokens whose event already fired.
-  std::vector<std::uint64_t> slot_seq_;
+  /// Generation of each slot: bumped when an event takes the slot and
+  /// again when it fires or is cancelled, so only the token of the event
+  /// occupying the slot matches it.
+  std::vector<std::uint64_t> slot_gen_;
+  /// The key current() reports outside an event callback.
+  static EventKey idle_key(Tick now) { return EventKey{now, ~0ull, 0, 0}; }
+  EventKey current_ = idle_key(0);
   Tick now_ = 0;
-  std::uint64_t next_seq_ = 0;  ///< also the count of events scheduled
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t places_ = 0;  ///< places taken; the rest of next_seq_ are events
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t budget_ = 0;

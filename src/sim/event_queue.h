@@ -1,5 +1,5 @@
 // The event queue behind sim::Engine: a 4-ary implicit min-heap over
-// 24-byte POD keys, ordered by (time, creation tick, insertion sequence) —
+// 24-byte POD keys, ordered by (time, creation tick, sequence place) —
 // the engine's total order. Shallower than binary for the same size, so a
 // sift touches fewer cache lines; children of node i are 4i+1 .. 4i+4.
 // O(log n)
@@ -17,14 +17,15 @@ namespace actnet::sim {
 /// Queue key; the event callable lives out-of-line in the engine's slot
 /// vector so queue maintenance moves 24-byte PODs, not 64-byte callables.
 ///
-/// Events at one tick run in creation-tick order, then in insertion order.
-/// `lag` is the event's delay from its creation tick, saturated at
+/// Events at one tick run in creation-tick order, then in sequence-place
+/// order. `lag` is the event's delay from its creation tick, saturated at
 /// kMaxLag, so a larger lag means an earlier creation. An event scheduled
-/// the ordinary way is created at now(), and creation ticks never decrease
-/// along the insertion sequence, so for such events the key is plain
-/// (time, sequence) FIFO order; saturation keeps that, because it maps
-/// larger delays to larger-or-equal lags. Only an event scheduled as of
-/// another creation tick (Engine::schedule_as_of) takes a different place.
+/// the ordinary way is created at now() at the next place, and creation
+/// ticks never decrease along the sequence, so for such events the key is
+/// plain (time, sequence) FIFO order; saturation keeps that, because it
+/// maps larger delays to larger-or-equal lags. Only an event scheduled as
+/// of another creation tick and an earlier place (Engine::schedule_as_of)
+/// takes a different place.
 struct EventKey {
   static constexpr std::uint32_t kMaxLag = 0xffffffffu;
 
@@ -32,6 +33,11 @@ struct EventKey {
   std::uint64_t seq;
   std::uint32_t slot;
   std::uint32_t lag;
+
+  static std::uint32_t lag_of(Tick t, Tick created) {
+    const auto lag = static_cast<std::uint64_t>(t - created);
+    return lag < kMaxLag ? static_cast<std::uint32_t>(lag) : kMaxLag;
+  }
 
   bool before(const EventKey& o) const {
     if (t != o.t) return t < o.t;

@@ -58,12 +58,13 @@ inline std::string env_string(const char* name, std::string fallback = {}) {
   return v != nullptr ? std::string(v) : fallback;
 }
 
-/// Default-on knob accepting word forms too (ACTNET_FLOWFWD=on|off|1|0).
-/// Unset or empty means `fallback`; any other unrecognized value throws
-/// actnet::Error naming the variable and the value.
-inline bool env_onoff_or(const char* name, bool fallback) {
+/// Default-off switch (ACTNET_FAST, ACTNET_PROFILE) accepting word forms
+/// too: 1|on|true|yes or 0|off|false|no. Unset or empty means off; any
+/// other value (`10`, `1x`, `2`) throws actnet::Error naming the variable
+/// and the value instead of reading as a prefix.
+inline bool env_flag(const char* name) {
   const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
+  if (v == nullptr || v[0] == '\0') return false;
   const std::string s(v);
   if (s == "0" || s == "off" || s == "false" || s == "no") return false;
   if (s == "1" || s == "on" || s == "true" || s == "yes") return true;
@@ -71,9 +72,5 @@ inline bool env_onoff_or(const char* name, bool fallback) {
               "' is not a recognized on/off value (use 1|on|true|yes or "
               "0|off|false|no)");
 }
-
-/// Default-off switch (ACTNET_FAST, ACTNET_PROFILE): env_onoff_or with
-/// `false`, so `10`, `1x` and `2` throw instead of reading as a prefix.
-inline bool env_flag(const char* name) { return env_onoff_or(name, false); }
 
 }  // namespace actnet::util

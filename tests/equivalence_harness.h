@@ -1,27 +1,20 @@
-// Shared machinery for the equivalence/conformance test family
-// (flow-forward on/off, partitioned fabric).
+// Shared machinery for the equivalence/conformance test family (flow-
+// forward on/off, observability, parallel campaigns, partitioned fabric).
 //
 // These tests all have the same shape: run the same deterministic workload
-// twice (under both flow-forward settings, or simply again) and demand
-// byte-identical results — or, where RNG draw order legitimately
-// shifts, gate the drift against the checked-in envelope in
-// valid/tolerances.json. The pieces every such
-// test needs (a platform-independent generator, temp cache paths, the
-// reduced campaign configuration, the env-matrix runner, the tolerance
-// loader) live here so each suite states only its property, not the rig.
+// twice (under both settings, or simply again) and demand byte-identical
+// results. The pieces every such test needs (a platform-independent
+// generator, temp cache paths, the reduced campaign configuration) live
+// here so each suite states only its property, not the rig.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/campaign.h"
-#include "core/parallel.h"
-#include "util/json.h"
 #include "util/units.h"
 
 namespace actnet::testing {
@@ -68,54 +61,6 @@ inline core::CampaignConfig reduced_config(const std::string& cache_path) {
       core::CompressionConfig{4, 2.5e5, 10, units::KiB(40)},
   };
   return c;
-}
-
-/// Sets an environment knob for the current scope and restores the prior
-/// value (or unsets) on exit, so combo runners cannot leak settings into
-/// later tests even when an assertion throws mid-run.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) prior_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (prior_.has_value())
-      ::setenv(name_.c_str(), prior_->c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> prior_;
-};
-
-/// Runs one reduced campaign with ACTNET_FLOWFWD=`flowfwd` and returns the
-/// cache file bytes.
-inline std::string run_combo(const std::string& path, const char* flowfwd) {
-  std::filesystem::remove(path);
-  ScopedEnv ffwd("ACTNET_FLOWFWD", flowfwd);
-  core::Campaign c(reduced_config(path));
-  core::ParallelRunner(c).prefetch_all();
-  return file_bytes(path);
-}
-
-/// Loads the drift-envelope document (valid/tolerances.json, overridable
-/// via ACTNET_TOLERANCES for out-of-tree test cwds). nullopt = file not
-/// reachable; callers GTEST_SKIP so a stray cwd degrades loudly-but-green
-/// instead of failing on infrastructure.
-inline std::optional<util::JsonValue> load_tolerances() {
-  const char* src = std::getenv("ACTNET_TOLERANCES");
-  const std::string tol_path = src != nullptr ? src : "valid/tolerances.json";
-  std::ifstream in(tol_path);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return util::JsonValue::parse(ss.str());
 }
 
 }  // namespace actnet::testing

@@ -59,19 +59,13 @@ TEST(AllocFree, CounterSeesHeapAllocations) {
 }
 
 /// Heap allocations made by `rounds` eager ping-pong round trips between
-/// two nodes, after `warm_rounds` untimed ones, with ACTNET_FLOWFWD set to
-/// `flowfwd` (closed-form message plans, or per-packet link and switch
-/// events).
-std::uint64_t eager_pingpong_allocs(const char* flowfwd, int warm_rounds,
+/// two nodes, after `warm_rounds` untimed ones, with the flow-forward
+/// regime on (closed-form message plans) or off (per-packet link and
+/// switch events).
+std::uint64_t eager_pingpong_allocs(bool flowfwd, int warm_rounds,
                                     int rounds) {
-  const char* saved = std::getenv("ACTNET_FLOWFWD");
-  const std::string saved_value = saved ? saved : "";
-  ::setenv("ACTNET_FLOWFWD", flowfwd, 1);
   test::MiniCluster mc(2);
-  if (saved)
-    ::setenv("ACTNET_FLOWFWD", saved_value.c_str(), 1);
-  else
-    ::unsetenv("ACTNET_FLOWFWD");
+  mc.network.set_flow_forward(flowfwd);
   mpi::Job& job = mc.add_job("pp");  // ranks 0,1 on node 0; 2,3 on node 1
   std::uint64_t at_warm = 0, at_end = 0;
   mc.run_to_completion(job, [&](mpi::RankCtx& ctx) -> sim::Task {
@@ -97,10 +91,10 @@ TEST(AllocFree, EagerPingPongAllocatesNothingPerMessage) {
   // Each message is a send and a receive task, two requests, a network
   // message, and its packets' link records and events.
   constexpr int kRounds = 2000;
-  for (const char* flowfwd : {"on", "off"}) {
+  for (const bool flowfwd : {true, false}) {
     EXPECT_EQ(eager_pingpong_allocs(flowfwd, 200, kRounds), 0u)
         << "heap allocations over " << 2 * kRounds
-        << " messages with ACTNET_FLOWFWD=" << flowfwd;
+        << " messages with flow-forward " << (flowfwd ? "on" : "off");
   }
 }
 

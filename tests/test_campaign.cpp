@@ -157,14 +157,16 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
   }
   // Caches written under earlier schemas carry the same config under an
   // old version tag; each must miss rather than mix with current
-  // measurements: v6 (a `#`-framed calibration record beside an
-  // `impact/idle` one), v5 (jitter drawn per packet through log and exp,
-  // other draws of the same distribution), v4 (hop-per-event packet chain,
-  // a different same-tick order) and v3 (sequential switch-stage draws).
+  // measurements: v7 (flow-forward demotions that ordered same-tick events
+  // differently from the per-packet path), v6 (a `#`-framed calibration
+  // record beside an `impact/idle` one), v5 (jitter drawn per packet
+  // through log and exp, other draws of the same distribution), v4
+  // (hop-per-event packet chain, a different same-tick order) and v3
+  // (sequential switch-stage draws).
   for (const char* old_version :
-       {"actnet-v6", "actnet-v5", "actnet-v4", "actnet-v3"}) {
+       {"actnet-v7", "actnet-v6", "actnet-v5", "actnet-v4", "actnet-v3"}) {
     std::string old_fingerprint = Campaign(tiny_config()).fingerprint();
-    ASSERT_EQ(old_fingerprint.rfind("actnet-v7|", 0), 0u);
+    ASSERT_EQ(old_fingerprint.rfind("actnet-v8|", 0), 0u);
     old_fingerprint.replace(0, 9, old_version);
     {
       MeasurementDb db(path);
@@ -174,45 +176,6 @@ TEST(Campaign, NetworkConfigChangeInvalidatesCache) {
     Campaign c(tiny_config(path));
     EXPECT_EQ(c.db().get("probe"), std::nullopt) << old_version;
     EXPECT_EQ(c.db().size(), 1u) << old_version;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Campaign, FlowForwardRegimeIsFingerprinted) {
-  // Turning the regime off moves the campaign's measurements, so a cache
-  // written in one regime must not be served to the other. "|ffwd=0" is
-  // appended only when off, so default fingerprints keep their bytes.
-  const std::string path = testing::temp_cache("campaign_fp_ffwd");
-  std::filesystem::remove(path);
-  testing::ScopedEnv unset("ACTNET_FLOWFWD", "");  // empty = the default
-  const std::string on = Campaign(tiny_config()).fingerprint();
-  EXPECT_EQ(on.find("ffwd"), std::string::npos) << on;
-  CampaignConfig off_cfg = tiny_config(path);
-  off_cfg.opts.cluster.flow_forward = false;
-  EXPECT_EQ(Campaign(off_cfg).fingerprint(), on + "|ffwd=0");
-  CampaignConfig on_cfg = tiny_config();
-  on_cfg.opts.cluster.flow_forward = true;
-  EXPECT_EQ(Campaign(on_cfg).fingerprint(), on);
-  {
-    // The config wins over ACTNET_FLOWFWD, which wins over the default.
-    testing::ScopedEnv env("ACTNET_FLOWFWD", "off");
-    EXPECT_EQ(Campaign(tiny_config()).fingerprint(), on + "|ffwd=0");
-    EXPECT_EQ(Campaign(on_cfg).fingerprint(), on);
-  }
-  {
-    Campaign c(off_cfg);
-    c.db().put("probe", "1");
-  }
-  {
-    Campaign c(tiny_config(path));  // default regime: the off cache misses
-    EXPECT_EQ(c.db().get("probe"), std::nullopt);
-    EXPECT_EQ(c.db().size(), 1u);
-    c.db().put("probe", "1");
-  }
-  {
-    testing::ScopedEnv env("ACTNET_FLOWFWD", "0");  // and the reverse
-    Campaign c(tiny_config(path));
-    EXPECT_EQ(c.db().get("probe"), std::nullopt);
   }
   std::filesystem::remove(path);
 }

@@ -57,19 +57,26 @@ TEST(Engine, SameTickEventsRunInCreationTickOrder) {
   // Events at one tick run in the order of the ticks they were created at;
   // an event scheduled as of an earlier tick overtakes same-tick events
   // created after that tick, and one as of a later tick falls behind them.
+  // Among events created at one tick, places decide: places taken before
+  // an event was scheduled sort ahead of it, in their own order.
   Engine e;
   std::vector<int> order;
+  std::uint64_t early = 0;
   e.schedule_at(10, [&] {
-    e.schedule_at(100, [&] { order.push_back(2); });  // created at 10
-    e.schedule_as_of(60, 100, [&] { order.push_back(4); });
+    early = e.take_places(2);
+    e.schedule_at(100, [&] { order.push_back(4); });  // created at 10
+    e.schedule_as_of(60, e.take_places(), 100, [&] { order.push_back(7); });
   });
   e.schedule_at(50, [&] {
-    e.schedule_at(100, [&] { order.push_back(3); });  // created at 50
-    e.schedule_as_of(5, 100, [&] { order.push_back(1); });
-    e.schedule_as_of(50, 100, [&] { order.push_back(5); });  // tie: FIFO
+    e.schedule_at(100, [&] { order.push_back(5); });  // created at 50
+    e.schedule_as_of(5, e.take_places(), 100, [&] { order.push_back(1); });
+    e.schedule_as_of(10, early + 1, 100, [&] { order.push_back(3); });
+    e.schedule_as_of(10, early, 100, [&] { order.push_back(2); });
+    // Tie on both ticks: the place, taken after event 5's, decides.
+    e.schedule_as_of(50, e.take_places(), 100, [&] { order.push_back(6); });
   });
   e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Engine, CreationOrderMatchesFifoForOrdinaryScheduling) {
@@ -97,17 +104,52 @@ TEST(Engine, CancellableAsOfKeepsItsPlace) {
   std::vector<int> order;
   e.run_until(10);
   e.schedule_at(20, [&] { order.push_back(1); });  // created at 10
+  const std::uint64_t place = e.take_places();
   const Engine::CancelToken late =
-      e.schedule_cancellable_as_of(15, 20, [&] { order.push_back(9); });
+      e.schedule_cancellable_as_of(15, place, 20, [&] { order.push_back(9); });
   const Engine::CancelToken early =
-      e.schedule_cancellable_as_of(2, 20, [&] { order.push_back(0); });
+      e.schedule_cancellable_as_of(2, place, 20, [&] { order.push_back(0); });
   EXPECT_TRUE(e.cancel(late));
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_FALSE(e.cancel(early));
-  EXPECT_THROW(e.schedule_as_of(e.now() + 10, e.now() + 5, [] {}), Error);
-  EXPECT_THROW(
-      e.schedule_cancellable_as_of(e.now() + 10, e.now() + 5, [] {}), Error);
+  EXPECT_THROW(e.schedule_as_of(e.now() + 10, place, e.now() + 5, [] {}),
+               Error);
+  EXPECT_THROW(e.schedule_cancellable_as_of(e.now() + 10, place, e.now() + 5,
+                                            [] {}),
+               Error);
+  // A place not yet taken is refused.
+  EXPECT_THROW(e.schedule_as_of(e.now(), e.take_places() + 1, e.now() + 1,
+                                [] {}),
+               Error);
+}
+
+TEST(Engine, OrderVsCurrentHasThreeOutcomes) {
+  // Inside an event created at 40 and running at 100: earlier ticks and
+  // earlier creation ticks ran before it, later ones run after, and the
+  // same tick created at the same tick is a tie only places can break.
+  // The running event's key is its own (its place included).
+  Engine e;
+  std::vector<Engine::Order> got;
+  std::uint64_t running_place = 0;
+  e.schedule_at(40, [&] {
+    e.schedule_at(100, [&] {
+      running_place = e.current().seq;
+      got = {e.order_vs_current(99, 99), e.order_vs_current(100, 39),
+             e.order_vs_current(100, 40), e.order_vs_current(100, 41),
+             e.order_vs_current(101, 0)};
+    });
+  });
+  e.run();
+  using O = Engine::Order;
+  EXPECT_EQ(got, (std::vector<O>{O::kBefore, O::kBefore, O::kTie, O::kAfter,
+                                 O::kAfter}));
+  EXPECT_EQ(running_place, 1u);  // the second place taken
+  // Outside a callback the engine stands after every event of now().
+  EXPECT_EQ(e.order_vs_current(100, 40), O::kBefore);
+  EXPECT_EQ(e.order_vs_current(100, 100), O::kTie);
+  EXPECT_GT(e.current().seq, running_place);
+  EXPECT_EQ(e.order_vs_current(101, 100), O::kAfter);
 }
 
 TEST(Engine, NestedSchedulingFromCallbacks) {
@@ -212,6 +254,18 @@ TEST(Engine, StaleTokenDoesNotCancelSlotReuser) {
   EXPECT_FALSE(e.cancel(stale));
   e.run();
   EXPECT_EQ(ran, 11);
+  // Events sharing a place reuse each other's slots too: a token is
+  // checked against its slot's generation, not the place.
+  const std::uint64_t place = e.take_places();
+  const auto fired = e.schedule_cancellable_as_of(10, place, 20,
+                                                  [&ran] { ran += 100; });
+  e.run();
+  const auto live = e.schedule_cancellable_as_of(10, place, 30,
+                                                 [&ran] { ran += 1000; });
+  ASSERT_EQ(live.slot, fired.slot);
+  EXPECT_FALSE(e.cancel(fired));
+  e.run();
+  EXPECT_EQ(ran, 1111);
 }
 
 TEST(Engine, DoubleCancelAndInvalidTokenAreSafe) {

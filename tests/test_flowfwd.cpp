@@ -3,38 +3,28 @@
 // The flow-forward regime is only allowed to exist because its closed-form
 // schedule lands every packet on EXACTLY the ticks the per-packet path
 // would have produced, and because a demotion rebuilds EXACTLY the DRR
-// state the per-packet path would have reached. These tests attack both
-// claims: serial traffic must be bit-identical with the regime on or off,
-// and even heavily contended traffic — demotions in every phase of a
-// message's life — must match the per-packet path tick for tick, counter
-// for counter, depth sample for depth sample, on the default keyed random
-// switch stage and on a deterministic one. Stage delays are keyed per
-// packet, so the order in which messages are admitted cannot move them.
-// On the reduced paper campaign the only remaining difference is same-tick
-// engine ordering; its drift is gated against the envelope in
-// valid/tolerances.json.
+// state and the same-tick event order the per-packet path would have
+// reached. These tests attack both claims: serial traffic must be
+// bit-identical with the regime on or off, and even heavily contended
+// traffic — demotions in every phase of a message's life, and competitors
+// landing on the very tick a plan event falls on — must match the
+// per-packet path tick for tick, counter for counter, depth sample for
+// depth sample, on the default keyed random switch stage and on a
+// deterministic one. Stage delays are keyed per packet, so the order in
+// which messages are admitted cannot move them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/apps.h"
-#include "core/campaign.h"
 #include "equivalence_harness.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
-#include "util/error.h"
-#include "util/json.h"
 #include "util/rng.h"
 
 namespace actnet {
@@ -108,12 +98,14 @@ struct RunLog {
 };
 
 /// One scripted message: issue `send(src, dst, ...)` of `size` bytes at
-/// tick `at`.
+/// tick `at`, from an event created at tick `created` (0: before the run
+/// starts), which orders it among other events at `at`.
 struct Send {
   Tick at;
   net::NodeId src;
   net::NodeId dst;
   Bytes size;
+  Tick created = 0;
 };
 
 net::NetworkConfig irregular_config(int nodes) {
@@ -149,13 +141,20 @@ RunLog run_script(const net::NetworkConfig& cfg,
   for (std::size_t i = 0; i < script.size(); ++i) {
     const Send& s = script[i];
     const int msg = static_cast<int>(i);
-    eng.schedule_at(s.at, [&net, &log, &eng, s, msg, flows] {
+    auto send = [&net, &log, &eng, s, msg, flows] {
       net.send(s.src, s.dst, flows + static_cast<net::FlowId>(s.src), s.size,
                [&log, &eng, msg] { log.injected.emplace_back(msg, eng.now()); },
                [&log, &eng, msg] {
                  log.delivered.emplace_back(msg, eng.now());
                });
-    });
+    };
+    if (s.created == 0) {
+      eng.schedule_at(s.at, std::move(send));
+    } else {
+      eng.schedule_at(s.created, [&eng, at = s.at, send]() mutable {
+        eng.schedule_at(at, std::move(send));
+      });
+    }
   }
   eng.run();
 
@@ -234,24 +233,44 @@ std::vector<Send> random_script(std::uint64_t seed, int nodes, int count) {
   return script;
 }
 
-enum class Stage { kKeyedRandom, kDeterministic };
+/// Serialization time of `size` bytes on `cfg`'s links, as the ports
+/// compute it.
+Tick ser_of(const net::NetworkConfig& cfg, Bytes size) {
+  return std::max<Tick>(1, units::serialization(size, cfg.link_bandwidth));
+}
 
-/// The exactness properties, run on the default keyed random switch stage
-/// and on the deterministic one.
+enum class Stage { kKeyedRandom, kDeterministic, kExitOnNextSerializationEnd };
+
+/// The exactness properties, run on the default keyed random switch stage,
+/// on the deterministic one, and on a deterministic one whose switch exit
+/// of a full packet falls on the tick the next full packet finishes
+/// serializing, both events created at one tick.
 class FlowForwardSwitchStage : public ::testing::TestWithParam<Stage> {
  protected:
   static net::NetworkConfig config() {
     net::NetworkConfig cfg = irregular_config(4);
-    if (GetParam() == Stage::kDeterministic) make_deterministic(cfg);
+    if (GetParam() != Stage::kKeyedRandom) make_deterministic(cfg);
+    if (GetParam() == Stage::kExitOnNextSerializationEnd)
+      cfg.output_queued.routing_latency =
+          ser_of(cfg, cfg.mtu) - cfg.link_propagation;
     return cfg;
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     SwitchStages, FlowForwardSwitchStage,
-    ::testing::Values(Stage::kKeyedRandom, Stage::kDeterministic),
+    ::testing::Values(Stage::kKeyedRandom, Stage::kDeterministic,
+                      Stage::kExitOnNextSerializationEnd),
     [](const ::testing::TestParamInfo<Stage>& p) {
-      return p.param == Stage::kKeyedRandom ? "KeyedRandom" : "Deterministic";
+      switch (p.param) {
+        case Stage::kKeyedRandom:
+          return "KeyedRandom";
+        case Stage::kDeterministic:
+          return "Deterministic";
+        case Stage::kExitOnNextSerializationEnd:
+          return "ExitOnNextSerializationEnd";
+      }
+      return "";
     });
 
 TEST_P(FlowForwardSwitchStage, ContendedTrafficExact) {
@@ -341,7 +360,7 @@ TEST(FlowForward, SameTickAdmissionOrderKeepsStageDelays) {
   }
 }
 
-// --- eligibility and the knob ---
+// --- eligibility and counters ---
 
 TEST(FlowForward, SharedQueueSwitchNeverFastForwards) {
   net::NetworkConfig cfg = irregular_config(4);
@@ -349,39 +368,6 @@ TEST(FlowForward, SharedQueueSwitchNeverFastForwards) {
   const RunLog on = run_script(cfg, serial_script(), /*flowfwd=*/true);
   EXPECT_EQ(on.flowfwd_messages, 0u);
   EXPECT_EQ(on.messages_delivered, serial_script().size());
-}
-
-TEST(FlowForward, EnvKnobParsesOnOffForms) {
-  sim::Engine eng;
-  const net::NetworkConfig cfg = irregular_config(2);
-  const auto flag_means = [&](const char* v, bool expected) {
-    testing::ScopedEnv env("ACTNET_FLOWFWD", v);
-    net::Network n(eng, cfg, Rng(1));
-    EXPECT_EQ(n.flow_forward(), expected) << "ACTNET_FLOWFWD=" << v;
-  };
-  flag_means("0", false);
-  flag_means("off", false);
-  flag_means("false", false);
-  flag_means("no", false);
-  flag_means("1", true);
-  flag_means("on", true);
-  flag_means("", true);  // empty means unset: the default
-  {
-    // A malformed value is a typed error naming the variable and value,
-    // never a silent fallback to the default.
-    testing::ScopedEnv env("ACTNET_FLOWFWD", "bogus");
-    try {
-      net::Network n(eng, cfg, Rng(1));
-      ADD_FAILURE() << "ACTNET_FLOWFWD=bogus was accepted";
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("ACTNET_FLOWFWD"), std::string::npos) << what;
-      EXPECT_NE(what.find("bogus"), std::string::npos) << what;
-    }
-  }
-  ::unsetenv("ACTNET_FLOWFWD");
-  net::Network n(eng, cfg, Rng(1));
-  EXPECT_TRUE(n.flow_forward());  // default on
 }
 
 TEST(FlowForward, CountersSurfaceInRegistry) {
@@ -425,114 +411,112 @@ TEST(FlowForward, CountersSurfaceInRegistry) {
 TEST(FlowForward, DemotionCooldownKeepsContendedPortsOnPacketPath) {
   net::NetworkConfig cfg = irregular_config(4);
   make_deterministic(cfg);
-  sim::Engine eng;
-  net::Network net(eng, cfg, Rng(7));
-  net.set_flow_forward(true);
-  const net::FlowId flows = net.allocate_flows(4);
-  // A demotion at ~t=1300 starts the cooldown on uplink 0 / downlink 1; a
+  // A demotion at ~t=2400 starts the cooldown on uplink 0 / downlink 1; a
   // send inside the cooldown window must go straight to the packet path.
-  eng.schedule_at(1000, [&] { net.send(0, 1, flows, 8192, {}, {}); });
-  eng.schedule_at(1300, [&] { net.send(2, 1, flows + 2, 4096, {}, {}); });
-  eng.schedule_at(units::us(10), [&] { net.send(0, 1, flows, 8192, {}, {}); });
   // Well past the cooldown (25us default), flow-forward resumes.
-  eng.schedule_at(units::us(100), [&] { net.send(0, 1, flows, 8192, {}, {}); });
-  eng.run();
-  EXPECT_EQ(net.counters().flowfwd_demotions, 1u);
-  EXPECT_EQ(net.counters().flowfwd_messages, 2u);  // first and last send
-  EXPECT_EQ(net.counters().messages_delivered, 4u);
+  const RunLog on = run_script(cfg,
+                               {Send{1000, 0, 1, 8192}, Send{1300, 2, 1, 4096},
+                                Send{units::us(10), 0, 1, 8192},
+                                Send{units::us(100), 0, 1, 8192}},
+                               /*flowfwd=*/true);
+  EXPECT_EQ(on.flowfwd_demotions, 1u);
+  EXPECT_EQ(on.flowfwd_messages, 2u);  // first and last send
+  EXPECT_EQ(on.messages_delivered, 4u);
 }
 
-// --- reduced campaign: flow-forward on vs off, tolerance-gated ---
+// --- same-tick demotions: the competitor lands on a plan event's tick ---
 //
-// ImpactB's nine concurrent ping-pong pairs share switch ports. Stage
-// draws are keyed per packet, so the regimes draw identical delays; what
-// is left is same-tick engine ordering (events the two regimes create in a
-// different order at one tick), which can reorder a flow's sends and so
-// its draws. The drift envelope lives in valid/tolerances.json next to
-// the predictor gates, so re-baselining it is an explicit, reviewed edit.
-TEST(FlowForward, FlowForwardCampaignDriftStaysWithinEnvelope) {
-  const std::optional<util::JsonValue> doc = testing::load_tolerances();
-  if (!doc.has_value())
-    GTEST_SKIP() << "tolerances file not reachable from test cwd";
-  const util::JsonValue& env =
-      doc->at("tiers").at("quick").at("equivalence");
-  const double max_predicted =
-      env.at("flowfwd_max_predicted_drift_pct").as_number();
-  const double mean_predicted_limit =
-      env.at("flowfwd_mean_predicted_drift_pct").as_number();
-  const double max_measured =
-      env.at("flowfwd_max_measured_drift_pct").as_number();
+// A demotion must count a plan event on the current tick as already run
+// exactly when the per-packet path would have run it before the competing
+// event: by creation tick first, then by the two messages' send places.
 
-  const std::string on_path = testing::temp_cache("ffwd_on");
-  const std::string off_path = testing::temp_cache("ffwd_off");
-  // The on-run's flow-forward counters, read as deltas of the process-wide
-  // registry (metrics observe, never steer: the cache bytes do not move).
-  obs::Counter& ff_messages =
-      obs::default_registry().counter("net.flowfwd.messages");
-  obs::Counter& ff_demotions =
-      obs::default_registry().counter("net.flowfwd.demotions");
-  const std::uint64_t messages0 = ff_messages.value();
-  const std::uint64_t demotions0 = ff_demotions.value();
-  testing::run_combo(on_path, "1");
-  const std::uint64_t flowfwd_messages = ff_messages.value() - messages0;
-  const std::uint64_t flowfwd_demotions = ff_demotions.value() - demotions0;
-  const std::string off_bytes = testing::run_combo(off_path, "0");
-  ASSERT_FALSE(off_bytes.empty());
+/// Runs `script` in both regimes, expects the same log from each and at
+/// least `min_demotions` demotions, and returns the flow-forward run's log.
+RunLog expect_regimes_agree(const net::NetworkConfig& cfg,
+                            const std::vector<Send>& script,
+                            std::uint64_t min_demotions, const char* what) {
+  const RunLog off = run_script(cfg, script, /*flowfwd=*/false);
+  const RunLog on = run_script(cfg, script, /*flowfwd=*/true);
+  EXPECT_EQ(off.messages_delivered, script.size()) << what;
+  EXPECT_EQ(on, off) << what;
+  EXPECT_GE(on.flowfwd_demotions, min_demotions) << what;
+  return on;
+}
 
-  // The regime is part of the cache fingerprint: the off-run's cache is
-  // read back under the regime it was written in.
-  core::Campaign on(testing::reduced_config(on_path));
-  core::CampaignConfig off_cfg = testing::reduced_config(off_path);
-  off_cfg.opts.cluster.flow_forward = false;
-  core::Campaign off(off_cfg);
-  ASSERT_EQ(on.db().size(), off.db().size());  // both caches were kept
-  double worst_predicted = 0.0;
-  double worst_measured = 0.0;
-  double sum_predicted = 0.0;
-  std::size_t cells = 0;
-  const auto& apps = apps::all_apps();
-  for (const auto& victim : apps)
-    for (const auto& aggressor : apps) {
-      const auto pa = on.predict_pair(victim.id, aggressor.id);
-      const auto pb = off.predict_pair(victim.id, aggressor.id);
-      ASSERT_EQ(pa.size(), pb.size());
-      for (std::size_t m = 0; m < pa.size(); ++m) {
-        ASSERT_EQ(pa[m].model, pb[m].model);
-        const double dp = std::abs(pa[m].predicted_pct - pb[m].predicted_pct);
-        const double dm = std::abs(pa[m].measured_pct - pb[m].measured_pct);
-        worst_predicted = std::max(worst_predicted, dp);
-        worst_measured = std::max(worst_measured, dm);
-        sum_predicted += dp;
-        ++cells;
-      }
+TEST(FlowForward, CompetitorOnAnUplinkSerializationEndTick) {
+  // A 3-packet plan 0 -> 1 from t=1000; a 64 B send from node 0 lands
+  // exactly where packet k's uplink serialization ends. Created before
+  // packet k began serializing, the send runs first on the per-packet
+  // path and finds packet k still on the wire; created after, packet k
+  // has already left.
+  net::NetworkConfig cfg = irregular_config(4);
+  make_deterministic(cfg);
+  const Tick ser = ser_of(cfg, 4096);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    const Tick begin = 1000 + ser * k;
+    const Tick end = begin + ser;
+    for (const Tick created : {Tick{1}, begin - 1, begin + 1, end}) {
+      // Created after the last packet began, the send finds the message
+      // injected and its uplink free: nothing left to demote.
+      const std::uint64_t demotions = k < 2 || created < begin ? 1 : 0;
+      const std::vector<Send> script = {
+          Send{1000, 0, 1, 3 * 4096},
+          Send{end, 0, 2, 64, created},
+      };
+      const std::string what = "packet " + std::to_string(k) +
+                               ", competitor created at " +
+                               std::to_string(created);
+      expect_regimes_agree(cfg, script, demotions, what.c_str());
     }
-  ASSERT_GT(cells, 0u);
-  const double mean_predicted = sum_predicted / static_cast<double>(cells);
-  std::fprintf(stderr,
-               "flowfwd drift: worst_measured=%.4f worst_predicted=%.4f "
-               "mean_predicted=%.4f over %zu cells; on-run flow-forwarded "
-               "%llu messages, demoted %llu\n",
-               worst_measured, worst_predicted, mean_predicted, cells,
-               static_cast<unsigned long long>(flowfwd_messages),
-               static_cast<unsigned long long>(flowfwd_demotions));
-  // Measured impacts are simulation ground truth: the regimes run the same
-  // dynamics and draws, so the drift is small.
-  EXPECT_LE(worst_measured, max_measured)
-      << "flow-forward regime shifted measurements beyond the envelope";
-  // Predictions pass through the paper's models, which amplify calibration
-  // noise near their knees, so the per-cell bound sits above the measured
-  // one and the mean carries the real gate.
-  EXPECT_LE(mean_predicted, mean_predicted_limit)
-      << "flow-forward regime shifted predictions beyond the envelope";
-  EXPECT_LE(worst_predicted, max_predicted)
-      << "flow-forward regime shifted a prediction beyond the envelope";
-  // The comparison is vacuous unless the on-run actually flow-forwarded
-  // and demoted messages (keyed draws may well make the regimes agree).
-  EXPECT_GT(flowfwd_messages, 0u);
-  EXPECT_GT(flowfwd_demotions, 0u);
+  }
+}
 
-  std::filesystem::remove(on_path);
-  std::filesystem::remove(off_path);
+TEST(FlowForward, RestoredEventsKeepTheirSendPlace) {
+  // Nodes 0 and 1 send 2-packet messages to node 2 in one tick; the first
+  // one sent is flow-forwarded (the second finds its downlink guarded),
+  // then demoted by a second send from its own node. Both first packets
+  // leave the switch on the same tick, so the message sent first must
+  // reach the downlink first, whichever regime restored its events.
+  net::NetworkConfig cfg = irregular_config(4);
+  make_deterministic(cfg);
+  const Tick ser = ser_of(cfg, 4096);
+  for (const net::NodeId first : {0, 1}) {
+    for (const Tick demote_at : {Tick{1000} + ser / 2, Tick{1000} + ser + 20,
+                                 Tick{1000} + 2 * ser - 10}) {
+      const std::vector<Send> script = {
+          Send{1000, first, 2, 8192},
+          Send{1000, 1 - first, 2, 8192},
+          Send{demote_at, first, 3, 64},
+      };
+      const std::string what = "node " + std::to_string(first) +
+                               " sent first, demoted at " +
+                               std::to_string(demote_at);
+      expect_regimes_agree(cfg, script, 1, what.c_str());
+    }
+  }
+}
+
+TEST(FlowForward, SameTickSwitchExitsOrderBySendPlace) {
+  // A demotion at t~2400 puts uplink 0 (and downlink 1) in cooldown. At
+  // t=10000, 0 -> 3 takes the packet path for that cooldown while 2 -> 3
+  // is flow-forwarded; their single packets leave the switch on the same
+  // tick, created at the same uplink serialization end, so only the send
+  // order can say which reaches downlink 3 first. Both orders.
+  net::NetworkConfig cfg = irregular_config(4);
+  make_deterministic(cfg);
+  for (const bool packet_path_first : {true, false}) {
+    std::vector<Send> script = {
+        Send{1000, 0, 1, 8192},
+        Send{1300, 2, 1, 4096},
+        Send{10000, 0, 3, 4096},
+        Send{10000, 2, 3, 4096},
+    };
+    if (!packet_path_first) std::swap(script[2], script[3]);
+    const RunLog on = expect_regimes_agree(
+        cfg, script, 2,
+        packet_path_first ? "0 -> 3 sent first" : "2 -> 3 sent first");
+    EXPECT_EQ(on.flowfwd_messages, 2u);  // 0 -> 1 and 2 -> 3
+  }
 }
 
 }  // namespace
