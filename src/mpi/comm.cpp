@@ -1,5 +1,6 @@
 #include "mpi/comm.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/profile.h"
@@ -58,7 +59,6 @@ Request Comm::post_send(int src, int dst, int tag, Bytes bytes) {
   const net::NodeId src_node = node_of(src);
   const net::NodeId dst_node = node_of(dst);
   const net::FlowId src_flow = flow_of(src);
-  const net::FlowId dst_flow = flow_of(dst);
   const Bytes wire = bytes + config_.header_bytes;
 
   if (bytes <= config_.eager_threshold) {
@@ -79,32 +79,27 @@ Request Comm::post_send(int src, int dst, int tag, Bytes bytes) {
   // Rendezvous: RTS -> (match at receiver) -> CTS -> data. The CTS send
   // needs the receiving rank's MPI library to act, and the data injection
   // needs the sending rank's — both go through run_on_progress, which is
-  // where the no-async-progress semantics live.
+  // where the no-async-progress semantics live. Each step captures ranks,
+  // not their nodes and flows, so every closure of the chain stays inline.
   network_.send(
       src_node, dst_node, src_flow, config_.ctrl_bytes,
       /*on_injected=*/nullptr,
-      /*on_delivered=*/[this, src, dst, tag, wire, sreq, src_node, dst_node,
-                        src_flow, dst_flow] {
-        arrive(dst, Arrival{src, tag,
-                            [this, src, dst, wire, sreq, src_node, dst_node,
-                             src_flow, dst_flow](const Request& rreq) {
-                              run_on_progress(dst, [this, src, wire, sreq,
-                                                    rreq, src_node, dst_node,
-                                                    src_flow, dst_flow] {
+      /*on_delivered=*/[this, src, dst, tag, wire, sreq] {
+        arrive(dst, Arrival{src, tag, [this, src, dst, wire,
+                                       sreq](const Request& rreq) {
+                              run_on_progress(dst, [this, src, dst, wire, sreq,
+                                                    rreq] {
                                 // CTS back to the sender...
                                 network_.send(
-                                    dst_node, src_node, dst_flow,
+                                    node_of(dst), node_of(src), flow_of(dst),
                                     config_.ctrl_bytes, nullptr,
-                                    [this, src, wire, sreq, rreq, src_node,
-                                     dst_node, src_flow] {
-                                      run_on_progress(src, [this, wire, sreq,
-                                                            rreq, src_node,
-                                                            dst_node,
-                                                            src_flow] {
+                                    [this, src, dst, wire, sreq, rreq] {
+                                      run_on_progress(src, [this, src, dst,
+                                                            wire, sreq, rreq] {
                                         // ...then the payload.
                                         network_.send(
-                                            src_node, dst_node, src_flow,
-                                            wire,
+                                            node_of(src), node_of(dst),
+                                            flow_of(src), wire,
                                             [sreq] { sreq->complete(); },
                                             [rreq] { rreq->complete(); });
                                       });
@@ -147,23 +142,41 @@ void Comm::arrive(int dst, Arrival arrival) {
   unexpected_depth_.add(q.unexpected.size());
 }
 
-void Comm::run_on_progress(int rank, std::function<void()> fn) {
+void Comm::run_on_progress(int rank, sim::EventFn&& fn) {
   ACTNET_CHECK(rank >= 0 && rank < size());
   if (config_.async_progress || blocked_[rank]) {
     fn();
     return;
   }
-  deferred_[rank].push_back(std::move(fn));
+  deferred_[rank].push(std::move(fn));
 }
 
 void Comm::progress(int rank) {
   obs::ProfScope prof(obs::Subsystem::kMpi);
   ACTNET_CHECK(rank >= 0 && rank < size());
   while (!deferred_[rank].empty()) {
-    auto fn = std::move(deferred_[rank].front());
-    deferred_[rank].pop_front();
+    sim::EventFn fn = deferred_[rank].pop();
     fn();
   }
+}
+
+void Comm::Deferred::push(sim::EventFn&& fn) {
+  if (size_ == ring_.size()) {
+    // Full: unroll the ring into a vector twice its size.
+    std::vector<sim::EventFn> grown(std::max<std::size_t>(4, 2 * size_));
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + size_++) % ring_.size()] = std::move(fn);
+}
+
+sim::EventFn Comm::Deferred::pop() {
+  sim::EventFn fn = std::move(ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --size_;
+  return fn;
 }
 
 void Comm::set_blocked(int rank, bool blocked) {

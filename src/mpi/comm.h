@@ -17,14 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "mpi/machine.h"
 #include "mpi/request.h"
 #include "net/network.h"
 #include "obs/metrics.h"
+#include "sim/inline_fn.h"
 #include "util/units.h"
 
 namespace actnet::mpi {
@@ -97,7 +96,7 @@ class Comm {
     int src;
     int tag;
     /// Invoked when a receive matches this arrival.
-    std::function<void(const Request&)> on_match;
+    sim::InlineFn<void(const Request&)> on_match;
   };
   /// Vectors, not deques: a deque frees and re-allocates a chunk every few
   /// dozen push/pop pairs, while a vector reaches its high-water capacity
@@ -112,7 +111,23 @@ class Comm {
   static bool matches(int want_src, int want_tag, int src, int tag);
   /// Runs `fn` now if `rank` can make progress (async progress enabled, or
   /// rank blocked in MPI); otherwise defers it to the rank's next MPI call.
-  void run_on_progress(int rank, std::function<void()> fn);
+  void run_on_progress(int rank, sim::EventFn&& fn);
+
+  /// A rank's deferred protocol steps, first in first out: a ring that
+  /// grows to its high-water mark once and then queues without touching
+  /// the heap.
+  class Deferred {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    void push(sim::EventFn&& fn);
+    sim::EventFn pop();
+
+   private:
+    std::vector<sim::EventFn> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
 
   sim::Engine& engine_;
   net::Network& network_;
@@ -120,7 +135,7 @@ class Comm {
   std::vector<net::NodeId> rank_nodes_;
   std::vector<RankQueues> queues_;
   net::FlowId flow_base_;
-  std::vector<std::deque<std::function<void()>>> deferred_;
+  std::vector<Deferred> deferred_;
   std::vector<char> blocked_;
 
   std::uint64_t sends_eager_ = 0;

@@ -254,8 +254,6 @@ void Link::credit_flowfwd(std::uint64_t packets, Bytes bytes, Tick busy) {
   busy_time_ += busy;
 }
 
-void Link::credit_flowfwd_depth(std::size_t depth) { stats_.depth.add(depth); }
-
 void Link::restore_in_service(Bytes size, Tick began_at, std::uint64_t place,
                               Tick end_at, sim::EventFn&& on_serialized,
                               sim::EventFn&& on_arrive) {

@@ -115,9 +115,6 @@ class Link {
   /// machinery (the flow-forward regime): exactly the packets/bytes/
   /// busy-time the per-packet path would have recorded.
   void credit_flowfwd(std::uint64_t packets, Bytes bytes, Tick busy);
-  /// Records one queue-depth-on-enqueue sample (the analytic depth the
-  /// per-packet path would have sampled for one enqueue).
-  void credit_flowfwd_depth(std::size_t depth);
 
   // Demotion re-materialization: rebuilds the exact per-packet DRR state a
   // flow-forwarded message had analytically advanced past. Counters are

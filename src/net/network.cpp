@@ -367,7 +367,7 @@ Packet Network::flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const {
   p.src = ff.src;
   p.dst = ff.dst;
   p.flow = ff.flow;
-  p.size = ff.pkts[i].size;
+  p.size = ff.size_of(i);
   p.injected_at = ff.t0;
   return p;
 }
@@ -398,12 +398,11 @@ void Network::account_packet(NodeId dst, Tick injected_at, Tick complete) {
   }
 }
 
-void Network::trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pk) {
+void Network::trace_flowfwd_switch(const FlowFwd& ff, Tick arrive, Tick fwd) {
   // The switch-stage span uplink_done() records on the packet path; the
   // closed-form schedule already fixed [arrive, fwd).
-  if (tracer_ != nullptr && tracer_->active(pk.arrive))
-    tracer_->complete(trace_pid_, ff.src, pk.arrive, pk.fwd - pk.arrive,
-                      "switch");
+  if (tracer_ != nullptr && tracer_->active(arrive))
+    tracer_->complete(trace_pid_, ff.src, arrive, fwd - arrive, "switch");
 }
 
 bool Network::ran_before_current(const FlowFwd& ff, Tick t,
@@ -420,26 +419,48 @@ bool Network::ran_before_current(const FlowFwd& ff, Tick t,
   return place_of(ff.id) < running;
 }
 
-Network::DownlinkState Network::replay_downlink(FlowFwd& ff, bool at_accept) {
-  // Replays the slow path's downlink decisions from the closed-form
-  // schedule: which arrivals found the port free (depth sample 1), which
-  // queued (depth = queue occupancy), and the flow's DRR visit state
-  // (deficit/visited) where the replay stops. Single flow, so every ring
-  // rotation immediately re-credits the same flow.
-  const auto ran = [&](Tick t, Tick created) {
-    return at_accept || ran_before_current(ff, t, created);
-  };
+void Network::expand_flowfwd(const FlowFwd& ff) {
+  const auto n = static_cast<std::uint32_t>(ff.hops.size());
+  ffwd_pkts_.resize(n);
+  ffwd_order_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    FFPacket& pk = ffwd_pkts_[i];
+    pk.size = ff.size_of(i);
+    pk.ser = ff.ser_of(i);
+    pk.upl_end = ff.upl_end(i);
+    pk.arrive = pk.upl_end + config_.link_propagation;
+  }
+  Tick free = std::numeric_limits<Tick>::min();
+  for (std::uint32_t m = 0; m < n; ++m) {
+    const FFHop& h = ff.hops[m];
+    ffwd_order_[m] = h.seq;
+    FFPacket& pk = ffwd_pkts_[h.seq];
+    pk.fwd = h.fwd;
+    pk.depth = h.depth;
+    pk.down_start = std::max(h.fwd, free);
+    pk.down_end = pk.down_start + pk.ser;
+    free = pk.down_end;
+    pk.complete = free + config_.link_propagation + config_.recv_overhead;
+  }
+}
+
+Network::DownlinkState Network::replay_downlink(const FlowFwd& ff) {
+  // Replays the slow path's downlink decisions from the expanded schedule
+  // up to the running event: which arrivals found the port free, which
+  // queued, and the flow's DRR visit state (deficit/visited) where the
+  // replay stops. Single flow, so every ring rotation immediately
+  // re-credits the same flow.
   const Bytes quantum = config_.drr_quantum;
   DownlinkState st;
   bool in_ring = false;
-  // The FIFO of waiting positions in ff.order. Arrivals are visited in
-  // order and every arrival queues while the port is busy, so the waiting
-  // set is always the contiguous run [q_front, q_front + q_len).
+  // The FIFO of waiting positions in service order. Arrivals are visited
+  // in order and every arrival queues while the port is busy, so the
+  // waiting set is always the contiguous run [q_front, q_front + q_len).
   int q_front = 0;
   int q_len = 0;
   int cur = -1;  // position in service, -1 = free
-  const auto pkt_at = [&](int m) -> FFPacket& {
-    return ff.pkts[ff.order[static_cast<std::size_t>(m)]];
+  const auto pkt_at = [&](int m) -> const FFPacket& {
+    return ffwd_pkts_[ffwd_order_[static_cast<std::size_t>(m)]];
   };
   const auto pop_next = [&] {
     const FFPacket& nx = pkt_at(q_front);
@@ -462,12 +483,12 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, bool at_accept) {
     else
       pop_next();
   };
-  const auto count = static_cast<int>(ff.order.size());
+  const auto count = static_cast<int>(ffwd_order_.size());
   int m = 0;
   for (; m < count; ++m) {
-    FFPacket& pk = pkt_at(m);
+    const FFPacket& pk = pkt_at(m);
     // The switch exit was created at the uplink's serialization end.
-    if (!ran(pk.fwd, pk.upl_end)) break;
+    if (!ran_before_current(ff, pk.fwd, pk.upl_end)) break;
     // Service completions strictly before this arrival — and at the same
     // tick when the finish event (created at down_start) was created no
     // later than the arrival's switch exit (created at the uplink's
@@ -477,7 +498,6 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, bool at_accept) {
                          pkt_at(cur).down_start <= pk.upl_end)))
       complete_cur();
     if (cur < 0) {
-      pk.depth = 1;  // free port: the direct-serve depth sample
       cur = m;
     } else {
       if (q_len == 0) q_front = m;
@@ -487,10 +507,10 @@ Network::DownlinkState Network::replay_downlink(FlowFwd& ff, bool at_accept) {
         st.deficit = 0;
         st.visited = false;
       }
-      pk.depth = static_cast<std::uint32_t>(q_len);
     }
   }
-  while (cur >= 0 && ran(pkt_at(cur).down_end, pkt_at(cur).down_start))
+  while (cur >= 0 &&
+         ran_before_current(ff, pkt_at(cur).down_end, pkt_at(cur).down_start))
     complete_cur();
   st.arrived = static_cast<std::uint32_t>(m);
   st.served = static_cast<std::uint32_t>(cur >= 0 ? cur : m);
@@ -504,11 +524,6 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   const Tick prop = config_.link_propagation;
   const double bw = config_.link_bandwidth;
   Switch& leaf = *leaves_[pod_of(src)];
-  const std::uint32_t full_count = num_packets - (tail > 0 ? 1 : 0);
-  // Two sizes, two serialization times: computed once per message.
-  const Tick full_ser = std::max<Tick>(1, units::serialization(full_size, bw));
-  const Tick tail_ser =
-      tail > 0 ? std::max<Tick>(1, units::serialization(tail, bw)) : full_ser;
 
   const std::uint32_t plan = acquire_flowfwd();
   FlowFwd& ff = ffwd_[plan];
@@ -517,58 +532,79 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   ff.dst = dst;
   ff.flow = flow;
   ff.t0 = t0;
-  ff.pkts.resize(num_packets);
+  // Two sizes, two serialization times: computed once per message.
+  ff.full_count = num_packets - (tail > 0 ? 1 : 0);
+  ff.full_size = full_size;
+  ff.tail = tail;
+  ff.full_ser = std::max<Tick>(1, units::serialization(full_size, bw));
+  ff.tail_ser =
+      tail > 0 ? std::max<Tick>(1, units::serialization(tail, bw)) : ff.full_ser;
+  ff.bytes = full_size * ff.full_count + tail;
   ff.on_injected = std::move(on_injected);
+  ff.hops.resize(num_packets);
+  FFHop* const hops = ff.hops.data();
 
-  // Uplink: packets serialize back-to-back from t0. The switch stage is
-  // contention-free and its draws are keyed per packet, so each packet's
-  // delay is drawn now and equals the one the per-packet path would draw
-  // on arrival, however other messages interleave.
-  Packet proto = flowfwd_packet(ff, 0);
+  // Uplink and switch: packets serialize back-to-back from t0. The switch
+  // stage is contention-free and its draws are keyed per packet, so each
+  // packet's delay is drawn now and equals the one the per-packet path
+  // would draw on arrival, however other messages interleave. The
+  // downlink serves arrivals in switch-output order; inserting each
+  // packet behind the ones with equal ticks keeps them in sequence order,
+  // exactly as the engine would. Insertion, because arrivals are already
+  // nearly in order.
+  const KeyedDraws draws = leaf.flowfwd_draws(flow, id);
   Tick t = t0;
+  Tick delays = 0;
   for (std::uint32_t i = 0; i < num_packets; ++i) {
-    FFPacket& pk = ff.pkts[i];
-    const bool full = i < full_count;
-    pk.size = full ? full_size : tail;
-    pk.ser = full ? full_ser : tail_ser;
-    t += pk.ser;
-    pk.upl_end = t;
-    pk.arrive = t + prop;
-    proto.seq = i;
-    proto.size = pk.size;
-    pk.fwd = pk.arrive + leaf.flowfwd_delay(proto);
+    t += ff.ser_of(i);
+    const Tick d = draws.delay(i);
+    delays += d;
+    const Tick fwd = t + prop + d;
+    std::uint32_t j = i;
+    for (; j > 0 && fwd < hops[j - 1].fwd; --j) hops[j] = hops[j - 1];
+    hops[j] = FFHop{fwd, i, 0};
   }
   ff.t_inj = t;
+  ff.busy = t - t0;
+  leaf.credit_flowfwd(num_packets, ff.bytes, delays);
 
-  // Downlink service order: arrivals sorted by switch-output time; a stable
-  // sort keeps equal ticks in sequence order, exactly as the engine would.
-  // Insertion sort, because arrivals are already nearly in order and,
-  // unlike std::stable_sort, it needs no temporary buffer per message.
-  ff.order.resize(num_packets);
-  for (std::uint32_t i = 0; i < num_packets; ++i) {
-    std::uint32_t j = i;
-    for (; j > 0 && ff.pkts[i].fwd < ff.pkts[ff.order[j - 1]].fwd; --j)
-      ff.order[j] = ff.order[j - 1];
-    ff.order[j] = i;
-  }
+  // Downlink, FIFO: each packet starts when it has left the switch and the
+  // one before it has left the port. Its depth sample is the per-packet
+  // path's: 1 when it finds the port free, else the queue it joins. The
+  // packet at position c is the one in service when hop m arrives; a
+  // serialization end at the arrival's own tick ran first when it was
+  // created (at its down_start) no later than the arrival's switch exit
+  // (at the uplink's serialization end) — the engine's same-tick order.
   Tick free = std::numeric_limits<Tick>::min();
-  for (const std::uint32_t idx : ff.order) {
-    FFPacket& pk = ff.pkts[idx];
-    pk.down_start = std::max(pk.fwd, free);
-    pk.down_end = pk.down_start + pk.ser;
-    free = pk.down_end;
-    pk.complete = pk.down_end + prop + config_.recv_overhead;
+  std::uint32_t c = 0;
+  Tick c_start = 0;
+  Tick c_end = 0;
+  for (std::uint32_t m = 0; m < num_packets; ++m) {
+    FFHop& h = hops[m];
+    const Tick start = std::max(h.fwd, free);
+    free = start + ff.ser_of(h.seq);
+    const Tick created = ff.upl_end(h.seq);
+    while (c < m &&
+           (c_end < h.fwd || (c_end == h.fwd && c_start <= created))) {
+      if (++c == m) break;
+      c_start = std::max(hops[c].fwd, c_end);
+      c_end = c_start + ff.ser_of(hops[c].seq);
+    }
+    if (c == m) {
+      h.depth = 1;
+      c_start = start;
+      c_end = free;
+    } else {
+      h.depth = m - c;
+    }
   }
-  ff.t_done = ff.pkts[ff.order.back()].complete;
-  replay_downlink(ff, /*at_accept=*/true);  // depth samples
 
   // Accept-time accounting the per-packet path would have produced at t0:
   // the uplink's enqueue-depth samples (1..n, as transmit_train records).
   // Uplink packet/byte/busy counters are credited at t_inj, downlink
-  // counters and depth samples at t_done, so a demotion can credit exactly
-  // the started portion instead.
-  for (std::uint32_t i = 1; i <= num_packets; ++i)
-    uplinks_[src]->credit_flowfwd_depth(i);
+  // counters and depth samples at completion, so a demotion can credit
+  // exactly the started portion instead.
+  ports_.depth.add_run(num_packets);
 
   // Each event stands in for a per-packet one and takes its place among
   // same-tick events: injection for the last packet's uplink serialization
@@ -576,10 +612,11 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   // last packet's completion (created at its downlink serialization end).
   const std::uint64_t place = place_of(id);
   ff.inj_ev = engine_.schedule_cancellable_as_of(
-      ff.t_inj - ff.pkts.back().ser, place + kUplinkEnd, ff.t_inj,
+      ff.t_inj - ff.ser_of(num_packets - 1), place + kUplinkEnd, ff.t_inj,
       [this, plan] { flowfwd_injected(plan); });
   ff.done_ev = engine_.schedule_cancellable_as_of(
-      ff.pkts[ff.order.back()].down_end, place + kCompletion, ff.t_done,
+      free, place + kCompletion,
+      free + prop + config_.recv_overhead,
       [this, plan] { finish_flowfwd(plan); });
   uplinks_[src]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
   downlinks_[dst]->arm_flowfwd_guard([this, plan] { demote_flowfwd(plan); });
@@ -600,8 +637,7 @@ std::uint32_t Network::acquire_flowfwd() {
 void Network::release_flowfwd(std::uint32_t plan) {
   FlowFwd& ff = ffwd_[plan];
   ff.id = 0;
-  ff.pkts.clear();
-  ff.order.clear();
+  ff.hops.clear();
   ff.inj_ev = {};
   ff.done_ev = {};
   ff.on_injected = nullptr;
@@ -613,12 +649,10 @@ void Network::flowfwd_injected(std::uint32_t plan) {
   FlowFwd& ff = ffwd_[plan];
   ACTNET_CHECK(ff.id != 0);
   ff.injected = true;
-  Bytes bytes = 0;
-  for (const FFPacket& pk : ff.pkts) bytes += pk.size;
   // The message has fully left the uplink: credit the port (busy time is
   // exactly the back-to-back serialization span) and release its guard so
   // later traffic from this node no longer demotes the message.
-  uplinks_[ff.src]->credit_flowfwd(ff.pkts.size(), bytes, ff.t_inj - ff.t0);
+  uplinks_[ff.src]->credit_flowfwd(ff.hops.size(), ff.bytes, ff.busy);
   uplinks_[ff.src]->disarm_flowfwd_guard();
   if (ff.on_injected) {
     Callback cb = std::move(ff.on_injected);
@@ -631,22 +665,30 @@ void Network::finish_flowfwd(std::uint32_t plan) {
   ACTNET_CHECK(ff.id != 0 && ff.injected);
   Link& down = *downlinks_[ff.dst];
   down.disarm_flowfwd_guard();
+  const auto n = static_cast<std::uint32_t>(ff.hops.size());
+  down.credit_flowfwd(n, ff.bytes, ff.busy);
 
-  Bytes bytes = 0;
-  Tick busy = 0;
-  for (const FFPacket& pk : ff.pkts) {
-    bytes += pk.size;
-    busy += pk.ser;
+  // Every packet's downlink depth sample and latency, in service order,
+  // its serialization end recomputed on the way; with a tracer, also the
+  // switch and packet spans the per-packet path would have recorded.
+  const Tick after_port = config_.link_propagation + config_.recv_overhead;
+  const bool traced = tracer_ != nullptr;
+  Tick free = std::numeric_limits<Tick>::min();
+  for (const FFHop& h : ff.hops) {
+    free = std::max(h.fwd, free) + ff.ser_of(h.seq);
+    ports_.depth.add(h.depth);
+    latency_ns_.add(static_cast<std::uint64_t>(free + after_port - ff.t0));
+    if (traced) {
+      trace_flowfwd_switch(ff, ff.upl_end(h.seq) + config_.link_propagation,
+                           h.fwd);
+      if (tracer_->active(ff.t0))
+        tracer_->complete(trace_pid_, ff.dst, ff.t0, free + after_port - ff.t0,
+                          "packet");
+    }
   }
-  down.credit_flowfwd(ff.pkts.size(), bytes, busy);
-  for (const std::uint32_t idx : ff.order) {
-    down.credit_flowfwd_depth(ff.pkts[idx].depth);
-    trace_flowfwd_switch(ff, ff.pkts[idx]);
-    account_packet(ff.dst, ff.t0, ff.pkts[idx].complete);
-  }
+  counters_.packets_delivered += n;
 
   const MessageId id = ff.id;
-  const auto n = static_cast<std::uint32_t>(ff.pkts.size());
   ACTNET_CHECK(in_flight_.at(slot_of(id)).remaining == n);
   release_flowfwd(plan);
   packet_delivered(id, n);  // may reenter send()
@@ -658,9 +700,12 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   ACTNET_CHECK(ff.id != 0);
   const MessageId id = ff.id;
   const std::uint64_t place = place_of(id);
-  const auto n = static_cast<std::uint32_t>(ff.pkts.size());
+  const auto n = static_cast<std::uint32_t>(ff.hops.size());
   Link& up = *uplinks_[ff.src];
   Link& down = *downlinks_[ff.dst];
+  expand_flowfwd(ff);
+  const std::vector<FFPacket>& pkts = ffwd_pkts_;
+  const std::vector<std::uint32_t>& order = ffwd_order_;
 
   // Release this message's guards (the one firing right now is already
   // empty; disarm is a no-op for it), cancel the analytic events, and
@@ -696,8 +741,8 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   if (!ff.injected) {
     k = 0;
     while (k + 1 < n &&
-           ran_before_current(ff, ff.pkts[k].upl_end,
-                              ff.pkts[k].upl_end - ff.pkts[k].ser))
+           ran_before_current(ff, pkts[k].upl_end,
+                              pkts[k].upl_end - pkts[k].ser))
       ++k;
     // Packets 0..k have started, and k+1.. wait in the flow's queue with
     // the deficit the per-packet path would have earned (DRR's quantum
@@ -708,10 +753,10 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     Bytes deficit = 0;
     Tick busy = 0;
     for (std::uint32_t i = 0; i <= k; ++i) {
-      bytes += ff.pkts[i].size;
-      busy += ff.pkts[i].ser;
-      while (deficit < ff.pkts[i].size) deficit += config_.drr_quantum;
-      deficit -= ff.pkts[i].size;
+      bytes += pkts[i].size;
+      busy += pkts[i].ser;
+      while (deficit < pkts[i].size) deficit += config_.drr_quantum;
+      deficit -= pkts[i].size;
     }
     up.credit_flowfwd(k + 1, bytes, busy);
     const auto onser_for = [&](std::uint32_t i) {
@@ -721,23 +766,23 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     };
     const auto arrival = [&](std::uint32_t i) {
       return parked_arrival(flowfwd_packet(ff, i),
-                            ff.pkts[i].fwd - ff.pkts[i].arrive);
+                            pkts[i].fwd - pkts[i].arrive);
     };
-    up.restore_in_service(ff.pkts[k].size, ff.pkts[k].upl_end - ff.pkts[k].ser,
-                          place + kUplinkEnd, ff.pkts[k].upl_end, onser_for(k),
+    up.restore_in_service(pkts[k].size, pkts[k].upl_end - pkts[k].ser,
+                          place + kUplinkEnd, pkts[k].upl_end, onser_for(k),
                           arrival(k));
     for (std::uint32_t i = k + 1; i < n; ++i)
-      up.restore_queued(ff.flow, ff.pkts[i].size, onser_for(i), arrival(i));
+      up.restore_queued(ff.flow, pkts[i].size, onser_for(i), arrival(i));
     if (k + 1 < n) up.restore_flow_front(ff.flow, deficit, /*visited=*/true);
   }
 
   // ---- switch: serialized but not yet at the downlink ----
   for (std::uint32_t i = 0; i < k; ++i) {
-    const FFPacket& pk = ff.pkts[i];
+    const FFPacket& pk = pkts[i];
     // Routed at its uplink serialization end, which created the switch
     // exit event and fixed the span.
     if (ran_before_current(ff, pk.fwd, pk.upl_end)) continue;  // at the port
-    trace_flowfwd_switch(ff, pk);
+    trace_flowfwd_switch(ff, pk.arrive, pk.fwd);
     engine_.schedule_as_of(pk.upl_end, place + kSwitchExit, pk.fwd,
                            [this, p = flowfwd_packet(ff, i)] {
                              deliver_to_node(p);
@@ -745,16 +790,16 @@ void Network::demote_flowfwd(std::uint32_t plan) {
   }
 
   // ---- downlink: left the port / serializing / waiting ----
-  const DownlinkState drr = replay_downlink(ff, /*at_accept=*/false);
+  const DownlinkState drr = replay_downlink(ff);
   std::uint32_t accounted = 0;
   std::uint64_t dpkts = 0;
   Bytes dbytes = 0;
   Tick dbusy = 0;
   for (std::uint32_t m = 0; m < drr.arrived; ++m) {
-    const std::uint32_t idx = ff.order[m];
-    const FFPacket& pk = ff.pkts[idx];
-    down.credit_flowfwd_depth(pk.depth);
-    trace_flowfwd_switch(ff, pk);
+    const std::uint32_t idx = order[m];
+    const FFPacket& pk = pkts[idx];
+    ports_.depth.add(pk.depth);
+    trace_flowfwd_switch(ff, pk.arrive, pk.fwd);
     if (m > drr.served) continue;  // waiting: restored below
     ++dpkts;
     dbytes += pk.size;
@@ -777,13 +822,13 @@ void Network::demote_flowfwd(std::uint32_t plan) {
     const auto arrival = [this](const Packet& p) -> sim::EventFn {
       return [this, p] { downlink_done(p); };
     };
-    const std::uint32_t idx = ff.order[drr.served];
-    const FFPacket& pk = ff.pkts[idx];
+    const std::uint32_t idx = order[drr.served];
+    const FFPacket& pk = pkts[idx];
     down.restore_in_service(pk.size, pk.down_start, place + kDownlinkEnd,
                             pk.down_end, {}, arrival(flowfwd_packet(ff, idx)));
     for (std::uint32_t m = drr.served + 1; m < drr.arrived; ++m)
-      down.restore_queued(ff.flow, ff.pkts[ff.order[m]].size, {},
-                          arrival(flowfwd_packet(ff, ff.order[m])));
+      down.restore_queued(ff.flow, pkts[order[m]].size, {},
+                          arrival(flowfwd_packet(ff, order[m])));
     if (drr.served + 1 < drr.arrived)
       down.restore_flow_front(ff.flow, drr.deficit, drr.visited);
   }

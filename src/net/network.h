@@ -122,9 +122,9 @@ struct NetworkCounters {
 
 class Network {
  public:
-  /// Completion callbacks are move-only inline callables; closures beyond
-  /// the inline capacity (the MPI rendezvous control chain) spill to the
-  /// heap once per message, never per packet event.
+  /// Completion callbacks are move-only inline callables; a closure beyond
+  /// the inline capacity would spill to the heap once per message, never
+  /// per packet event (the MPI protocol's closures all fit).
   using Callback = sim::EventFn;
 
   Network(sim::Engine& engine, NetworkConfig config, Rng rng);
@@ -211,8 +211,54 @@ class Network {
     return static_cast<int>(p.flow % spines_.size());
   }
 
-  /// One packet of a flow-forwarded message: the closed-form schedule the
-  /// per-packet path would have produced on the uncontended route.
+  /// One packet of a flow-forwarded message, in downlink service order:
+  /// what the closed form cannot recompute from the message's sizes.
+  struct FFHop {
+    Tick fwd = 0;             ///< switch output (arrival + pre-drawn delay)
+    std::uint32_t seq = 0;    ///< packet index within its message
+    std::uint32_t depth = 0;  ///< downlink depth-on-enqueue sample
+  };
+
+  /// A message advanced in closed form. Lives from send() until its
+  /// completion event (or demotion); both ends of the route hold a guard
+  /// pointing back at it. Its first full_count packets carry full_size
+  /// bytes and the last one, if the size does not divide, the tail; the
+  /// uplink serializes them back to back from t0.
+  struct FlowFwd {
+    MessageId id = 0;
+    NodeId src = 0;
+    NodeId dst = 0;
+    FlowId flow = 0;
+    Tick t0 = 0;
+    Tick t_inj = 0;  ///< the last packet's uplink serialization end
+    std::uint32_t full_count = 0;
+    Bytes full_size = 0;
+    Bytes tail = 0;
+    Tick full_ser = 0;  ///< serialization time of full_size (>= 1)
+    Tick tail_ser = 0;  ///< ... and of the tail
+    Bytes bytes = 0;    ///< the message's bytes on either port
+    Tick busy = 0;      ///< its serialization time on either port
+    std::vector<FFHop> hops;  ///< downlink service order
+    sim::Engine::CancelToken inj_ev;
+    sim::Engine::CancelToken done_ev;
+    Callback on_injected;
+    bool injected = false;
+
+    Bytes size_of(std::uint32_t seq) const {
+      return seq < full_count ? full_size : tail;
+    }
+    Tick ser_of(std::uint32_t seq) const {
+      return seq < full_count ? full_ser : tail_ser;
+    }
+    /// Uplink serialization end of packet `seq`.
+    Tick upl_end(std::uint32_t seq) const {
+      return seq < full_count ? t0 + full_ser * (seq + Tick{1}) : t_inj;
+    }
+  };
+
+  /// One packet of a demoted message: the whole closed-form schedule the
+  /// per-packet path would have produced on the uncontended route,
+  /// recomputed from its plan.
   struct FFPacket {
     Bytes size = 0;
     Tick ser = 0;         ///< serialization time of `size` (>= 1)
@@ -223,25 +269,6 @@ class Network {
     Tick down_end = 0;    ///< downlink serialization end
     Tick complete = 0;    ///< delivered (= down_end + propagation + recv)
     std::uint32_t depth = 0;  ///< analytic downlink depth-on-enqueue sample
-  };
-
-  /// A message advanced in closed form. Lives from send() until its
-  /// completion event (or demotion); both ends of the route hold a guard
-  /// pointing back at it.
-  struct FlowFwd {
-    MessageId id = 0;
-    NodeId src = 0;
-    NodeId dst = 0;
-    FlowId flow = 0;
-    Tick t0 = 0;
-    Tick t_inj = 0;
-    Tick t_done = 0;
-    std::vector<FFPacket> pkts;        ///< seq order
-    std::vector<std::uint32_t> order;  ///< downlink service order (seq idx)
-    sim::Engine::CancelToken inj_ev;
-    sim::Engine::CancelToken done_ev;
-    Callback on_injected;
-    bool injected = false;
   };
 
   /// A demoted packet parked until its uplink serialization end, with its
@@ -274,21 +301,25 @@ class Network {
   bool ran_before_current(const FlowFwd& ff, Tick t, Tick created) const;
   Packet flowfwd_packet(const FlowFwd& ff, std::uint32_t i) const;
   sim::EventFn parked_arrival(const Packet& p, Tick stage_delay);
-  void trace_flowfwd_switch(const FlowFwd& ff, const FFPacket& pkt);
-  /// A flow-forwarded message's downlink state, recovered by replaying the
-  /// closed-form schedule: how many packets (in service order) have
-  /// reached the port and how many have left it, and the flow's DRR visit
-  /// state. The packet at position `served` is in service when
-  /// served < arrived; the ones behind it wait in the flow's queue.
+  /// The switch-stage span of a flow-forwarded packet that reached the
+  /// switch at `arrive` and left it at `fwd`.
+  void trace_flowfwd_switch(const FlowFwd& ff, Tick arrive, Tick fwd);
+  /// Recomputes a plan's whole schedule into ffwd_pkts_ (seq order) and
+  /// ffwd_order_ (service order), for its demotion.
+  void expand_flowfwd(const FlowFwd& ff);
+  /// A demoted message's downlink state, recovered by replaying its
+  /// expanded schedule up to the running event: how many packets (in
+  /// service order) have reached the port and how many have left it, and
+  /// the flow's DRR visit state. The packet at position `served` is in
+  /// service when served < arrived; the ones behind it wait in the flow's
+  /// queue.
   struct DownlinkState {
     std::uint32_t arrived = 0;
     std::uint32_t served = 0;
     Bytes deficit = 0;
     bool visited = false;
   };
-  /// Replays every packet at accept time (`at_accept`, which also records
-  /// each packet's depth sample), else up to the running event.
-  DownlinkState replay_downlink(FlowFwd& ff, bool at_accept);
+  DownlinkState replay_downlink(const FlowFwd& ff);
 
   sim::Engine& engine_;
   NetworkConfig config_;
@@ -325,6 +356,9 @@ class Network {
   /// it is in use.
   std::deque<FlowFwd> ffwd_;
   std::vector<std::uint32_t> ffwd_free_;
+  /// A demoted plan's expanded schedule (expand_flowfwd).
+  std::vector<FFPacket> ffwd_pkts_;
+  std::vector<std::uint32_t> ffwd_order_;
   SlotPool<FFParked> ffwd_parked_;
   std::vector<Tick> ffwd_cooldown_up_;
   std::vector<Tick> ffwd_cooldown_down_;

@@ -10,13 +10,6 @@
 
 namespace actnet::net {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 JitterTable::JitterTable(double mean_ns, double stddev_ns) {
   // The underlying normal's (mu, sigma) of a log-normal with this linear
   // mean and standard deviation.
@@ -69,16 +62,18 @@ KeyedStage::KeyedStage(const OutputQueuedConfig& c)
     table = &JitterTable::get(config.jitter_mean_ns, config.jitter_stddev_ns);
 }
 
+Tick KeyedDraws::tail_excess(std::uint64_t seed) const {
+  const OutputQueuedConfig& config = stage_->config;
+  Rng rng(seed);
+  if (stage_->table != nullptr) rng();  // the jitter's draw
+  rng();                                // the tail test's draw
+  return units::ns(config.tail_offset_ns +
+                   rng.exponential(config.tail_mean_excess_ns));
+}
+
 Tick keyed_stage_delay(const KeyedStage& stage, std::uint64_t switch_key,
                        std::uint64_t msg, const Packet& p, SwitchCounters& c) {
-  const OutputQueuedConfig& config = stage.config;
-  Rng rng(mix64(mix64(mix64(switch_key ^ p.flow) ^ msg) ^ p.seq));
-  Tick d = stage.fixed;
-  if (stage.table != nullptr)
-    d += stage.table->sample(static_cast<std::uint32_t>(rng() >> 32));
-  if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
-    d += units::ns(config.tail_offset_ns +
-                   rng.exponential(config.tail_mean_excess_ns));
+  const Tick d = KeyedDraws(stage, switch_key, p.flow, msg).delay(p.seq);
   c.credit(p.size, d);
   return d;
 }
@@ -110,11 +105,16 @@ Tick OutputQueuedSwitch::route(const Packet& p, Tick arrive_at,
   return exit;
 }
 
-Tick SharedQueueSwitch::flowfwd_delay(const Packet&) {
+KeyedDraws SharedQueueSwitch::flowfwd_draws(std::uint32_t,
+                                            MessageId) const {
   ACTNET_CHECK_MSG(false,
-                   "flowfwd_delay on a shared-queue switch: the M/G/1 model "
+                   "flowfwd_draws on a shared-queue switch: the M/G/1 model "
                    "couples packets through busy_until_ and cannot be "
                    "fast-forwarded");
+}
+
+void SharedQueueSwitch::credit_flowfwd(std::uint64_t, Bytes, Tick) {
+  ACTNET_CHECK_MSG(false, "credit_flowfwd on a shared-queue switch");
 }
 
 SharedQueueSwitch::SharedQueueSwitch(

@@ -37,11 +37,14 @@ namespace actnet::net {
 /// passes `[this]`-sized closures; 32 bytes leaves room for test probes.
 using ForwardFn = sim::InlineFn<void(const Packet&), 32>;
 
+class KeyedDraws;
+
 /// Aggregate switch statistics (reset-free, monotone).
 struct SwitchCounters {
-  /// Credits one packet of `size` bytes that spent `d` in the stage.
-  void credit(Bytes size, Tick d) {
-    ++packets;
+  /// Credits `n` packets of `size` bytes in total that spent `d` (summed)
+  /// in the stage.
+  void credit(Bytes size, Tick d, std::uint64_t n = 1) {
+    packets += n;
     bytes += size;
     time_in_switch += d;
   }
@@ -73,11 +76,16 @@ class Switch {
   /// queue does not.
   virtual bool contention_free() const = 0;
 
-  /// Draws the stage delay packet `p` would experience and credits the
-  /// switch counters, without scheduling anything — the flow-forward
-  /// regime's closed-form replacement for route(). Only meaningful on a
-  /// contention_free() switch; others must refuse.
-  virtual Tick flowfwd_delay(const Packet& p) = 0;
+  /// The stage delays the packets of message `msg` on `flow` would
+  /// experience, drawn without scheduling or crediting anything — the
+  /// flow-forward regime's closed-form replacement for route(). Only
+  /// meaningful on a contention_free() switch; others must refuse.
+  virtual KeyedDraws flowfwd_draws(std::uint32_t flow, MessageId msg) const = 0;
+  /// Credits `packets` flow-forwarded packets of `bytes` in total that
+  /// spent `delay` (summed) in the stage: what route() would have credited
+  /// them one by one.
+  virtual void credit_flowfwd(std::uint64_t packets, Bytes bytes,
+                              Tick delay) = 0;
 
   virtual const SwitchCounters& counters() const = 0;
 };
@@ -92,9 +100,14 @@ struct OutputQueuedConfig {
   double tail_mean_excess_ns = 2000.0;  ///< mean extra beyond the offset
 };
 
-/// SplitMix64 finalizer (the mixer Rng seeds through): collapses a key
-/// tuple into one 64-bit key, one component at a time.
-std::uint64_t mix64(std::uint64_t x);
+/// SplitMix64's step and finalizer (the mixer Rng seeds through):
+/// collapses a key tuple into one 64-bit key, one component at a time.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// The arbitration jitter as the model sees it: ⌊X⌋ ns, where X is
 /// log-normal with linear-space `mean_ns` and `stddev_ns` (the stage adds
@@ -157,6 +170,53 @@ struct KeyedStage {
   const JitterTable* table = nullptr;
 };
 
+/// The keyed stage draws of one message's packets at one switch. Packet
+/// `seq` of message `msg` on `flow` draws from the stream
+///   Rng(mix64(mix64(mix64(switch_key ^ flow) ^ msg) ^ seq)),
+/// and the first two mixes, which name the message, are made once here.
+/// A packet then needs at most the stream's first two outputs, and
+/// xoshiro256** yields them without the full state: Rng(seed) starts at
+/// s_i = mix64(seed + i·γ) (γ = 0x9e3779b97f4a7c15), its first output is
+/// rotl(s1·5, 7)·9 and its second rotl((s0 ^ s1 ^ s2)·5, 7)·9. So a draw
+/// is three mixes instead of seven and no Rng, and only a packet that
+/// takes the tail (tail_prob, 1.5% by default) builds the Rng, to replay
+/// the exponential excess from the same stream.
+class KeyedDraws {
+ public:
+  KeyedDraws(const KeyedStage& stage, std::uint64_t switch_key,
+             std::uint32_t flow, std::uint64_t msg)
+      : stage_(&stage), prefix_(mix64(mix64(switch_key ^ flow) ^ msg)) {}
+
+  /// The stage delay of the message's packet `seq`.
+  Tick delay(std::uint32_t seq) const {
+    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+    const std::uint64_t seed = mix64(prefix_ ^ seq);
+    const std::uint64_t s1 = mix64(seed + kGamma);
+    std::uint64_t out = xoshiro_output(s1);
+    Tick d = stage_->fixed;
+    if (stage_->table != nullptr) {
+      d += stage_->table->sample(static_cast<std::uint32_t>(out >> 32));
+      out = xoshiro_output(mix64(seed) ^ s1 ^ mix64(seed + 2 * kGamma));
+    }
+    // Rng::chance: the output's top 53 bits as a uniform in [0, 1).
+    if (stage_->config.tail_prob > 0.0 &&
+        static_cast<double>(out >> 11) * 0x1.0p-53 < stage_->config.tail_prob)
+      d += tail_excess(seed);
+    return d;
+  }
+
+ private:
+  static std::uint64_t xoshiro_output(std::uint64_t s1) {
+    const std::uint64_t x = s1 * 5;
+    return ((x << 7) | (x >> 57)) * 9;
+  }
+  /// The tail's exponential excess, replayed from the packet's stream.
+  Tick tail_excess(std::uint64_t seed) const;
+
+  const KeyedStage* stage_;
+  std::uint64_t prefix_;
+};
+
 /// Draws one output-queued routing-stage delay — fixed pipeline latency +
 /// log-normal arbitration jitter + a rare exponential-excess tail — from a
 /// fresh stream keyed on (switch_key, p.flow, msg, p.seq), and credits it
@@ -178,7 +238,16 @@ class OutputQueuedSwitch final : public Switch {
   /// Forwards at arrive_at + the packet's keyed stage delay.
   Tick route(const Packet& p, Tick arrive_at, ForwardFn forward) override;
   bool contention_free() const override { return true; }
-  Tick flowfwd_delay(const Packet& p) override;
+  KeyedDraws flowfwd_draws(std::uint32_t flow, MessageId msg) const override {
+    return KeyedDraws(stage_, key_, flow, msg_ordinal(msg));
+  }
+  void credit_flowfwd(std::uint64_t packets, Bytes bytes,
+                      Tick delay) override {
+    counters_.credit(bytes, delay, packets);
+  }
+  /// Draws the stage delay packet `p` would experience and credits it, as
+  /// route() does, without scheduling anything.
+  Tick flowfwd_delay(const Packet& p);
   const SwitchCounters& counters() const override { return counters_; }
 
  private:
@@ -208,7 +277,9 @@ class SharedQueueSwitch final : public Switch {
   /// propagation (a single switch), that is arrival order.
   Tick route(const Packet& p, Tick arrive_at, ForwardFn forward) override;
   bool contention_free() const override { return false; }
-  Tick flowfwd_delay(const Packet& p) override;
+  KeyedDraws flowfwd_draws(std::uint32_t flow, MessageId msg) const override;
+  void credit_flowfwd(std::uint64_t packets, Bytes bytes,
+                      Tick delay) override;
   const SwitchCounters& counters() const override { return counters_; }
 
   Tick busy_until() const { return busy_until_; }

@@ -121,6 +121,21 @@ class LocalHistogram {
     if (v > max_) max_ = v;
     if (v < min_) min_ = v;
   }
+  /// Adds the `n` samples 1, 2, ..., n (the depths a burst of n enqueues
+  /// onto an idle port records): exactly what n add() calls would, in
+  /// bit_width(n) steps.
+  void add_run(std::uint64_t n) {
+    if (n == 0) return;
+    const int top = std::bit_width(n);
+    for (int b = 1; b < top; ++b)
+      buckets_[static_cast<std::size_t>(b)] += std::uint64_t{1} << (b - 1);
+    buckets_[static_cast<std::size_t>(top)] +=
+        n - (std::uint64_t{1} << (top - 1)) + 1;
+    count_ += n;
+    sum_ += n % 2 == 0 ? n / 2 * (n + 1) : (n / 2 + 1) * n;  // wraps as add()
+    if (n > max_) max_ = n;
+    if (min_ > 1) min_ = 1;
+  }
   void merge(const LocalHistogram& o) {
     for (std::size_t i = 0; i < buckets_.size(); ++i)
       buckets_[i] += o.buckets_[i];

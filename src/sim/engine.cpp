@@ -19,7 +19,7 @@ Engine::~Engine() {
                             static_cast<double>(ev)
                       : 0.0;
       });
-  scheduled.inc(next_seq_ - places_);
+  scheduled.inc(scheduled_);
   executed.inc(processed_);
   heap_peak.max(static_cast<double>(slots_.size()));
 }
@@ -48,15 +48,11 @@ EventKey Engine::push_event(Tick t, Tick created, std::uint64_t seq,
   ACTNET_CHECK_MSG(t >= now_, "event scheduled in the past: t=" << t
                                                                 << " now=" << now_);
   ACTNET_CHECK(fn);
+  ++scheduled_;
   const EventKey k{t, seq, alloc_slot(std::move(fn)),
                    EventKey::lag_of(t, created)};
   detail::heap_push(heap_, k);
   return k;
-}
-
-Engine::CancelToken Engine::schedule_cancellable_at(Tick t, EventFn&& fn) {
-  const EventKey k = push_event(t, now_, next_seq_++, std::move(fn));
-  return CancelToken{k.slot, slot_gen_[k.slot]};
 }
 
 Engine::CancelToken Engine::schedule_cancellable_as_of(Tick created,

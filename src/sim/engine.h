@@ -59,7 +59,6 @@ class Engine {
   std::uint64_t take_places(std::uint64_t count = 1) {
     const std::uint64_t first = next_seq_;
     next_seq_ += count;
-    places_ += count;
     return first;
   }
 
@@ -97,10 +96,8 @@ class Engine {
     bool valid() const { return slot != 0xffffffffu; }
   };
 
-  /// Like schedule_at, but returns a token that cancel() accepts. Same
-  /// ordering semantics; the only cost over schedule_at is the token.
-  CancelToken schedule_cancellable_at(Tick t, EventFn&& fn);
-  /// schedule_as_of with a token.
+  /// schedule_as_of with a token that cancel() accepts; the only cost
+  /// over schedule_as_of is the token.
   CancelToken schedule_cancellable_as_of(Tick created, std::uint64_t place,
                                          Tick t, EventFn&& fn);
 
@@ -174,7 +171,7 @@ class Engine {
   EventKey current_ = idle_key(0);
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t places_ = 0;  ///< places taken; the rest of next_seq_ are events
+  std::uint64_t scheduled_ = 0;  ///< events pushed, at any place
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t budget_ = 0;

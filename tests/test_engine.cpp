@@ -223,7 +223,8 @@ TEST(Engine, CountsProcessedEvents) {
 TEST(Engine, CancelledEventNeverRuns) {
   Engine e;
   int ran = 0;
-  const auto tok = e.schedule_cancellable_at(100, [&ran] { ++ran; });
+  const auto tok = e.schedule_cancellable_as_of(e.now(), e.take_places(), 100,
+                                                [&ran] { ++ran; });
   e.schedule_at(100, [&ran] { ran += 10; });
   EXPECT_TRUE(e.cancel(tok));
   e.run();
@@ -236,7 +237,8 @@ TEST(Engine, CancelledEventNeverRuns) {
 TEST(Engine, CancelAfterFireReturnsFalse) {
   Engine e;
   int ran = 0;
-  const auto tok = e.schedule_cancellable_at(5, [&ran] { ++ran; });
+  const auto tok = e.schedule_cancellable_as_of(e.now(), e.take_places(), 5,
+                                                [&ran] { ++ran; });
   e.run();
   EXPECT_EQ(ran, 1);
   EXPECT_FALSE(e.cancel(tok));
@@ -247,10 +249,12 @@ TEST(Engine, CancelAfterFireReturnsFalse) {
 TEST(Engine, StaleTokenDoesNotCancelSlotReuser) {
   Engine e;
   int ran = 0;
-  const auto stale = e.schedule_cancellable_at(5, [&ran] { ran += 1; });
+  const auto stale = e.schedule_cancellable_as_of(e.now(), e.take_places(), 5,
+                                                  [&ran] { ran += 1; });
   e.run();  // fires; the slot returns to the free list
   // The next event reuses the slot; the stale token must not kill it.
-  e.schedule_cancellable_at(10, [&ran] { ran += 10; });
+  e.schedule_cancellable_as_of(e.now(), e.take_places(), 10,
+                               [&ran] { ran += 10; });
   EXPECT_FALSE(e.cancel(stale));
   e.run();
   EXPECT_EQ(ran, 11);
@@ -270,7 +274,8 @@ TEST(Engine, StaleTokenDoesNotCancelSlotReuser) {
 
 TEST(Engine, DoubleCancelAndInvalidTokenAreSafe) {
   Engine e;
-  const auto tok = e.schedule_cancellable_at(5, [] {});
+  const auto tok =
+      e.schedule_cancellable_as_of(e.now(), e.take_places(), 5, [] {});
   EXPECT_TRUE(e.cancel(tok));
   EXPECT_FALSE(e.cancel(tok));
   EXPECT_FALSE(e.cancel(Engine::CancelToken{}));
@@ -282,7 +287,8 @@ TEST(Engine, CancelledEventsDoNotCountTowardBudget) {
   Engine e;
   e.set_event_budget(5);
   for (int i = 0; i < 20; ++i) {
-    const auto tok = e.schedule_cancellable_at(i, [] {});
+    const auto tok =
+        e.schedule_cancellable_as_of(e.now(), e.take_places(), i, [] {});
     e.cancel(tok);
   }
   for (int i = 0; i < 5; ++i) e.schedule_at(100 + i, [] {});
@@ -327,11 +333,12 @@ TEST(Engine, PublishedHeapPeakIsMaxPending) {
     for (int round = 0; round < 4; ++round) {
       const Tick base = e.now();
       for (int i = 0; i < 20 + 7 * round; ++i) {
-        tokens.push_back(e.schedule_cancellable_at(base + 1 + i % 9, [&] {
-          // Events that schedule more events while the queue drains.
-          e.schedule_in(3, [&] { note(); });
-          note();
-        }));
+        tokens.push_back(e.schedule_cancellable_as_of(
+            e.now(), e.take_places(), base + 1 + i % 9, [&] {
+              // Events that schedule more events while the queue drains.
+              e.schedule_in(3, [&] { note(); });
+              note();
+            }));
         note();
       }
       for (std::size_t i = 0; i < tokens.size(); i += 3) e.cancel(tokens[i]);

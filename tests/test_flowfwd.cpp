@@ -52,7 +52,15 @@ struct RunLog {
   // Queue-depth-on-enqueue distribution (order-free integer buckets).
   std::uint64_t depth_count = 0;
   std::uint64_t depth_sum = 0;
+  std::uint64_t depth_min = 0;
+  std::uint64_t depth_max = 0;
   std::vector<std::uint64_t> depth_buckets;
+  // Cross-node packet latency distribution (Network::packet_latency()).
+  std::uint64_t latency_count = 0;
+  std::uint64_t latency_sum = 0;
+  std::uint64_t latency_min = 0;
+  std::uint64_t latency_max = 0;
+  std::vector<std::uint64_t> latency_buckets;
   // Integer leaf-switch counters (stage delays summed in ticks).
   std::uint64_t switch_packets = 0;
   Bytes switch_bytes = 0;
@@ -64,7 +72,12 @@ struct RunLog {
            messages_delivered == o.messages_delivered &&
            port_packets == o.port_packets && port_bytes == o.port_bytes &&
            port_busy == o.port_busy && depth_count == o.depth_count &&
-           depth_sum == o.depth_sum && depth_buckets == o.depth_buckets &&
+           depth_sum == o.depth_sum && depth_min == o.depth_min &&
+           depth_max == o.depth_max && depth_buckets == o.depth_buckets &&
+           latency_count == o.latency_count &&
+           latency_sum == o.latency_sum && latency_min == o.latency_min &&
+           latency_max == o.latency_max &&
+           latency_buckets == o.latency_buckets &&
            switch_packets == o.switch_packets &&
            switch_bytes == o.switch_bytes && switch_time == o.switch_time;
   }
@@ -89,8 +102,14 @@ struct RunLog {
     ints("port_packets", l.port_packets);
     ints("port_bytes", l.port_bytes);
     ints("port_busy", l.port_busy);
-    os << " depth_count=" << l.depth_count << " depth_sum=" << l.depth_sum;
+    os << " depth_count=" << l.depth_count << " depth_sum=" << l.depth_sum
+       << " depth_min=" << l.depth_min << " depth_max=" << l.depth_max;
     ints("depth_buckets", l.depth_buckets);
+    os << " latency_count=" << l.latency_count
+       << " latency_sum=" << l.latency_sum
+       << " latency_min=" << l.latency_min
+       << " latency_max=" << l.latency_max;
+    ints("latency_buckets", l.latency_buckets);
     os << " switch=" << l.switch_packets << "/" << l.switch_bytes << "/"
        << l.switch_time;
     return os;
@@ -173,8 +192,17 @@ RunLog run_script(const net::NetworkConfig& cfg,
   const obs::LocalHistogram& depth = net.port_stats().depth;
   log.depth_count = depth.count();
   log.depth_sum = depth.sum();
-  for (int b = 0; b < obs::Histogram::kBuckets; ++b)
+  log.depth_min = depth.min();
+  log.depth_max = depth.max();
+  const obs::LocalHistogram& latency = net.packet_latency();
+  log.latency_count = latency.count();
+  log.latency_sum = latency.sum();
+  log.latency_min = latency.min();
+  log.latency_max = latency.max();
+  for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
     log.depth_buckets.push_back(depth.bucket(b));
+    log.latency_buckets.push_back(latency.bucket(b));
+  }
   log.switch_packets = net.switch_counters().packets;
   log.switch_bytes = net.switch_counters().bytes;
   log.switch_time = net.switch_counters().time_in_switch;

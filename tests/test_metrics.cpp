@@ -169,6 +169,32 @@ TEST(LocalHistogram, MergesExactlyIntoHistogram) {
     EXPECT_EQ(merged.bucket(i), direct.bucket(i)) << "bucket " << i;
 }
 
+TEST(LocalHistogram, RunOfDepthsEqualsSingleAdds) {
+  // add_run(n) is the n samples 1..n: every bucket, the count, sum, min
+  // and max match n add() calls, onto an empty histogram and onto one that
+  // already holds samples below and above the run.
+  for (const bool earlier : {false, true})
+    for (std::uint64_t n = 1; n <= 4097; ++n) {
+      LocalHistogram run;
+      LocalHistogram single;
+      if (earlier)
+        for (LocalHistogram* h : {&run, &single}) {
+          h->add(0);
+          h->add(3);
+          h->add(9000);
+        }
+      run.add_run(n);
+      for (std::uint64_t v = 1; v <= n; ++v) single.add(v);
+      ASSERT_EQ(run.count(), single.count()) << "n " << n;
+      ASSERT_EQ(run.sum(), single.sum()) << "n " << n;
+      ASSERT_EQ(run.min(), single.min()) << "n " << n;
+      ASSERT_EQ(run.max(), single.max()) << "n " << n;
+      for (int b = 0; b < Histogram::kBuckets; ++b)
+        ASSERT_EQ(run.bucket(b), single.bucket(b))
+            << "n " << n << " bucket " << b;
+    }
+}
+
 // Run under `ctest -L tsan` with -DACTNET_SANITIZE=thread: campaign workers
 // mutate shared counters concurrently and totals must stay exact.
 TEST(Registry, ConcurrentMutationIsExact) {

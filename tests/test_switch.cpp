@@ -234,6 +234,61 @@ TEST(OutputQueuedSwitch, ConstantAndZeroJitterKeepTheirExactDelays) {
   }
 }
 
+/// The keyed draw as a full Rng stream: Rng(mix64(mix64(mix64(key ^
+/// flow) ^ msg) ^ seq)), jitter from its first output when the stage has a
+/// table, then the tail test and the tail's exponential excess.
+Tick rng_stream_delay(const KeyedStage& stage, std::uint64_t key,
+                      std::uint32_t flow, std::uint64_t msg,
+                      std::uint32_t seq) {
+  const OutputQueuedConfig& config = stage.config;
+  Rng rng(mix64(mix64(mix64(key ^ flow) ^ msg) ^ seq));
+  Tick d = stage.fixed;
+  if (stage.table != nullptr)
+    d += stage.table->sample(static_cast<std::uint32_t>(rng() >> 32));
+  if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
+    d += units::ns(config.tail_offset_ns +
+                   rng.exponential(config.tail_mean_excess_ns));
+  return d;
+}
+
+TEST(KeyedDraws, EqualTheFullRngStreamOnRandomPackets) {
+  // The per-message prefix plus the two-output shortcut draw exactly what
+  // a fresh Rng per packet draws, for a tabled, a constant and a zero
+  // jitter, each with no tail, the default tail and a tail on half the
+  // packets (so the exponential replay runs often).
+  std::vector<OutputQueuedConfig> jitters(3);
+  jitters[1].jitter_stddev_ns = 0.0;  // constant
+  jitters[2].jitter_mean_ns = 0.0;    // none
+  Rng rng(2024);
+  for (const OutputQueuedConfig& jitter : jitters)
+    for (const double tail_prob : {0.015, 0.0, 0.5}) {
+      OutputQueuedConfig cfg = jitter;
+      cfg.tail_prob = tail_prob;
+      const KeyedStage stage(cfg);
+      int tails = 0;
+      for (int m = 0; m < 12000; ++m) {
+        const std::uint64_t key = rng();
+        const auto flow = static_cast<std::uint32_t>(rng());
+        const std::uint64_t msg = rng() >> rng.uniform_int(0, 63);
+        const KeyedDraws draws(stage, key, flow, msg);
+        for (int k = 0; k < 10; ++k) {
+          const auto seq = static_cast<std::uint32_t>(
+              k < 5 ? k : rng.uniform_int(0, 0xffffffff));
+          const Tick want = rng_stream_delay(stage, key, flow, msg, seq);
+          ASSERT_EQ(draws.delay(seq), want)
+              << "key " << key << " flow " << flow << " msg " << msg
+              << " seq " << seq << " tail_prob " << tail_prob;
+          if (want >= stage.fixed + units::ns(cfg.tail_offset_ns)) ++tails;
+        }
+      }
+      if (tail_prob == 0.5) {
+        EXPECT_GT(tails, 50000);
+      } else if (tail_prob == 0.0 && stage.table == nullptr) {
+        EXPECT_EQ(tails, 0);
+      }
+    }
+}
+
 TEST(JitterTable, ConcurrentSwitchesShareOneTablePerConfig) {
   // Eight threads build switches over the same and over different jitter
   // configurations at once; each configuration gets exactly one table.
