@@ -537,8 +537,8 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
   ff.full_size = full_size;
   ff.tail = tail;
   ff.full_ser = std::max<Tick>(1, units::serialization(full_size, bw));
-  ff.tail_ser =
-      tail > 0 ? std::max<Tick>(1, units::serialization(tail, bw)) : ff.full_ser;
+  ff.tail_ser = tail > 0 ? std::max<Tick>(1, units::serialization(tail, bw))
+                         : ff.full_ser;
   ff.bytes = full_size * ff.full_count + tail;
   ff.on_injected = std::move(on_injected);
   ff.hops.resize(num_packets);
@@ -565,7 +565,6 @@ void Network::flow_forward(MessageId id, NodeId src, NodeId dst, FlowId flow,
     hops[j] = FFHop{fwd, i, 0};
   }
   ff.t_inj = t;
-  ff.busy = t - t0;
   leaf.credit_flowfwd(num_packets, ff.bytes, delays);
 
   // Downlink, FIFO: each packet starts when it has left the switch and the
@@ -652,7 +651,8 @@ void Network::flowfwd_injected(std::uint32_t plan) {
   // The message has fully left the uplink: credit the port (busy time is
   // exactly the back-to-back serialization span) and release its guard so
   // later traffic from this node no longer demotes the message.
-  uplinks_[ff.src]->credit_flowfwd(ff.hops.size(), ff.bytes, ff.busy);
+  uplinks_[ff.src]->credit_flowfwd(ff.hops.size(), ff.bytes,
+                                   ff.t_inj - ff.t0);
   uplinks_[ff.src]->disarm_flowfwd_guard();
   if (ff.on_injected) {
     Callback cb = std::move(ff.on_injected);
@@ -666,7 +666,7 @@ void Network::finish_flowfwd(std::uint32_t plan) {
   Link& down = *downlinks_[ff.dst];
   down.disarm_flowfwd_guard();
   const auto n = static_cast<std::uint32_t>(ff.hops.size());
-  down.credit_flowfwd(n, ff.bytes, ff.busy);
+  down.credit_flowfwd(n, ff.bytes, ff.t_inj - ff.t0);
 
   // Every packet's downlink depth sample and latency, in service order,
   // its serialization end recomputed on the way; with a tracer, also the

@@ -223,7 +223,8 @@ class Network {
   /// completion event (or demotion); both ends of the route hold a guard
   /// pointing back at it. Its first full_count packets carry full_size
   /// bytes and the last one, if the size does not divide, the tail; the
-  /// uplink serializes them back to back from t0.
+  /// uplink serializes them back to back from t0, so t_inj - t0 is the
+  /// message's serialization time on either port.
   struct FlowFwd {
     MessageId id = 0;
     NodeId src = 0;
@@ -237,7 +238,6 @@ class Network {
     Tick full_ser = 0;  ///< serialization time of full_size (>= 1)
     Tick tail_ser = 0;  ///< ... and of the tail
     Bytes bytes = 0;    ///< the message's bytes on either port
-    Tick busy = 0;      ///< its serialization time on either port
     std::vector<FFHop> hops;  ///< downlink service order
     sim::Engine::CancelToken inj_ev;
     sim::Engine::CancelToken done_ev;
